@@ -55,7 +55,7 @@ from .params import (
 )
 from .tensor import Tensor, backward
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "BOS", "EOS", "PAD", "UNK",

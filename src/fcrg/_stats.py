@@ -15,30 +15,11 @@ def normal_sf(z: float) -> float:
 
 def midranks(values: Sequence[float]) -> np.ndarray:
     """Ranks 1..n with tied values receiving the mean of their rank range."""
-    arr = np.asarray(values, dtype=np.float64)
-    order = np.argsort(arr, kind="stable")
-    ranks = np.empty(len(arr), dtype=np.float64)
-    i = 0
-    while i < len(arr):
-        j = i
-        while j + 1 < len(arr) and arr[order[j + 1]] == arr[order[i]]:
-            j += 1
-        mean_rank = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = mean_rank
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last_rank = np.cumsum(counts)
+    return (last_rank - (counts - 1) / 2.0)[inverse]
 
 
 def tie_groups(values: Sequence[float]) -> list[int]:
     """Sizes of groups of tied values."""
-    arr = sorted(values)
-    groups: list[int] = []
-    i = 0
-    while i < len(arr):
-        j = i
-        while j + 1 < len(arr) and arr[j + 1] == arr[i]:
-            j += 1
-        groups.append(j - i + 1)
-        i = j + 1
-    return groups
+    return np.unique(values, return_counts=True)[1].tolist()

@@ -10,6 +10,8 @@ the configuration, so reruns with identical inputs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -42,44 +44,44 @@ class CLIError(Exception):
 
 # ---------------------------------------------------------------- run config
 
+# Every setting default is defined once, by the code that uses it: the config
+# dataclasses and a few library keywords.  Public setting keys are the owners'
+# names, except for these renames.
+_RENAMES = {
+    ModelConfig: {"seed": "model_seed"},
+    TrainConfig: {"beta1": "adam_beta1", "beta2": "adam_beta2", "epsilon": "adam_epsilon"},
+    DecodeConfig: {"max_len": "decode_max_len"},
+    SplitSpec: {"train": "train_ratio", "validation": "validation_ratio", "test": "test_ratio", "seed": "split_seed"},
+}
+
+
+def _field_defaults(cls) -> dict[str, object]:
+    renames = _RENAMES[cls]
+    return {
+        renames.get(f.name, f.name): f.default
+        for f in dataclasses.fields(cls)
+        if f.default is not dataclasses.MISSING
+    }
+
+
+def _keyword_defaults(function, **keys: str) -> dict[str, object]:
+    """``keys`` maps keyword names of ``function`` to setting keys."""
+    parameters = inspect.signature(function).parameters
+    return {key: parameters[name].default for name, key in keys.items()}
+
+
 # Flat setting table; the default's type decides how override text is parsed.
 DEFAULTS: dict[str, object] = {
-    # model
-    "embed_dim": 300,
-    "hidden_size": 300,
-    "output_size": 256,
-    "max_source_len": 89,
-    "max_target_len": 64,
-    "attention": "dot",
-    "dropout": 0.2,
-    "model_seed": 0,
-    "dtype": "float32",
-    # optimization
-    "learning_rate": 0.001,
-    "batch_size": 32,
-    "clip_norm": 0.25,
-    "adam_beta1": 0.9,
-    "adam_beta2": 0.999,
-    "adam_epsilon": 1e-8,
-    "max_epochs": 20,
-    "patience": 3,
-    "shuffle_seed": 0,
-    # data
-    "train_ratio": 0.8,
-    "validation_ratio": 0.1,
-    "test_ratio": 0.1,
-    "split_seed": 0,
-    "min_count": 3,
-    # decoding
-    "beam_size": 15,
-    "min_tokens": 0,
-    "decode_max_len": 64,
-    # topic model (lda_alpha < 0 means the 50/num_topics default)
+    **_field_defaults(ModelConfig),
+    **_field_defaults(TrainConfig),
+    **_keyword_defaults(train_model, shuffle_seed="shuffle_seed"),
+    **_field_defaults(SplitSpec),
+    **_keyword_defaults(build_vocabulary, min_count="min_count"),
+    **_field_defaults(DecodeConfig),
+    # topic model: lda_fit has no default for these (lda_alpha < 0 means its 50/num_topics default)
     "num_topics": 5,
     "lda_alpha": -1.0,
-    "lda_beta": 0.01,
-    "lda_iterations": 1000,
-    "lda_seed": 0,
+    **_keyword_defaults(analysis.lda_fit, beta="lda_beta", iterations="lda_iterations", seed="lda_seed"),
 }
 
 
@@ -131,32 +133,11 @@ def _prepare_run_dir(run_dir: str, settings: dict) -> Path:
     return out
 
 
-def _model_config(settings: dict, vocab_size: int) -> ModelConfig:
-    return ModelConfig(
-        vocab_size=vocab_size,
-        embed_dim=settings["embed_dim"],
-        hidden_size=settings["hidden_size"],
-        output_size=settings["output_size"],
-        max_source_len=settings["max_source_len"],
-        max_target_len=settings["max_target_len"],
-        attention=settings["attention"],
-        dropout=settings["dropout"],
-        seed=settings["model_seed"],
-        dtype=settings["dtype"],
-    )
-
-
-def _train_config(settings: dict) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=settings["learning_rate"],
-        batch_size=settings["batch_size"],
-        clip_norm=settings["clip_norm"],
-        beta1=settings["adam_beta1"],
-        beta2=settings["adam_beta2"],
-        epsilon=settings["adam_epsilon"],
-        max_epochs=settings["max_epochs"],
-        patience=settings["patience"],
-    )
+def _build(cls, settings: dict, **extra):
+    """Construct a config dataclass from the settings it owns, plus ``extra`` fields."""
+    renames = _RENAMES[cls]
+    values = {f.name: settings[renames.get(f.name, f.name)] for f in dataclasses.fields(cls) if f.name not in extra}
+    return cls(**values, **extra)
 
 
 def _load_gazetteer(path: Optional[str]) -> frozenset[str]:
@@ -190,13 +171,7 @@ def cmd_preprocess(args, settings: dict) -> int:
     ]
     write_dataset(out / "normalized.tsv", normalized)
 
-    spec = SplitSpec(
-        train=settings["train_ratio"],
-        validation=settings["validation_ratio"],
-        test=settings["test_ratio"],
-        seed=settings["split_seed"],
-    )
-    train, validation, test = split_dataset(normalized, spec)
+    train, validation, test = split_dataset(normalized, _build(SplitSpec, settings))
     write_dataset(out / "train.tsv", train)
     write_dataset(out / "validation.tsv", validation)
     write_dataset(out / "test.tsv", test)
@@ -239,7 +214,7 @@ def cmd_train(args, settings: dict) -> int:
     vocab = Vocabulary.load(args.vocab)
     train_pairs = _encode_split(args.train, vocab, settings)
     val_pairs = _encode_split(args.validation, vocab, settings)
-    model = FCRGModel(_model_config(settings, vocab.size))
+    model = FCRGModel(_build(ModelConfig, settings, vocab_size=vocab.size))
 
     log_lines = ["epoch\ttrain_nll\tvalidation_nll"]
 
@@ -248,7 +223,7 @@ def cmd_train(args, settings: dict) -> int:
         print(log_lines[-1])
 
     result = train_model(
-        model, train_pairs, val_pairs, _train_config(settings),
+        model, train_pairs, val_pairs, _build(TrainConfig, settings),
         shuffle_seed=settings["shuffle_seed"], log=log,
     )
     (out / "epochs.tsv").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
@@ -269,17 +244,13 @@ def cmd_generate(args, settings: dict) -> int:
             f"vocabulary size {vocab.size} does not match checkpoint vocab_size {model.config.vocab_size}"
         )
     gazetteer = _load_gazetteer(args.gazetteer)
-    decode = DecodeConfig(
-        beam_size=settings["beam_size"],
-        min_tokens=settings["min_tokens"],
-        max_len=settings["decode_max_len"],
-    )
+    decode = _build(DecodeConfig, settings)
     with open(args.sources, encoding="utf-8") as fh:
         sources = [line.rstrip("\n") for line in fh]
 
     lines = []
     for index, text in enumerate(sources):
-        tokens = tokenize(normalize(text, gazetteer))[: settings["max_source_len"]]
+        tokens = tokenize(normalize(text, gazetteer))[: model.config.max_source_len]
         if not tokens:
             raise CLIError(f"{args.sources}: line {index + 1}: source normalizes to zero tokens")
         responses = beam_search(vocab.encode(tokens), model, decode)

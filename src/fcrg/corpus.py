@@ -23,6 +23,7 @@ PLACEHOLDERS = frozenset({"<number>", "<person>", "url", "@user"})
 
 MAX_SOURCE_LEN = 89
 MAX_TARGET_LEN = 64
+MIN_COUNT = 3  # vocabulary frequency threshold
 
 _URL_RE = re.compile(r"(?:https?://\S+|www\.\S+|\bt\.co/\S+)", re.IGNORECASE)
 _MENTION_RE = re.compile(r"@\w+")
@@ -181,7 +182,7 @@ class Vocabulary:
         return cls(token_to_id, id_to_token, counts)
 
 
-def build_vocabulary(corpus: Iterable[Sequence[str]], min_count: int = 3) -> Vocabulary:
+def build_vocabulary(corpus: Iterable[Sequence[str]], min_count: int = MIN_COUNT) -> Vocabulary:
     """Build a vocabulary keeping tokens seen at least ``min_count`` times.
 
     Ids are assigned after the 4 reserved ids, in descending frequency order
@@ -359,7 +360,7 @@ def read_gazetteer(path) -> frozenset[str]:
         return frozenset(line.strip() for line in fh if line.strip())
 
 
-def corpus_statistics(pairs: Sequence[RawPair], gazetteer: frozenset[str] = frozenset(), min_count: int = 3) -> dict:
+def corpus_statistics(pairs: Sequence[RawPair], gazetteer: frozenset[str] = frozenset(), min_count: int = MIN_COUNT) -> dict:
     """Vocabulary size and token-count statistics of a normalized corpus."""
     source_lens: list[int] = []
     reply_lens: list[int] = []

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import BOS, EOS, PAD
+from .corpus import BOS, EOS, MAX_TARGET_LEN, PAD
 from .model import EncoderOutput, FCRGModel, encode_single
 from .tensor import Tensor
 
@@ -23,7 +23,7 @@ from .tensor import Tensor
 class DecodeConfig:
     beam_size: int = 15
     min_tokens: int = 0
-    max_len: int = 64
+    max_len: int = MAX_TARGET_LEN
 
     def __post_init__(self):
         if self.beam_size < 1:
@@ -120,8 +120,8 @@ def beam_search(source_ids: Sequence[int], model: FCRGModel, config: DecodeConfi
 def greedy_decode(
     source_ids: Sequence[int],
     model: FCRGModel,
-    min_tokens: int = 0,
-    max_len: int = 64,
+    min_tokens: int = DecodeConfig.min_tokens,
+    max_len: int = DecodeConfig.max_len,
 ) -> DecodedResponse:
     """Argmax decoding with the same masking rules; ties break to the lowest id."""
     encoded = encode_single(model, source_ids)

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .corpus import BOS, EOS, PAD, Batch, EncodedPair, Vocabulary, batches, make_batch
+from .corpus import BOS, EOS, MAX_SOURCE_LEN, MAX_TARGET_LEN, PAD, Batch, EncodedPair, Vocabulary, batches, make_batch
 from .params import ParamStore, TrainConfig
 from .tensor import Tensor, backward
 
@@ -31,8 +31,8 @@ class ModelConfig:
     embed_dim: int = 300
     hidden_size: int = 300
     output_size: int = 256
-    max_source_len: int = 89
-    max_target_len: int = 64
+    max_source_len: int = MAX_SOURCE_LEN
+    max_target_len: int = MAX_TARGET_LEN
     attention: str = "dot"
     dropout: float = 0.2
     seed: int = 0
@@ -254,7 +254,7 @@ class TrainResult:
     best_validation_nll: float
 
 
-def validation_nll(model: FCRGModel, pairs: Sequence[EncodedPair], batch_size: int = 32) -> float:
+def validation_nll(model: FCRGModel, pairs: Sequence[EncodedPair], batch_size: int = TrainConfig.batch_size) -> float:
     """Per-token NLL over a split with dropout disabled."""
     total, tokens = 0.0, 0
     for batch in batches(pairs, batch_size):

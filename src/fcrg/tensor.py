@@ -16,7 +16,7 @@ DEFAULT_DTYPE = np.float32
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_wants")
+    __slots__ = ("data", "grad", "_parents", "_backward", "_wants")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -26,7 +26,6 @@ class Tensor:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = requires_grad
         self._parents: tuple = ()
         self._backward = None
         self._wants = requires_grad  # participates in some gradient path
@@ -99,22 +98,6 @@ def add(a, b) -> Tensor:
             a.accumulate_grad(_unbroadcast(g, a.shape))
         if b._wants:
             b.accumulate_grad(_unbroadcast(g, b.shape))
-
-    out = _make(out_data, (a, b), backward)
-    return out
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b, like=a)
-    _check_broadcast(a, b, "sub")
-    out_data = a.data - b.data
-
-    def backward():
-        g = out.grad
-        if a._wants:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
-        if b._wants:
-            b.accumulate_grad(-_unbroadcast(g, b.shape))
 
     out = _make(out_data, (a, b), backward)
     return out

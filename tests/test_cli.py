@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fcrg import cli
 from fcrg.cli import DEFAULTS, load_run_config, main, CLIError
 
 TINY = [
@@ -36,6 +37,63 @@ def test_defaults_match_documented_values():
     assert DEFAULTS["beam_size"] == 15
     assert DEFAULTS["max_source_len"] == 89
     assert DEFAULTS["max_target_len"] == 64
+
+
+# Every settable key with its default; the default's type decides parsing.
+PINNED_DEFAULTS = {
+    "embed_dim": 300, "hidden_size": 300, "output_size": 256, "max_source_len": 89,
+    "max_target_len": 64, "attention": "dot", "dropout": 0.2, "model_seed": 0, "dtype": "float32",
+    "learning_rate": 0.001, "batch_size": 32, "clip_norm": 0.25, "adam_beta1": 0.9,
+    "adam_beta2": 0.999, "adam_epsilon": 1e-8, "max_epochs": 20, "patience": 3, "shuffle_seed": 0,
+    "train_ratio": 0.8, "validation_ratio": 0.1, "test_ratio": 0.1, "split_seed": 0, "min_count": 3,
+    "beam_size": 15, "min_tokens": 0, "decode_max_len": 64,
+    "num_topics": 5, "lda_alpha": -1.0, "lda_beta": 0.01, "lda_iterations": 1000, "lda_seed": 0,
+}
+
+PINNED_RESOLVED = """\
+adam_beta1=0.9
+adam_beta2=0.999
+adam_epsilon=1e-08
+attention=dot
+batch_size=32
+beam_size=15
+clip_norm=0.25
+decode_max_len=64
+dropout=0.2
+dtype=float32
+embed_dim=300
+hidden_size=300
+lda_alpha=-1.0
+lda_beta=0.01
+lda_iterations=1000
+lda_seed=0
+learning_rate=0.001
+max_epochs=20
+max_source_len=89
+max_target_len=64
+min_count=3
+min_tokens=0
+model_seed=0
+num_topics=5
+output_size=256
+patience=3
+shuffle_seed=0
+split_seed=0
+test_ratio=0.1
+train_ratio=0.8
+validation_ratio=0.1
+"""
+
+
+def test_defaults_pinned_keys_values_and_types(tmp_path, monkeypatch):
+    assert len(DEFAULTS) == 31
+    assert DEFAULTS == PINNED_DEFAULTS
+    for key, value in PINNED_DEFAULTS.items():
+        assert type(DEFAULTS[key]) is type(value), key
+    # The written configuration does not depend on the check itself; skip its cost.
+    monkeypatch.setattr(cli, "gradcheck_report", lambda: {"dot": {"w": 0.0}})
+    assert main(["gradcheck", "--run-dir", str(tmp_path / "g")]) == 0
+    assert (tmp_path / "g" / "config.resolved").read_text(encoding="utf-8") == PINNED_RESOLVED
 
 
 def test_config_file_and_overrides(tmp_path):
@@ -167,6 +225,33 @@ def test_generate_deterministic(trained, preprocessed, tmp_path):
             "--set", "beam_size=3", "--set", "decode_max_len=6",
         ])
         outs.append((run / "generations.tsv").read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_generate_truncates_with_checkpoint_source_len(preprocessed, tmp_path):
+    train_run = tmp_path / "short"
+    assert main([
+        "train",
+        "--train", str(preprocessed / "train.tsv"),
+        "--validation", str(preprocessed / "validation.tsv"),
+        "--vocab", str(preprocessed / "vocab.tsv"),
+        "--run-dir", str(train_run),
+        *TINY, "--set", "max_source_len=3",
+    ]) == 0
+    outs = []
+    for name, text in (("full", "this story spreading fast is viral"), ("cut", "this story spreading")):
+        sources = tmp_path / f"{name}.txt"
+        sources.write_text(text + "\n")
+        run = tmp_path / f"gen_{name}"
+        assert main([
+            "generate",
+            "--checkpoint", str(train_run / "model.ckpt"),
+            "--sources", str(sources),
+            "--vocab", str(preprocessed / "vocab.tsv"),
+            "--run-dir", str(run),
+            "--set", "beam_size=3", "--set", "decode_max_len=6",
+        ]) == 0
+        outs.append((run / "generations.tsv").read_text())
     assert outs[0] == outs[1]
 
 

@@ -48,10 +48,6 @@ def test_add_broadcast_grad():
     check_op(T.add, leaf((3, 4)), leaf((1, 4)))
 
 
-def test_sub_grad():
-    check_op(T.sub, leaf((2, 3)), leaf((2, 3)))
-
-
 def test_mul_broadcast_grad():
     check_op(T.mul, leaf((3, 4)), leaf((3, 1)))
 
