@@ -28,7 +28,7 @@ for name, cand in (("good", good), ("bad", bad)):
 # Embedding metrics need word vectors; any table works, including the
 # trained model's own embedding (metrics.embedding_table_from_model).
 rng = np.random.default_rng(0)
-table = EmbeddingTable({w: rng.standard_normal(8) for w in set(reference + good + bad)})
+table = EmbeddingTable({w: rng.standard_normal(8) for w in sorted(set(reference + good + bad))})
 
 references = {0: reference, 1: "no the photo is fake".split()}
 generations = {0: [good, bad], 1: ["the photo is fake".split()]}

@@ -171,7 +171,13 @@ class Vocabulary:
                 parts = line.split("\t")
                 if len(parts) != 3:
                     raise ValueError(f"{path}: line {lineno}: expected 3 tab-separated fields")
-                token, idx, count = parts[0], int(parts[1]), int(parts[2])
+                token = parts[0]
+                try:
+                    idx, count = int(parts[1]), int(parts[2])
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: line {lineno}: id and count must be integers, got {parts[1]!r} and {parts[2]!r}"
+                    ) from None
                 if idx != len(id_to_token):
                     raise ValueError(f"{path}: line {lineno}: ids must be dense and in order")
                 token_to_id[token] = idx
@@ -276,7 +282,6 @@ class Batch:
     source: np.ndarray  # (b, max source len) int64, PAD filled
     target: np.ndarray  # (b, max target len incl <s>/</s>) int64, PAD filled
     source_lengths: np.ndarray
-    target_lengths: np.ndarray
 
 
 def _pad_matrix(rows: Sequence[Sequence[int]]) -> np.ndarray:
@@ -292,7 +297,6 @@ def make_batch(pairs: Sequence[EncodedPair]) -> Batch:
         source=_pad_matrix([p.source_ids for p in pairs]),
         target=_pad_matrix([p.target_ids for p in pairs]),
         source_lengths=np.array([len(p.source_ids) for p in pairs], dtype=np.int64),
-        target_lengths=np.array([len(p.target_ids) for p in pairs], dtype=np.int64),
     )
 
 

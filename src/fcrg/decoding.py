@@ -9,13 +9,13 @@ remaining tokens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import BOS, EOS, MAX_TARGET_LEN, PAD
-from .model import EncoderOutput, FCRGModel, encode_single
+from .model import FCRGModel, encode_single
 from .tensor import Tensor
 
 
@@ -33,48 +33,37 @@ class DecodeConfig:
 
 
 @dataclass
-class Hypothesis:
-    """Partial decode state; ``ids`` holds content tokens only (no <s>/</s>)."""
-
-    ids: list[int]
-    log_prob: float
-    hidden: np.ndarray  # (H,) detached decoder state
-    finished: bool = False
-    forced: bool = False  # reached max_len without emitting </s>
-
-
-@dataclass
 class DecodedResponse:
     ids: list[int]
     log_prob: float
     forced: bool = False
 
 
-def _masked_log_probs(logits: np.ndarray, token_counts: Sequence[int], min_tokens: int) -> np.ndarray:
-    """Log-probabilities with <pad>/<s> banned and </s> banned below min_tokens."""
+def _masked_log_probs(logits: np.ndarray, ban_eos: bool) -> np.ndarray:
+    """Log-probabilities with <pad>/<s> banned, and </s> too when ``ban_eos``."""
     scores = logits.astype(np.float64, copy=True)
-    scores[:, PAD] = -np.inf
-    scores[:, BOS] = -np.inf
-    for row, count in enumerate(token_counts):
-        if count < min_tokens:
-            scores[row, EOS] = -np.inf
+    scores[:, [PAD, BOS]] = -np.inf
+    if ban_eos:
+        scores[:, EOS] = -np.inf
     shifted = scores - scores.max(axis=1, keepdims=True)
     with np.errstate(divide="ignore"):
         return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _step(model: FCRGModel, hyps: Sequence[Hypothesis], encoded: EncoderOutput, min_tokens: int) -> np.ndarray:
-    """Advance every live hypothesis one step; updates hidden states in place.
+def _select(scores: np.ndarray, beam_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Parent rows and tokens of the ``beam_size`` best finite entries of (k, V) ``scores``.
 
-    Returns the (k, V) masked log-probability matrix.
+    Ranked by score, ties broken by the lower token id, then the lower parent
+    rank.  Only the entries at or above the K-th best score are sorted.
     """
-    prev_ids = np.array([h.ids[-1] if h.ids else BOS for h in hyps], dtype=np.int64)
-    h_prev = Tensor(np.stack([h.hidden for h in hyps]))
-    out = model.decode_step(prev_ids, h_prev, encoded, train=False)
-    hidden = out.hidden.data
-    for i, h in enumerate(hyps):
-        h.hidden = hidden[i].copy()
-    return _masked_log_probs(out.logits.data, [len(h.ids) for h in hyps], min_tokens)
+    flat = scores.ravel()
+    index = np.flatnonzero(np.isfinite(flat))
+    if len(index) > beam_size:
+        cut = len(index) - beam_size
+        index = index[flat[index] >= np.partition(flat[index], cut)[cut]]
+    parent, token = np.divmod(index, scores.shape[1])
+    order = np.lexsort((parent, token, -flat[index]))[:beam_size]
+    return parent[order], token[order]
 
 
 def beam_search(source_ids: Sequence[int], model: FCRGModel, config: DecodeConfig) -> list[DecodedResponse]:
@@ -85,36 +74,30 @@ def beam_search(source_ids: Sequence[int], model: FCRGModel, config: DecodeConfi
     and are not extended further; hypotheses reaching max_len are
     force-finished.  The pool is ranked by log-probability with ties broken
     by shorter length, then lexicographic ids.
+
+    All live hypotheses have the same length, so the beam is held as arrays:
+    ``ids`` (k, 1 + t) with <s> in column 0, ``scores`` (k,) and ``hidden`` (k, H).
     """
     encoded = encode_single(model, source_ids)
-    start = Hypothesis(ids=[], log_prob=0.0, hidden=encoded.final.data[0].copy())
-    live = [start]
-    completed: list[Hypothesis] = []
-    while live:
-        log_probs = _step(model, live, encoded, config.min_tokens)
-        candidates: list[tuple[float, int, int]] = []  # (score, token, hyp index)
-        for i, hyp in enumerate(live):
-            row = log_probs[i]
-            for token in np.flatnonzero(np.isfinite(row)):
-                candidates.append((hyp.log_prob + row[token], int(token), i))
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        survivors = candidates[: config.beam_size]
-        next_live: list[Hypothesis] = []
-        for score, token, i in survivors:
-            parent = live[i]
-            if token == EOS:
-                completed.append(Hypothesis(list(parent.ids), score, parent.hidden, finished=True))
-            else:
-                child = Hypothesis(parent.ids + [token], score, parent.hidden.copy())
-                if len(child.ids) >= config.max_len:
-                    child.finished = True
-                    child.forced = True
-                    completed.append(child)
-                else:
-                    next_live.append(child)
-        live = next_live
-    completed.sort(key=lambda h: (-h.log_prob, len(h.ids), h.ids))
-    return [DecodedResponse(h.ids, h.log_prob, h.forced) for h in completed[: config.beam_size]]
+    ids = np.full((1, 1), BOS, dtype=np.int64)
+    scores = np.zeros(1)
+    hidden = encoded.final.data
+    completed: list[DecodedResponse] = []
+    for t in range(config.max_len):
+        out = model.decode_step(ids[:, -1], Tensor(hidden), encoded, train=False)
+        candidates = scores[:, None] + _masked_log_probs(out.logits.data, t < config.min_tokens)
+        parent, token = _select(candidates, config.beam_size)
+        scores = candidates[parent, token]
+        ends = token == EOS
+        completed += [DecodedResponse(ids[p, 1:].tolist(), s) for p, s in zip(parent[ends], scores[ends])]
+        parent, token, scores = parent[~ends], token[~ends], scores[~ends]
+        ids = np.column_stack([ids[parent], token])
+        hidden = out.hidden.data[parent]
+        if not len(ids):
+            break
+    completed += [DecodedResponse(row[1:].tolist(), s, forced=True) for row, s in zip(ids, scores)]
+    completed.sort(key=lambda r: (-r.log_prob, len(r.ids), r.ids))
+    return completed[: config.beam_size]
 
 
 def greedy_decode(
@@ -123,15 +106,5 @@ def greedy_decode(
     min_tokens: int = DecodeConfig.min_tokens,
     max_len: int = DecodeConfig.max_len,
 ) -> DecodedResponse:
-    """Argmax decoding with the same masking rules; ties break to the lowest id."""
-    encoded = encode_single(model, source_ids)
-    hyp = Hypothesis(ids=[], log_prob=0.0, hidden=encoded.final.data[0].copy())
-    while True:
-        log_probs = _step(model, [hyp], encoded, min_tokens)[0]
-        token = int(np.argmax(log_probs))  # argmax returns the first (lowest-id) maximum
-        hyp.log_prob += float(log_probs[token])
-        if token == EOS:
-            return DecodedResponse(hyp.ids, hyp.log_prob)
-        hyp.ids.append(token)
-        if len(hyp.ids) >= max_len:
-            return DecodedResponse(hyp.ids, hyp.log_prob, forced=True)
+    """Beam search with beam size 1: argmax decoding, ties break to the lowest id."""
+    return beam_search(source_ids, model, DecodeConfig(1, min_tokens, max_len))[0]

@@ -67,14 +67,6 @@ class EncoderOutput:
 class DecodeStepOutput:
     logits: Tensor  # (b, V) pre-softmax scores
     hidden: Tensor  # (b, H)
-    attn: Tensor  # (b, L), a distribution over unmasked source positions
-    context: Tensor  # (b, H)
-
-    @property
-    def probs(self) -> np.ndarray:
-        x = self.logits.data
-        e = np.exp(x - x.max(axis=-1, keepdims=True))
-        return e / e.sum(axis=-1, keepdims=True)
 
 
 def gru_cell(x, h_prev, w_update, u_update, w_reset, u_reset, w_candidate, u_candidate) -> Tensor:
@@ -188,7 +180,7 @@ class FCRGModel:
         features = T.concat([context, h], axis=1)
         features = T.dropout(features, self.config.dropout, self._dropout_rng, train=train)
         logits = T.matmul(T.tanh(T.matmul(features, self.params["out_hidden"])), self.params["out_vocab"])
-        return DecodeStepOutput(logits=logits, hidden=h, attn=attn, context=context)
+        return DecodeStepOutput(logits=logits, hidden=h)
 
     # -- training objective ---------------------------------------------
 

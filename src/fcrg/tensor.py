@@ -161,7 +161,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def sigmoid(a: Tensor) -> Tensor:
     # Stable two-branch evaluation; avoids overflow in exp for large |x|.
     x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out_data = out_data.astype(x.dtype, copy=False)
 
     def backward():

@@ -172,6 +172,14 @@ def test_vocabulary_load_rejects_sparse_ids(tmp_path):
         Vocabulary.load(path)
 
 
+@pytest.mark.parametrize("line", ["<s>\tx\t0", "<s>\t1\tmany"])
+def test_vocabulary_load_names_line_of_bad_integer(tmp_path, line):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"<pad>\t0\t0\n{line}\n")
+    with pytest.raises(ValueError, match=r"bad\.tsv: line 2: id and count must be integers"):
+        Vocabulary.load(path)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), min_size=1, max_size=20))
 def test_encode_decode_roundtrip_in_vocab(tokens):

@@ -1,22 +1,138 @@
 """Decoding tests: beam search against exhaustive enumeration, constraints."""
 
 import itertools
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcrg.corpus import BOS, EOS, PAD
-from fcrg.decoding import DecodeConfig, beam_search, greedy_decode
-from fcrg.model import FCRGModel, ModelConfig, encode_single
+from fcrg.decoding import DecodeConfig, DecodedResponse, beam_search, greedy_decode
+from fcrg.model import EncoderOutput, FCRGModel, ModelConfig, encode_single
 from fcrg.tensor import Tensor
 
 
-def small_model(vocab_size=5, seed=0, attention="dot"):
+def small_model(vocab_size=5, seed=0, attention="dot", dtype="float64"):
     return FCRGModel(ModelConfig(
         vocab_size=vocab_size, embed_dim=3, hidden_size=4, output_size=4,
         max_source_len=6, max_target_len=8, attention=attention,
-        dropout=0.0, seed=seed, dtype="float64",
+        dropout=0.0, seed=seed, dtype=dtype,
     ))
+
+
+# ---------------------------------------------------------------- reference beam search
+#
+# The per-hypothesis implementation with an explicit sorted candidate list.
+# It is the oracle for beam_search's exact order, ties included: candidates
+# rank by (-score, token, parent rank), completed hypotheses by
+# (-log_prob, length, ids).
+
+
+@dataclass
+class Hypothesis:
+    """Partial decode state; ``ids`` holds content tokens only (no <s>/</s>)."""
+
+    ids: list[int]
+    log_prob: float
+    hidden: np.ndarray  # (H,) detached decoder state
+    finished: bool = False
+    forced: bool = False  # reached max_len without emitting </s>
+
+
+def _masked_log_probs(logits: np.ndarray, token_counts: Sequence[int], min_tokens: int) -> np.ndarray:
+    """Log-probabilities with <pad>/<s> banned and </s> banned below min_tokens."""
+    scores = logits.astype(np.float64, copy=True)
+    scores[:, PAD] = -np.inf
+    scores[:, BOS] = -np.inf
+    for row, count in enumerate(token_counts):
+        if count < min_tokens:
+            scores[row, EOS] = -np.inf
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _step(model: FCRGModel, hyps: Sequence[Hypothesis], encoded: EncoderOutput, min_tokens: int) -> np.ndarray:
+    """Advance every live hypothesis one step; updates hidden states in place.
+
+    Returns the (k, V) masked log-probability matrix.
+    """
+    prev_ids = np.array([h.ids[-1] if h.ids else BOS for h in hyps], dtype=np.int64)
+    h_prev = Tensor(np.stack([h.hidden for h in hyps]))
+    out = model.decode_step(prev_ids, h_prev, encoded, train=False)
+    hidden = out.hidden.data
+    for i, h in enumerate(hyps):
+        h.hidden = hidden[i].copy()
+    return _masked_log_probs(out.logits.data, [len(h.ids) for h in hyps], min_tokens)
+
+
+def reference_beam_search(source_ids: Sequence[int], model: FCRGModel, config: DecodeConfig) -> list[DecodedResponse]:
+    encoded = encode_single(model, source_ids)
+    start = Hypothesis(ids=[], log_prob=0.0, hidden=encoded.final.data[0].copy())
+    live = [start]
+    completed: list[Hypothesis] = []
+    while live:
+        log_probs = _step(model, live, encoded, config.min_tokens)
+        candidates: list[tuple[float, int, int]] = []  # (score, token, hyp index)
+        for i, hyp in enumerate(live):
+            row = log_probs[i]
+            for token in np.flatnonzero(np.isfinite(row)):
+                candidates.append((hyp.log_prob + row[token], int(token), i))
+        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+        survivors = candidates[: config.beam_size]
+        next_live: list[Hypothesis] = []
+        for score, token, i in survivors:
+            parent = live[i]
+            if token == EOS:
+                completed.append(Hypothesis(list(parent.ids), score, parent.hidden, finished=True))
+            else:
+                child = Hypothesis(parent.ids + [token], score, parent.hidden.copy())
+                if len(child.ids) >= config.max_len:
+                    child.finished = True
+                    child.forced = True
+                    completed.append(child)
+                else:
+                    next_live.append(child)
+        live = next_live
+    completed.sort(key=lambda h: (-h.log_prob, len(h.ids), h.ids))
+    return [DecodedResponse(h.ids, h.log_prob, h.forced) for h in completed[: config.beam_size]]
+
+
+@st.composite
+def decode_cases(draw):
+    vocab_size = draw(st.integers(5, 30))
+    max_len = draw(st.integers(1, 8))
+    model = small_model(
+        vocab_size=vocab_size,
+        seed=draw(st.integers(0, 2**16)),
+        attention=draw(st.sampled_from(["dot", "bilinear"])),
+        dtype=draw(st.sampled_from(["float32", "float64"])),
+    )
+    source = draw(st.lists(st.integers(4, vocab_size - 1), min_size=1, max_size=6))
+    config = DecodeConfig(
+        beam_size=draw(st.integers(1, 20)),
+        min_tokens=draw(st.integers(0, max_len - 1)),
+        max_len=max_len,
+    )
+    return model, source, config
+
+
+def _as_tuples(responses):
+    return [(r.ids, r.log_prob, r.forced) for r in responses]
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@settings(max_examples=100, deadline=None)
+@given(case=decode_cases())
+def test_beam_search_equals_reference_exactly(tied, case):
+    model, source, config = case
+    if tied:
+        model.params["out_vocab"].data[:] = 0.0  # uniform logits: only the tie-break orders candidates
+    # log_prob compares with ==: the selection must be bit-for-bit the same
+    assert _as_tuples(beam_search(source, model, config)) == _as_tuples(reference_beam_search(source, model, config))
 
 
 # ---------------------------------------------------------------- exhaustive oracle
@@ -159,6 +275,12 @@ def test_greedy_respects_constraints():
     out = greedy_decode([4], model, min_tokens=2, max_len=4)
     assert 2 <= len(out.ids) <= 4
     assert all(t not in (PAD, BOS, EOS) for t in out.ids)
+
+
+def test_greedy_validates_through_decode_config():
+    model = small_model(seed=3)
+    with pytest.raises(ValueError):
+        greedy_decode([4], model, min_tokens=4, max_len=4)
 
 
 def test_config_validation():
