@@ -328,20 +328,22 @@ def read_dataset(path) -> list[RawPair]:
             parts = line.split("\t")
             if len(parts) < 2 or len(parts) > 4:
                 raise ValueError(f"{path}: line {lineno}: expected 2-4 tab-separated fields")
-            share_count = None
-            label = None
+            extras: dict[str, object] = {}
             for extra in parts[2:]:
                 if extra in ("true", "false"):
-                    label = extra
+                    kind, value = "label", extra
                 else:
                     try:
-                        share_count = int(extra)
+                        kind, value = "share count", int(extra)
                     except ValueError:
                         raise ValueError(
                             f"{path}: line {lineno}: field {extra!r} is neither a share count nor a label"
                         ) from None
+                if kind in extras:
+                    raise ValueError(f"{path}: line {lineno}: repeated {kind} {extra!r}")
+                extras[kind] = value
             try:
-                pairs.append(RawPair(parts[0], parts[1], share_count, label))
+                pairs.append(RawPair(parts[0], parts[1], extras.get("share count"), extras.get("label")))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return pairs

@@ -168,28 +168,49 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
     split = raw.find(marker)
     if split < 0:
         raise ValueError(f"{path}: not a checkpoint file (missing payload marker)")
-    header = raw[:split].decode("utf-8").split("\n")
+    try:
+        header = raw[:split].decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: checkpoint header is not UTF-8: {exc}") from None
     payload = raw[split + len(marker) :]
     if header[0] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: unsupported checkpoint format {header[0]!r}")
     meta: dict = {}
-    params: list[tuple[str, str, tuple[int, ...]]] = []
+    params: dict[str, tuple[str, tuple[int, ...]]] = {}
     for line in header[1:]:
         key, _, rest = line.partition(" ")
-        if key == "config":
-            meta["config"] = json.loads(rest)
-        elif key in ("dtype", "seed", "epoch"):
-            meta[key] = rest if key == "dtype" else int(rest)
-        elif key == "param":
-            name, partition, shape_text = rest.split(" ")
-            shape = tuple(int(d) for d in shape_text.split(","))
-            params.append((name, partition, shape))
-        else:
+        if key not in ("config", "dtype", "seed", "epoch", "param"):
             raise ValueError(f"{path}: unknown header line {line!r}")
+        try:
+            if key == "config":
+                meta["config"] = json.loads(rest)
+                if not isinstance(meta["config"], dict):
+                    raise ValueError("config must be a JSON object")
+            elif key == "dtype":
+                if rest not in ("float32", "float64"):
+                    raise ValueError("dtype must be float32 or float64")
+                meta["dtype"] = rest
+            elif key in ("seed", "epoch"):
+                meta[key] = int(rest)
+            else:
+                name, partition, shape_text = rest.split(" ")
+                if name in params:
+                    raise ValueError(f"duplicate parameter name {name!r}")
+                if partition not in PARTITIONS:
+                    raise ValueError(f"unknown partition {partition!r}")
+                shape = tuple(int(d) for d in shape_text.split(",")) if shape_text else ()
+                if any(d < 0 for d in shape):
+                    raise ValueError("negative dimension")
+                params[name] = (partition, shape)
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad header line {line!r}: {exc}") from None
+    missing = [key for key in ("dtype", "seed", "epoch", "config") if key not in meta]
+    if missing:
+        raise ValueError(f"{path}: missing header line(s) {', '.join(missing)}")
     dtype = np.dtype(meta["dtype"])
     store = ParamStore()
     offset = 0
-    for name, partition, shape in params:
+    for name, (partition, shape) in params.items():
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * dtype.itemsize
         chunk = payload[offset : offset + nbytes]
@@ -198,6 +219,8 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
         value = np.frombuffer(chunk, dtype=f"<{dtype.kind}{dtype.itemsize}").astype(dtype).reshape(shape)
         store.add(name, value.copy(), partition=partition)
         offset += nbytes
+    if offset != len(payload):
+        raise ValueError(f"{path}: {len(payload) - offset} trailing payload bytes after the last parameter")
     return store, meta
 
 

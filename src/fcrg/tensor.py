@@ -4,10 +4,19 @@ Covers exactly the operations the recurrent generation model needs: matmul,
 elementwise arithmetic with broadcasting, sigmoid/tanh, concat/stack,
 (log-)softmax, embedding lookup, dropout and reductions.  float32 by
 default; float64 is used for gradient checking.
+
+Each op records one ``(parent, grad_fn)`` edge per input that wants a
+gradient; ``grad_fn`` maps the output's gradient array to that input's share
+and closes over arrays only, never over a ``Tensor``, so a recorded graph
+holds no reference cycles and is freed as soon as its output is dropped.
+``backward`` passes each gradient down the edges and then clears it: only
+leaves (tensors made with ``requires_grad=True``) keep ``.grad``.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -16,7 +25,7 @@ DEFAULT_DTYPE = np.float32
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "_parents", "_backward", "_wants")
+    __slots__ = ("data", "grad", "_edges", "_wants")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -26,8 +35,7 @@ class Tensor:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.grad: Optional[np.ndarray] = None
-        self._parents: tuple = ()
-        self._backward = None
+        self._edges: tuple = ()  # (parent, grad_fn) for each parent that wants a gradient
         self._wants = requires_grad  # participates in some gradient path
 
     @property
@@ -61,12 +69,10 @@ def as_tensor(x, like: Optional[Tensor] = None) -> Tensor:
     return Tensor(np.asarray(x), dtype=dtype)
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
+def _make(data: np.ndarray, *edges) -> Tensor:
     out = Tensor(data)
-    if any(p._wants for p in parents):
-        out._parents = tuple(parents)
-        out._backward = backward
-        out._wants = True
+    out._edges = tuple(edge for edge in edges if edge[0]._wants)
+    out._wants = bool(out._edges)
     return out
 
 
@@ -90,189 +96,93 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b, like=a)
     _check_broadcast(a, b, "add")
-    out_data = a.data + b.data
-
-    def backward():
-        g = out.grad
-        if a._wants:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
-        if b._wants:
-            b.accumulate_grad(_unbroadcast(g, b.shape))
-
-    out = _make(out_data, (a, b), backward)
-    return out
+    return _make(a.data + b.data, (a, partial(_unbroadcast, shape=a.shape)), (b, partial(_unbroadcast, shape=b.shape)))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b, like=a)
     _check_broadcast(a, b, "mul")
-    out_data = a.data * b.data
-
-    def backward():
-        g = out.grad
-        if a._wants:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
-        if b._wants:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
-
-    out = _make(out_data, (a, b), backward)
-    return out
+    x, y = a.data, b.data
+    return _make(x * y, (a, lambda g: _unbroadcast(g * y, x.shape)), (b, lambda g: _unbroadcast(g * x, y.shape)))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    out_data = a.data * c
-
-    def backward():
-        if a._wants:
-            a.accumulate_grad(out.grad * c)
-
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(a.data * c, (a, lambda g: g * c))
 
 
 def one_minus(a: Tensor) -> Tensor:
-    out_data = 1.0 - a.data
-
-    def backward():
-        if a._wants:
-            a.accumulate_grad(-out.grad)
-
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(1.0 - a.data, (a, np.negative))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out_data = a.data @ b.data
-
-    def backward():
-        g = out.grad
-        if a._wants:
-            a.accumulate_grad(g @ b.data.T)
-        if b._wants:
-            b.accumulate_grad(a.data.T @ g)
-
-    out = _make(out_data, (a, b), backward)
-    return out
+    x, y = a.data, b.data
+    return _make(x @ y, (a, lambda g: g @ y.T), (b, lambda g: x.T @ g))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     # Stable two-branch evaluation; avoids overflow in exp for large |x|.
     x = a.data
     e = np.exp(-np.abs(x))
-    out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    out_data = out_data.astype(x.dtype, copy=False)
-
-    def backward():
-        if a._wants:
-            a.accumulate_grad(out.grad * out.data * (1.0 - out.data))
-
-    out = _make(out_data, (a,), backward)
-    return out
+    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype, copy=False)
+    return _make(y, (a, lambda g: g * y * (1.0 - y)))
 
 
 def tanh(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
-
-    def backward():
-        if a._wants:
-            a.accumulate_grad(out.grad * (1.0 - out.data * out.data))
-
-    out = _make(out_data, (a,), backward)
-    return out
+    y = np.tanh(a.data)
+    return _make(y, (a, lambda g: g * (1.0 - y * y)))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
 
-    def backward():
-        g = out.grad
-        offset = 0
-        for t, size in zip(tensors, sizes):
-            if t._wants:
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(offset, offset + size)
-                t.accumulate_grad(g[tuple(index)])
-            offset += size
+    def part(start: int, stop: int):
+        index = [slice(None)] * out_data.ndim
+        index[axis] = slice(start, stop)
+        return itemgetter(tuple(index))
 
-    out = _make(out_data, tensors, backward)
-    return out
+    ends = np.cumsum([t.shape[axis] for t in tensors]).tolist()
+    return _make(out_data, *((t, part(stop - t.shape[axis], stop)) for t, stop in zip(tensors, ends)))
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward():
-        g = out.grad
-        for i, t in enumerate(tensors):
-            if t._wants:
-                t.accumulate_grad(np.take(g, i, axis=axis))
-
-    out = _make(out_data, tensors, backward)
-    return out
+    return _make(out_data, *((t, partial(np.take, indices=i, axis=axis)) for i, t in enumerate(tensors)))
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
-    out_data = a.data.reshape(shape)
-
-    def backward():
-        if a._wants:
-            a.accumulate_grad(out.grad.reshape(a.shape))
-
-    out = _make(out_data, (a,), backward)
-    return out
+    old_shape = a.shape
+    return _make(a.data.reshape(shape), (a, lambda g: g.reshape(old_shape)))
 
 
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+    shape = a.shape
 
-    def backward():
-        g = out.grad
-        if a._wants:
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            a.accumulate_grad(np.broadcast_to(g, a.shape).copy())
+    def grad_fn(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g, shape)
 
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a, grad_fn))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     x = a.data
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def backward():
-        g = out.grad
-        if a._wants:
-            y = out.data
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            a.accumulate_grad(y * (g - dot))
-
-    out = _make(out_data, (a,), backward)
-    return out
+    y = e / e.sum(axis=axis, keepdims=True)
+    return _make(y, (a, lambda g: y * (g - (g * y).sum(axis=axis, keepdims=True))))
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     x = a.data
     shifted = x - x.max(axis=axis, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - logsumexp
-
-    def backward():
-        g = out.grad
-        if a._wants:
-            soft = np.exp(out.data)
-            a.accumulate_grad(g - soft * g.sum(axis=axis, keepdims=True))
-
-    out = _make(out_data, (a,), backward)
-    return out
+    y = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    return _make(y, (a, lambda g: g - np.exp(y) * g.sum(axis=axis, keepdims=True)))
 
 
 def embedding_lookup(weight: Tensor, ids) -> Tensor:
@@ -282,32 +192,29 @@ def embedding_lookup(weight: Tensor, ids) -> Tensor:
         raise ValueError(f"embedding_lookup: ids must be 1-D, got shape {ids.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= weight.shape[1]):
         raise ValueError(f"embedding_lookup: id out of range for vocabulary of size {weight.shape[1]}")
-    out_data = weight.data[:, ids].T.copy()
+    dim, vocab = weight.shape
+    dtype = weight.dtype
 
-    def backward():
-        if weight._wants:
-            gw_t = np.zeros((weight.shape[1], weight.shape[0]), dtype=weight.dtype)
-            np.add.at(gw_t, ids, out.grad)
-            weight.accumulate_grad(gw_t.T)
+    def grad_fn(g):
+        gw_t = np.zeros((vocab, dim), dtype=dtype)
+        np.add.at(gw_t, ids, g)
+        return gw_t.T
 
-    out = _make(out_data, (weight,), backward)
-    return out
+    return _make(weight.data[:, ids].T.copy(), (weight, grad_fn))
 
 
 def pick(a: Tensor, indices) -> Tensor:
     """Select a[i, indices[i]] for every row; returns (n,)."""
     indices = np.asarray(indices, dtype=np.int64)
-    rows = np.arange(a.shape[0])
-    out_data = a.data[rows, indices].copy()
+    x = a.data
+    rows = np.arange(x.shape[0])
 
-    def backward():
-        if a._wants:
-            ga = np.zeros_like(a.data)
-            np.add.at(ga, (rows, indices), out.grad)
-            a.accumulate_grad(ga)
+    def grad_fn(g):
+        ga = np.zeros_like(x)
+        np.add.at(ga, (rows, indices), g)
+        return ga
 
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(x[rows, indices].copy(), (a, grad_fn))
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator, train: bool = True) -> Tensor:
@@ -324,10 +231,13 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator, train: bool = True
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse-accumulate gradients of a recorded scalar into its inputs."""
+    """Reverse-accumulate gradients of a recorded scalar into its leaves.
+
+    Interior gradients are dropped once passed on; only leaves keep ``.grad``.
+    """
     if loss.size != 1:
         raise ValueError(f"backward() requires a scalar loss, got shape {loss.shape}")
-    if loss._backward is None and not loss._parents:
+    if not loss._edges:
         raise RuntimeError("backward() called on a tensor with no recorded forward computation")
     order: list[Tensor] = []
     visited: set[int] = set()
@@ -341,10 +251,10 @@ def backward(loss: Tensor) -> None:
             continue
         visited.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
-            if parent._wants and id(parent) not in visited:
-                stack.append((parent, False))
+        stack.extend((parent, False) for parent, _ in node._edges if id(parent) not in visited)
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
-        if node._backward is not None:
-            node._backward()
+        if node._edges:
+            for parent, grad_fn in node._edges:
+                parent.accumulate_grad(grad_fn(node.grad))
+            node.grad = None

@@ -1,5 +1,7 @@
 """End-to-end subcommand tests on a small synthetic dataset."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,22 @@ def test_generate_deterministic(trained, preprocessed, tmp_path):
         ])
         outs.append((run / "generations.tsv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_generate_reports_checkpoint_without_dtype(trained, preprocessed, tmp_path, capsys):
+    checkpoint = tmp_path / "no-dtype.ckpt"
+    checkpoint.write_bytes(re.sub(rb"\ndtype \w+\n", b"\n", (trained / "model.ckpt").read_bytes(), count=1))
+    sources = tmp_path / "sources.txt"
+    sources.write_text("the claim spreading fast\n")
+    code = main([
+        "generate",
+        "--checkpoint", str(checkpoint),
+        "--sources", str(sources),
+        "--vocab", str(preprocessed / "vocab.tsv"),
+        "--run-dir", str(tmp_path / "gen"),
+    ])
+    assert code == 1
+    assert f"{checkpoint}: missing header line(s) dtype" in capsys.readouterr().err
 
 
 def test_generate_truncates_with_checkpoint_source_len(preprocessed, tmp_path):

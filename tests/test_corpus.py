@@ -1,6 +1,7 @@
 """Normalization, tokenization, vocabulary and batching tests."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -305,6 +306,14 @@ def test_read_dataset_bad_extra_field(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("a\tb\tnot-a-number\n")
     with pytest.raises(ValueError, match="line 1"):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize("extras, kind", [("5\t7", "share count"), ("true\tfalse", "label")], ids=["shares", "labels"])
+def test_read_dataset_rejects_repeated_field(tmp_path, extras, kind):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"a\tb\t3\ntrue claim\treply\t{extras}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: repeated {kind}")):
         read_dataset(path)
 
 

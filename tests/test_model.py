@@ -1,5 +1,7 @@
 """Model tests: GRU cell, encoder masking, attention, loss oracle, training."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from fcrg.model import (
     validation_nll,
 )
 from fcrg.params import TrainConfig
-from fcrg.tensor import Tensor
+from fcrg.tensor import Tensor, backward
 
 
 def tiny_config(**overrides):
@@ -228,6 +230,21 @@ def test_loss_invariant_to_batch_padding():
     solo2, n2 = model.sequence_nll(make_batch([p2]))
     assert n_joint == n1 + n2
     assert joint.item() == pytest.approx(solo1.item() + solo2.item(), rel=1e-12)
+
+
+def test_training_step_graph_is_freed_without_the_cycle_collector():
+    model = FCRGModel(tiny_config(dropout=0.3))
+    batch = make_batch([EncodedPair([4, 5, 6, 7], [BOS, 8, 9, EOS]), EncodedPair([8, 9], [BOS, 4, EOS])])
+    gc.collect()
+    gc.disable()
+    try:
+        loss, _ = model.sequence_nll(batch, train=True)
+        backward(loss)
+        del loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert all(t.grad is not None for _, t in model.params.trainable_items())
 
 
 def test_dropout_changes_train_loss_but_not_eval():

@@ -10,7 +10,6 @@ from fcrg.params import (
     load_checkpoint,
     save_checkpoint,
 )
-from fcrg.tensor import Tensor, backward
 from fcrg import tensor as T
 
 
@@ -182,6 +181,53 @@ def test_checkpoint_detects_truncation(tmp_path):
         load_checkpoint(path)
 
 
+def _saved_checkpoint(tmp_path):
+    store = ParamStore()
+    store.add("w", np.ones(8, dtype=np.float32))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, store, {}, seed=3, epoch=1)
+    return path
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda raw: raw + b"\x00\x00\x00\x00", r"4 trailing payload bytes"),
+        (lambda raw: raw.replace(b"dtype float32\n", b""), r"missing header line\(s\) dtype"),
+        (lambda raw: raw.replace(b"dtype float32", b"dtype int8"), r"bad header line 'dtype int8'"),
+        (lambda raw: raw.replace(b"seed 3", b"seed three"), r"bad header line 'seed three'"),
+        (lambda raw: raw.replace(b"epoch 1", b"epoch 1.5"), r"bad header line 'epoch 1.5'"),
+        (lambda raw: raw.replace(b"param w shared 8", b"param w 8"), r"bad header line 'param w 8'"),
+        (lambda raw: raw.replace(b"param w shared 8", b"param w shared 2,x"), r"bad header line 'param w shared 2,x'"),
+        (lambda raw: raw.replace(b"param w shared 8", b"param w shared -2,-4"), r"bad header line 'param w shared -2,-4'"),
+        (lambda raw: raw.replace(b"param w shared 8", b"param w nowhere 8"), r"bad header line 'param w nowhere 8'"),
+        (lambda raw: raw.replace(b"param w shared 8", b"param w shared 4\nparam w shared 4"), r"duplicate parameter"),
+        (lambda raw: raw.replace(b"config {}", b"config {"), r"bad header line 'config \{'"),
+        (lambda raw: raw.replace(b"config {}", b"config 5"), r"bad header line 'config 5'"),
+        (lambda raw: raw.replace(b"seed 3", b"seed \xff"), r"not UTF-8"),
+    ],
+    ids=[
+        "trailing-bytes", "no-dtype", "bad-dtype", "bad-seed", "bad-epoch", "short-param", "bad-shape",
+        "negative-shape", "bad-partition", "duplicate-param", "bad-config", "config-not-object", "not-utf8",
+    ],
+)
+def test_checkpoint_reader_names_path_and_fault(tmp_path, edit, match):
+    path = _saved_checkpoint(tmp_path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError, match=match) as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def test_checkpoint_roundtrip_scalar_parameter(tmp_path):
+    store = ParamStore()
+    store.add("bias", np.float32(0.5))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, store, {})
+    loaded, _ = load_checkpoint(path)
+    assert loaded["bias"].shape == () and loaded["bias"].item() == 0.5
+
+
 # ---------------------------------------------------------------- finite differences
 
 
@@ -202,10 +248,8 @@ def test_finite_diff_check_flags_wrong_gradient():
 
     def broken_loss():
         # forward value of sum(w^2) but a gradient recorded as if it were sum(w)
-        out = Tensor((w.data**2).sum())
-        out._parents = (w,)
-        out._wants = True
-        out._backward = lambda: w.accumulate_grad(np.ones_like(w.data) * out.grad)
+        out = T.reduce_sum(w)
+        out.data = (w.data**2).sum()
         return out
 
     report = finite_diff_check(broken_loss, store, samples_per_param=3)

@@ -1,5 +1,7 @@
 """Autodiff tests: every operation's gradient against central finite differences."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,6 +205,30 @@ def test_deep_chain_no_recursion_limit():
         y = T.add(y, x)
     backward(T.reduce_sum(y))
     assert np.allclose(x.grad, 5001.0)
+
+
+def test_backward_keeps_grad_on_leaves_only():
+    x, w = leaf((2, 3)), leaf((3,))
+    constant = Tensor(np.ones(3, dtype=np.float64))
+    hidden = T.tanh(T.mul(T.add(x, constant), w))
+    loss = T.reduce_sum(hidden)
+    backward(loss)
+    assert x.grad is not None and w.grad is not None
+    assert hidden.grad is None and loss.grad is None
+    assert constant.grad is None
+
+
+def test_recorded_graph_leaves_no_cyclic_garbage():
+    x = leaf((3,))
+    gc.collect()
+    gc.disable()
+    try:
+        loss = T.reduce_sum(T.tanh(T.mul(x, x)))
+        backward(loss)
+        del loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_composite_expression_grad():
