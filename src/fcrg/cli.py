@@ -146,8 +146,10 @@ def _load_gazetteer(path: Optional[str]) -> frozenset[str]:
 
 def _model_from_checkpoint(path: str) -> tuple[FCRGModel, dict]:
     store, meta = load_checkpoint(path)
-    config = ModelConfig(**meta["config"])
-    return FCRGModel(config, params=store), meta
+    try:
+        return FCRGModel(ModelConfig(**meta["config"]), params=store), meta
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------- subcommands
@@ -334,6 +336,8 @@ def cmd_evaluate(args, settings: dict) -> int:
     for name, count in sorted(report.skipped.items()):
         if count:
             print(f"evaluate: {name}: skipped {count} pair(s) with no in-table tokens")
+    if report.negative_extrema:
+        print(f"evaluate: vector_extrema: {report.negative_extrema} negative cosine(s) clamped to 0")
     return 0
 
 

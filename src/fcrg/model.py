@@ -80,6 +80,21 @@ def gru_cell(x, h_prev, w_update, u_update, w_reset, u_reset, w_candidate, u_can
 _GATES = ("update", "reset", "candidate")
 
 
+def param_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
+    """(name, shape, partition) of every parameter, in initialisation order."""
+    d, h = config.embed_dim, config.hidden_size
+    layout = [("embedding", (d, config.vocab_size), "shared")]
+    for side, partition in (("enc", "encoder"), ("dec", "decoder")):
+        for gate in _GATES:
+            layout.append((f"{side}_{gate}_x", (d, h), partition))
+            layout.append((f"{side}_{gate}_h", (h, h), partition))
+    if config.attention == "bilinear":
+        layout.append(("attn_bilinear", (h, h), "decoder"))
+    layout.append(("out_hidden", (2 * h, config.output_size), "decoder"))
+    layout.append(("out_vocab", (config.output_size, config.vocab_size), "decoder"))
+    return layout
+
+
 class FCRGModel:
     """Fact-checking response generator network."""
 
@@ -97,33 +112,21 @@ class FCRGModel:
     # -- construction -------------------------------------------------
 
     def _init_params(self) -> None:
-        cfg = self.config
-        rng = np.random.default_rng(cfg.seed)
-        dt = self._np_dtype
-        # Shared embedding, standard Normal init.
-        self.params.add("embedding", rng.standard_normal((cfg.embed_dim, cfg.vocab_size)).astype(dt), partition="shared")
-        bound = 1.0 / np.sqrt(cfg.hidden_size)
-
-        def uniform(shape):
-            return rng.uniform(-bound, bound, size=shape).astype(dt)
-
-        for side, partition in (("enc", "encoder"), ("dec", "decoder")):
-            for gate in _GATES:
-                self.params.add(f"{side}_{gate}_x", uniform((cfg.embed_dim, cfg.hidden_size)), partition=partition)
-                self.params.add(f"{side}_{gate}_h", uniform((cfg.hidden_size, cfg.hidden_size)), partition=partition)
-        if cfg.attention == "bilinear":
-            self.params.add("attn_bilinear", uniform((cfg.hidden_size, cfg.hidden_size)), partition="decoder")
-        self.params.add("out_hidden", uniform((2 * cfg.hidden_size, cfg.output_size)), partition="decoder")
-        self.params.add("out_vocab", uniform((cfg.output_size, cfg.vocab_size)), partition="decoder")
+        rng = np.random.default_rng(self.config.seed)
+        bound = 1.0 / np.sqrt(self.config.hidden_size)
+        for name, shape, partition in param_layout(self.config):
+            value = rng.standard_normal(shape) if name == "embedding" else rng.uniform(-bound, bound, size=shape)
+            self.params.add(name, value.astype(self._np_dtype), partition=partition)
 
     def _check_layout(self) -> None:
-        expected = {"embedding", "out_hidden", "out_vocab"}
-        expected.update(f"{s}_{g}_{xh}" for s in ("enc", "dec") for g in _GATES for xh in ("x", "h"))
-        if self.config.attention == "bilinear":
-            expected.add("attn_bilinear")
-        missing = expected - set(self.params.names())
-        if missing:
-            raise ValueError(f"parameter store missing {sorted(missing)}")
+        dtype = np.dtype(self._np_dtype).name
+        expected = {(name, shape, partition, dtype) for name, shape, partition in param_layout(self.config)}
+        found = {(name, t.shape, self.params.partition(name), t.dtype.name) for name, t in self.params.items()}
+        if found != expected:
+            raise ValueError(
+                "parameters do not match the config: "
+                f"expected {sorted(expected - found)}, found {sorted(found - expected)}"
+            )
 
     # -- forward pieces ------------------------------------------------
 

@@ -1,14 +1,15 @@
 """Named parameter storage, Adam updates, gradient clipping, checkpoints.
 
 Parameters are tagged with the network partition they belong to (encoder,
-decoder or shared) so checkpoints and reports can group them.
+decoder or shared) so checkpoints can group them.  Adam's moment buffers
+are training-only state: the first ``adam_step`` makes them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -36,104 +37,91 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
 
 
-class _Slot:
-    __slots__ = ("tensor", "m", "v", "partition", "trainable")
-
-    def __init__(self, tensor: Tensor, partition: str, trainable: bool):
-        self.tensor = tensor
-        self.m = np.zeros_like(tensor.data)
-        self.v = np.zeros_like(tensor.data)
-        self.partition = partition
-        self.trainable = trainable
-
-
 class ParamStore:
-    """Map of named parameter tensors with gradient and Adam moment buffers."""
+    """Ordered map from name to parameter tensor, each tagged with its partition."""
 
     def __init__(self):
-        self._slots: dict[str, _Slot] = {}
+        self._tensors: dict[str, Tensor] = {}
+        self._partitions: dict[str, str] = {}
+        self._moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def add(self, name: str, value: np.ndarray, partition: str = "shared", trainable: bool = True) -> Tensor:
-        if name in self._slots:
+    def add(self, name: str, value: np.ndarray, partition: str = "shared") -> Tensor:
+        if name in self._tensors:
             raise ValueError(f"duplicate parameter name {name!r}")
         if partition not in PARTITIONS:
             raise ValueError(f"unknown partition {partition!r}")
-        t = Tensor(np.array(value), requires_grad=trainable)
-        self._slots[name] = _Slot(t, partition, trainable)
+        t = Tensor(np.array(value), requires_grad=True)
+        self._tensors[name] = t
+        self._partitions[name] = partition
         return t
 
     def __getitem__(self, name: str) -> Tensor:
-        return self._slots[name].tensor
+        return self._tensors[name]
 
     def __contains__(self, name: str) -> bool:
-        return name in self._slots
+        return name in self._tensors
 
     def names(self) -> list[str]:
-        return list(self._slots)
+        return list(self._tensors)
 
     def partition(self, name: str) -> str:
-        return self._slots[name].partition
+        return self._partitions[name]
 
     def items(self) -> Iterator[tuple[str, Tensor]]:
-        for name, slot in self._slots.items():
-            yield name, slot.tensor
-
-    def trainable_items(self) -> Iterator[tuple[str, Tensor]]:
-        for name, slot in self._slots.items():
-            if slot.trainable:
-                yield name, slot.tensor
+        return iter(self._tensors.items())
 
     def zero_grads(self) -> None:
-        for slot in self._slots.values():
-            slot.tensor.grad = None
+        for t in self._tensors.values():
+            t.grad = None
 
     def grad_norm(self) -> float:
         total = 0.0
-        for slot in self._slots.values():
-            if slot.trainable and slot.tensor.grad is not None:
-                total += float((slot.tensor.grad.astype(np.float64) ** 2).sum())
+        for t in self._tensors.values():
+            if t.grad is not None:
+                total += float((t.grad.astype(np.float64) ** 2).sum())
         return float(np.sqrt(total))
 
     def clip_gradients(self, clip_norm: float) -> float:
-        """Global-norm clipping; returns the scaling factor applied."""
+        """Global-norm clipping; returns the scaling factor applied. A non-finite norm is an error."""
         norm = self.grad_norm()
+        if not np.isfinite(norm):
+            raise ValueError(f"gradient norm is {norm}; refusing to clip and step")
         if norm <= clip_norm or norm == 0.0:
             return 1.0
         factor = clip_norm / norm
-        for slot in self._slots.values():
-            if slot.trainable and slot.tensor.grad is not None:
-                slot.tensor.grad *= factor
+        for t in self._tensors.values():
+            if t.grad is not None:
+                t.grad *= factor
         return factor
 
     def adam_step(self, config: TrainConfig, step_index: int) -> None:
-        """Bias-corrected Adam update; gradients are zeroed afterwards."""
+        """Bias-corrected Adam update with in-place moments; gradients are zeroed afterwards."""
         if step_index < 1:
             raise ValueError("step_index must be >= 1")
         b1, b2 = config.beta1, config.beta2
         correction1 = 1.0 - b1**step_index
         correction2 = 1.0 - b2**step_index
-        for slot in self._slots.values():
-            if not slot.trainable:
-                continue
-            g = slot.tensor.grad
-            if g is None:
-                g = np.zeros_like(slot.tensor.data)
-            slot.m = b1 * slot.m + (1.0 - b1) * g
-            slot.v = b2 * slot.v + (1.0 - b2) * g * g
-            m_hat = slot.m / correction1
-            v_hat = slot.v / correction2
-            slot.tensor.data -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+        for name, t in self._tensors.items():
+            if name not in self._moments:
+                self._moments[name] = (np.zeros_like(t.data), np.zeros_like(t.data))
+            m, v = self._moments[name]
+            g = t.grad if t.grad is not None else np.zeros_like(t.data)
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            t.data -= config.learning_rate * (m / correction1) / (np.sqrt(v / correction2) + config.epsilon)
         self.zero_grads()
 
     def state(self) -> dict[str, np.ndarray]:
-        return {name: slot.tensor.data.copy() for name, slot in self._slots.items()}
+        return {name: t.data.copy() for name, t in self._tensors.items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         for name, value in state.items():
-            slot = self._slots[name]
-            if slot.tensor.shape != value.shape:
-                raise ValueError(f"state shape mismatch for {name!r}: {slot.tensor.shape} vs {value.shape}")
-            slot.tensor.data = value.astype(slot.tensor.dtype, copy=True)
+            t = self._tensors[name]
+            if t.shape != value.shape:
+                raise ValueError(f"state shape mismatch for {name!r}: {t.shape} vs {value.shape}")
+            t.data = value.astype(t.dtype, copy=True)
 
 
 CHECKPOINT_MAGIC = "fcrg-checkpoint 1"
@@ -172,7 +160,7 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
         header = raw[:split].decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: checkpoint header is not UTF-8: {exc}") from None
-    payload = raw[split + len(marker) :]
+    payload = memoryview(raw)[split + len(marker) :]
     if header[0] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: unsupported checkpoint format {header[0]!r}")
     meta: dict = {}
@@ -208,16 +196,17 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
     if missing:
         raise ValueError(f"{path}: missing header line(s) {', '.join(missing)}")
     dtype = np.dtype(meta["dtype"])
+    stored = dtype.newbyteorder("<")
     store = ParamStore()
     offset = 0
     for name, (partition, shape) in params.items():
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * dtype.itemsize
-        chunk = payload[offset : offset + nbytes]
-        if len(chunk) != nbytes:
+        if offset + nbytes > len(payload):
             raise ValueError(f"{path}: truncated payload for parameter {name!r}")
-        value = np.frombuffer(chunk, dtype=f"<{dtype.kind}{dtype.itemsize}").astype(dtype).reshape(shape)
-        store.add(name, value.copy(), partition=partition)
+        # A view into the payload; ``add`` makes the one copy.
+        value = np.frombuffer(payload, dtype=stored, count=count, offset=offset)
+        store.add(name, value.astype(dtype, copy=False).reshape(shape), partition=partition)
         offset += nbytes
     if offset != len(payload):
         raise ValueError(f"{path}: {len(payload) - offset} trailing payload bytes after the last parameter")
@@ -237,12 +226,12 @@ def finite_diff_check(
 
     ``loss_fn`` must recompute the forward pass from the current parameter
     values (dropout disabled).  Requires float64 parameters.  Returns the max
-    relative error per trainable parameter, sampling up to
+    relative error per parameter, sampling up to
     ``samples_per_param`` coordinates each; coordinates where both sides are
     below ``abs_floor`` in disagreement count as exact.
     """
     rng = np.random.default_rng(seed)
-    for name, tensor in store.trainable_items():
+    for name, tensor in store.items():
         if tensor.dtype != np.float64:
             raise ValueError(f"finite_diff_check requires float64 parameters ({name} is {tensor.dtype})")
 
@@ -251,10 +240,10 @@ def finite_diff_check(
     if not np.isfinite(loss.item()):
         raise ValueError("loss is non-finite")
     backward(loss)
-    analytic = {name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data)) for name, t in store.trainable_items()}
+    analytic = {name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data)) for name, t in store.items()}
 
     report: dict[str, float] = {}
-    for name, tensor in store.trainable_items():
+    for name, tensor in store.items():
         flat = tensor.data.reshape(-1)
         grad_flat = analytic[name].reshape(-1)
         n = flat.size

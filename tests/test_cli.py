@@ -7,6 +7,8 @@ import pytest
 
 from fcrg import cli
 from fcrg.cli import DEFAULTS, load_run_config, main, CLIError
+from fcrg.model import FCRGModel, ModelConfig
+from fcrg.params import save_checkpoint
 
 TINY = [
     "--set", "embed_dim=4", "--set", "hidden_size=5", "--set", "output_size=6",
@@ -246,6 +248,35 @@ def test_generate_reports_checkpoint_without_dtype(trained, preprocessed, tmp_pa
     assert f"{checkpoint}: missing header line(s) dtype" in capsys.readouterr().err
 
 
+def test_generate_reports_unknown_checkpoint_config_key(trained, preprocessed, tmp_path, capsys):
+    checkpoint = tmp_path / "extra-key.ckpt"
+    checkpoint.write_bytes((trained / "model.ckpt").read_bytes().replace(b"\nconfig {", b'\nconfig {"layers": 2, ', 1))
+    sources = tmp_path / "sources.txt"
+    sources.write_text("the claim spreading fast\n")
+    code = main([
+        "generate",
+        "--checkpoint", str(checkpoint),
+        "--sources", str(sources),
+        "--vocab", str(preprocessed / "vocab.tsv"),
+        "--run-dir", str(tmp_path / "gen"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"fcrg generate: error: {checkpoint}: ") and "'layers'" in err
+    assert err.count("\n") == 1
+
+
+def test_checkpoint_whose_parameters_do_not_match_its_config_fails(tmp_path):
+    model = FCRGModel(ModelConfig(vocab_size=50, embed_dim=4, hidden_size=5, output_size=6))
+    config = dict(model.config.to_dict(), vocab_size=60)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model.params, config)
+    with pytest.raises(ValueError, match=r"parameters do not match the config") as info:
+        cli._model_from_checkpoint(str(path))
+    assert str(info.value).startswith(f"{path}: ")
+    assert "('embedding', (4, 60), 'shared', 'float32')" in str(info.value)
+
+
 def test_generate_truncates_with_checkpoint_source_len(preprocessed, tmp_path):
     train_run = tmp_path / "short"
     assert main([
@@ -305,6 +336,25 @@ def test_evaluate_with_embedding_file(tmp_path):
     scores = dict(zip(table[0].split("\t"), table[1].split("\t")))
     assert scores["greedy_matching"] == "100.000"
     assert scores["vector_extrema"] == "100.000"
+
+
+def test_evaluate_reports_clamped_negative_extrema(tmp_path, capsys):
+    refs = tmp_path / "refs.tsv"
+    refs.write_text("0\tb\n")
+    gens = tmp_path / "gens.tsv"
+    gens.write_text("0\t1\t-1.0\ta\n")
+    vectors = tmp_path / "vec.txt"
+    vectors.write_text("a 1.0 0.0\nb -1.0 0.0\n")
+    run = tmp_path / "eval"
+    code = main([
+        "evaluate", "--generations", str(gens), "--references", str(refs),
+        "--embeddings", str(vectors), "--run-dir", str(run),
+    ])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "evaluate: vector_extrema: 1 negative cosine(s) clamped to 0\n" in out
+    table = (run / "metrics.tsv").read_text().splitlines()
+    assert dict(zip(table[0].split("\t"), table[1].split("\t")))["vector_extrema"] == "0.000"
 
 
 def test_evaluate_malformed_generations(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Model tests: GRU cell, encoder masking, attention, loss oracle, training."""
 
 import gc
+import hashlib
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from fcrg.model import (
     train_model,
     validation_nll,
 )
-from fcrg.params import TrainConfig
+from fcrg.params import ParamStore, TrainConfig
 from fcrg.tensor import Tensor, backward
 
 
@@ -144,6 +145,58 @@ def test_init_embedding_standard_normal():
     assert abs(emb.std() - 1.0) < 0.05
 
 
+@pytest.mark.parametrize(
+    "attention, digest",
+    [
+        ("dot", "eb64e0bdea766579c9a476396aa871ae747eb0f0e1bcb8e43a986a990e44bc13"),
+        ("bilinear", "ba457831a0155aaedae83233019acbf663fb179c90f3388038df279f0756ff08"),
+    ],
+)
+def test_init_draws_are_pinned(attention, digest):
+    """Names, order and values of a fresh model's parameters never drift."""
+    h = hashlib.sha256()
+    for name, t in FCRGModel(tiny_config(attention=attention)).params.items():
+        h.update(name.encode())
+        h.update(t.data.tobytes())
+    assert h.hexdigest() == digest
+
+
+def _entries(model):
+    return [(name, t.data, model.params.partition(name)) for name, t in model.params.items()]
+
+
+# (config overrides at load, edit of the saved (name, value, partition) list, expected message)
+LAYOUT_FAULTS = {
+    "vocab-size": ({"vocab_size": 13}, lambda e: e, r"\('embedding', \(4, 13\), 'shared', 'float64'\)"),
+    "missing": ({}, lambda e: e[:-1], r"expected \[\('out_vocab', \(6, 12\)"),
+    "extra": ({}, lambda e: e + [("layers", np.zeros(2), "decoder")], r"found \[\('layers', \(2,\)"),
+    "partition": (
+        {}, lambda e: [(n, v, "encoder" if n == "embedding" else p) for n, v, p in e], r"'embedding', \(4, 12\), 'encoder'"
+    ),
+    "dtype": ({}, lambda e: [(n, v.astype(np.float32), p) for n, v, p in e], r"'float32'"),
+    "attention": ({"attention": "bilinear"}, lambda e: e, r"expected \[\('attn_bilinear'"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(LAYOUT_FAULTS))
+def test_params_must_match_the_config_layout(fault):
+    overrides, edit, match = LAYOUT_FAULTS[fault]
+    store = ParamStore()
+    for name, value, partition in edit(_entries(FCRGModel(tiny_config()))):
+        store.add(name, value, partition=partition)
+    with pytest.raises(ValueError, match=match):
+        FCRGModel(tiny_config(**overrides), params=store)
+
+
+def test_params_matching_the_config_layout_are_used():
+    model = FCRGModel(tiny_config(attention="bilinear"))
+    store = ParamStore()
+    for name, value, partition in _entries(model):
+        store.add(name, value, partition=partition)
+    loaded = FCRGModel(tiny_config(attention="bilinear"), params=store)
+    assert loaded.params is store
+
+
 def test_init_other_weights_bounded():
     model = FCRGModel(tiny_config())
     bound = 1.0 / np.sqrt(model.config.hidden_size)
@@ -244,7 +297,7 @@ def test_training_step_graph_is_freed_without_the_cycle_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert all(t.grad is not None for _, t in model.params.trainable_items())
+    assert all(t.grad is not None for _, t in model.params.items())
 
 
 def test_dropout_changes_train_loss_but_not_eval():

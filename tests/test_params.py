@@ -1,5 +1,7 @@
 """Parameter store, clipping, Adam and checkpoint tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,14 @@ def test_clip_norm_is_global_across_params():
     factor = store.clip_gradients(0.25)
     assert factor == pytest.approx(0.05)
     assert store.grad_norm() <= 0.25 + 1e-6
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_clip_rejects_non_finite_norm(bad):
+    store = store_with({"a": np.array([0.3, 0.4]), "b": np.array([bad])})
+    with pytest.raises(ValueError, match=f"gradient norm is {bad}"):
+        store.clip_gradients(0.25)
+    assert np.array_equal(store["a"].grad, [0.3, 0.4])
 
 
 def test_clip_bound_holds_randomized():
@@ -91,11 +101,46 @@ def test_adam_zeroes_grads_after_step():
     assert store["w"].grad is None
 
 
-def test_adam_skips_untrainable():
+def test_adam_in_place_is_bit_equal_to_out_of_place_formulas():
+    """The in-place update keeps the operation order of the plain formulas."""
+    rng = np.random.default_rng(4)
+    config = TrainConfig()
+    b1, b2 = config.beta1, config.beta2
+    theta = {name: rng.standard_normal(shape).astype(np.float32) for name, shape in (("a", (3, 4)), ("b", (5,)))}
     store = ParamStore()
-    frozen = store.add("frozen", np.array([1.0]), trainable=False)
-    store.adam_step(TrainConfig(), 1)
-    assert frozen.data[0] == 1.0
+    for name, value in theta.items():
+        store.add(name, value)
+    m = {name: np.zeros_like(value) for name, value in theta.items()}
+    v = {name: np.zeros_like(value) for name, value in theta.items()}
+    for t in range(1, 6):
+        grads = {name: rng.standard_normal(value.shape).astype(np.float32) for name, value in theta.items()}
+        if t in (2, 4):
+            grads["b"] = None  # no gradient reached "b" on this step
+        for name, g in grads.items():
+            store[name].grad = None if g is None else g.copy()
+        store.adam_step(config, t)
+        for name, g in grads.items():
+            if g is None:
+                g = np.zeros_like(theta[name])
+            m[name] = b1 * m[name] + (1.0 - b1) * g
+            v[name] = b2 * v[name] + (1.0 - b2) * g * g
+            m_hat = m[name] / (1.0 - b1**t)
+            v_hat = v[name] / (1.0 - b2**t)
+            theta[name] = theta[name] - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+            assert store[name].dtype == np.float32
+            assert np.array_equal(store[name].data, theta[name]), (name, t)
+
+
+def test_adam_state_is_made_by_the_first_step(tmp_path):
+    store = ParamStore()
+    store.add("w", np.ones(4, dtype=np.float32))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, store, {})
+    loaded, _ = load_checkpoint(path)
+    assert loaded._moments == {}
+    loaded["w"].grad = np.ones(4, dtype=np.float32)
+    loaded.adam_step(TrainConfig(), 1)
+    assert list(loaded._moments) == ["w"]
 
 
 def test_adam_rejects_bad_step_index():
@@ -179,6 +224,25 @@ def test_checkpoint_detects_truncation(tmp_path):
     path.write_bytes(raw[:-4])
     with pytest.raises(ValueError, match="truncated"):
         load_checkpoint(path)
+
+
+def test_checkpoint_load_copies_each_parameter_once(tmp_path):
+    store = ParamStore()
+    store.add("w", np.ones((1000, 1000), dtype=np.float32))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, store, {})
+    del store
+    payload = 1000 * 1000 * 4
+    tracemalloc.start()
+    try:
+        loaded, _ = load_checkpoint(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded["w"].data, np.ones((1000, 1000), dtype=np.float32))
+    assert loaded["w"].data.flags.writeable and loaded["w"].data.flags.owndata
+    assert held <= 1.1 * payload, held / payload
+    assert peak <= 2.5 * payload, peak / payload
 
 
 def _saved_checkpoint(tmp_path):
