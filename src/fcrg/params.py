@@ -7,7 +7,9 @@ are training-only state: the first ``adam_step`` makes them.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -78,7 +80,7 @@ class ParamStore:
         total = 0.0
         for t in self._tensors.values():
             if t.grad is not None:
-                total += float((t.grad.astype(np.float64) ** 2).sum())
+                total += float(np.square(t.grad, dtype=np.float64).sum())
         return float(np.sqrt(total))
 
     def clip_gradients(self, clip_norm: float) -> float:
@@ -106,11 +108,23 @@ class ParamStore:
                 self._moments[name] = (np.zeros_like(t.data), np.zeros_like(t.data))
             m, v = self._moments[name]
             g = t.grad if t.grad is not None else np.zeros_like(t.data)
+            # Two scratch arrays per step, in the operation order of
+            # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+            # data -= lr * (m/c1) / (sqrt(v/c2) + eps).
+            step, denom = np.empty_like(t.data), np.empty_like(t.data)
             m *= b1
-            m += (1.0 - b1) * g
+            m += np.multiply(1.0 - b1, g, out=step)
             v *= b2
-            v += (1.0 - b2) * g * g
-            t.data -= config.learning_rate * (m / correction1) / (np.sqrt(v / correction2) + config.epsilon)
+            np.multiply(1.0 - b2, g, out=step)
+            step *= g
+            v += step
+            np.divide(m, correction1, out=step)
+            np.multiply(config.learning_rate, step, out=step)
+            np.divide(v, correction2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += config.epsilon
+            step /= denom
+            t.data -= step
         self.zero_grads()
 
     def state(self) -> dict[str, np.ndarray]:
@@ -142,10 +156,19 @@ def save_checkpoint(path, store: ParamStore, config: dict, *, seed: int = 0, epo
         shape = ",".join(str(d) for d in store[name].shape)
         header_lines.append(f"param {name} {store.partition(name)} {shape}")
     header_lines.append("payload")
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(header_lines) + "\n").encode("utf-8"))
-        for name in names:
-            fh.write(np.ascontiguousarray(store[name].data, dtype=f"<{np.dtype(dtype).kind}{np.dtype(dtype).itemsize}").tobytes())
+    # Written beside ``path`` and renamed over it, so a failed write leaves any
+    # previous checkpoint as it was.
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(("\n".join(header_lines) + "\n").encode("utf-8"))
+            for name in names:
+                fh.write(np.ascontiguousarray(store[name].data, dtype=f"<{np.dtype(dtype).kind}{np.dtype(dtype).itemsize}").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[ParamStore, dict]:

@@ -11,6 +11,12 @@ and closes over arrays only, never over a ``Tensor``, so a recorded graph
 holds no reference cycles and is freed as soon as its output is dropped.
 ``backward`` passes each gradient down the edges and then clears it: only
 leaves (tensors made with ``requires_grad=True``) keep ``.grad``.
+
+A ``grad_fn`` returns an array shaped like its parent, or, for
+``embedding_lookup``, a ``ColumnGrad``: the few columns of the (dim, vocab)
+weight that the lookup touched and their summed gradients, so backward never
+builds a dense (dim, vocab) array per lookup.  Only ``Tensor.accumulate_grad``
+reads a ``ColumnGrad``; ``.grad`` is always a dense array.
 """
 
 from __future__ import annotations
@@ -53,13 +59,34 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
+    def accumulate_grad(self, g: np.ndarray | ColumnGrad) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
-        self.grad += g
+        if isinstance(g, ColumnGrad):
+            self.grad[:, g.cols] += g.sums.T
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
+
+
+class ColumnGrad:
+    """Gradient of a (dim, vocab) weight that is zero outside ``cols``.
+
+    ``cols`` holds distinct column indices and ``sums[k]`` is the gradient of
+    column ``cols[k]``, shape (len(cols), dim).
+    """
+
+    __slots__ = ("cols", "sums")
+
+    def __init__(self, cols: np.ndarray, sums: np.ndarray):
+        self.cols = cols
+        self.sums = sums
+
+    @property
+    def nbytes(self) -> int:
+        return self.cols.nbytes + self.sums.nbytes
 
 
 def as_tensor(x, like: Optional[Tensor] = None) -> Tensor:
@@ -192,13 +219,14 @@ def embedding_lookup(weight: Tensor, ids) -> Tensor:
         raise ValueError(f"embedding_lookup: ids must be 1-D, got shape {ids.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= weight.shape[1]):
         raise ValueError(f"embedding_lookup: id out of range for vocabulary of size {weight.shape[1]}")
-    dim, vocab = weight.shape
     dtype = weight.dtype
 
     def grad_fn(g):
-        gw_t = np.zeros((vocab, dim), dtype=dtype)
-        np.add.at(gw_t, ids, g)
-        return gw_t.T
+        # Each column's rows are summed in lookup order, as a dense np.add.at would.
+        cols, inverse = np.unique(ids, return_inverse=True)
+        sums = np.zeros((cols.size, g.shape[1]), dtype=dtype)
+        np.add.at(sums, inverse, g)
+        return ColumnGrad(cols, sums)
 
     return _make(weight.data[:, ids].T.copy(), (weight, grad_fn))
 

@@ -2,6 +2,8 @@
 
 import tracemalloc
 
+from fcrg import params
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,15 @@ def test_clip_bound_holds_randomized():
         store = store_with({f"p{i}": rng.standard_normal(rng.integers(1, 6)) for i in range(3)})
         store.clip_gradients(0.25)
         assert store.grad_norm() <= 0.25 + 1e-6
+
+
+@pytest.mark.parametrize("shape", [(7,), (513, 3), (300, 300), (300, 20000)])
+def test_grad_norm_bit_equal_to_two_temporary_formula(shape):
+    rng = np.random.default_rng(sum(shape))
+    for scale in (1e-4, 1.0, 1e3):
+        g = (rng.standard_normal(shape) * scale).astype(np.float32)
+        expected = float(np.sqrt(float((g.astype(np.float64) ** 2).sum())))
+        assert store_with({"g": g}).grad_norm() == expected
 
 
 # ---------------------------------------------------------------- adam
@@ -129,6 +140,25 @@ def test_adam_in_place_is_bit_equal_to_out_of_place_formulas():
             theta[name] = theta[name] - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
             assert store[name].dtype == np.float32
             assert np.array_equal(store[name].data, theta[name]), (name, t)
+
+
+def test_adam_is_bit_equal_to_out_of_place_formulas_on_a_large_parameter():
+    """Enough elements that a reordered product or quotient changes some bits."""
+    rng = np.random.default_rng(5)
+    config = TrainConfig()
+    b1, b2, lr, eps = config.beta1, config.beta2, config.learning_rate, config.epsilon
+    theta = rng.standard_normal((200, 300)).astype(np.float32)
+    store = ParamStore()
+    store.add("w", theta)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    for t in range(1, 4):
+        g = (rng.standard_normal(theta.shape) * 10.0 ** rng.uniform(-6, 0, theta.shape)).astype(np.float32)
+        store["w"].grad = g.copy()
+        store.adam_step(config, t)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        theta = theta - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+        assert store["w"].data.tobytes() == theta.tobytes(), t
 
 
 def test_adam_state_is_made_by_the_first_step(tmp_path):
@@ -206,6 +236,62 @@ def test_checkpoint_bytes_deterministic(tmp_path):
     save_checkpoint(a, store, {}, seed=0, epoch=0)
     save_checkpoint(b, store, {}, seed=0, epoch=0)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_checkpoint_bytes_layout(tmp_path):
+    store = ParamStore()
+    store.add("w", np.arange(6.0, dtype=np.float32).reshape(2, 3), partition="encoder")
+    store.add("b", np.array([0.5, -1.0], dtype=np.float32), partition="decoder")
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, store, {"b": 1, "a": [2]}, seed=4, epoch=3)
+    header = (
+        "fcrg-checkpoint 1\ndtype float32\nseed 4\nepoch 3\n"
+        'config {"a": [2], "b": 1}\nparam w encoder 2,3\nparam b decoder 2\npayload\n'
+    )
+    payload = np.arange(6.0, dtype="<f4").tobytes() + np.array([0.5, -1.0], dtype="<f4").tobytes()
+    assert path.read_bytes() == header.encode("utf-8") + payload
+
+
+def test_checkpoint_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    store = ParamStore()
+    store.add("w", np.ones((4, 5), dtype=np.float32))
+    store.add("b", np.ones(3, dtype=np.float32))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, store, {}, seed=1, epoch=1)
+    previous = path.read_bytes()
+
+    real_open = open
+
+    class DiskFull:
+        """Writes the header and the first parameter, then fails."""
+
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes > 2:
+                raise OSError(28, "No space left on device")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(params, "open", lambda *a, **k: DiskFull(real_open(*a, **k)), raising=False)
+    store["w"].data += 1.0
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(path, store, {}, seed=2, epoch=2)
+    assert path.read_bytes() == previous
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+    monkeypatch.undo()
+    save_checkpoint(path, store, {}, seed=2, epoch=2)
+    loaded, meta = load_checkpoint(path)
+    assert meta["epoch"] == 2 and np.array_equal(loaded["w"].data, store["w"].data)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

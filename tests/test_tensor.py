@@ -144,6 +144,115 @@ def test_embedding_lookup_forward_and_grad():
     check_op(lambda w_: T.mul(T.embedding_lookup(w_, ids), weight_rows), w)
 
 
+# The dense formula the column gradient replaced: one (vocab, dim) array per
+# lookup, filled with np.add.at and added to the weight's gradient.  Graphs
+# built with it are the oracle for bit-equality.
+def dense_embedding_lookup(weight, ids):
+    ids = np.asarray(ids, dtype=np.int64)
+    dim, vocab = weight.shape
+
+    def grad_fn(g):
+        gw_t = np.zeros((vocab, dim), dtype=weight.dtype)
+        np.add.at(gw_t, ids, g)
+        return gw_t.T
+
+    return T._make(weight.data[:, ids].T.copy(), (weight, grad_fn))
+
+
+def column_and_dense_grads(build, weight_data, **kwargs):
+    """``build(w, lookup)`` -> scalar loss; the weight's .grad under each lookup."""
+    grads = []
+    for lookup in (T.embedding_lookup, dense_embedding_lookup):
+        w = Tensor(weight_data.copy(), requires_grad=True)
+        backward(build(w, lookup, **kwargs))
+        grads.append(w.grad)
+    return grads
+
+
+def assert_bit_equal(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def weighted_sum(out, seed):
+    coeff = np.random.default_rng(seed).standard_normal(out.shape).astype(out.dtype)
+    return T.reduce_sum(T.mul(out, Tensor(coeff)))
+
+
+EMB = np.random.default_rng(7).standard_normal((6, 40)).astype(np.float32)  # (dim, vocab)
+
+
+def test_embedding_grad_is_column_sums():
+    w = Tensor(EMB.copy(), requires_grad=True)
+    grad = T.embedding_lookup(w, np.array([3, 1, 3]))._edges[0][1](np.ones((3, 6), dtype=np.float32))
+    assert isinstance(grad, T.ColumnGrad)
+    assert grad.cols.tolist() == [1, 3]
+    assert np.array_equal(grad.sums, np.array([[1.0] * 6, [2.0] * 6], dtype=np.float32))
+    assert grad.nbytes == grad.cols.nbytes + grad.sums.nbytes
+
+
+def test_embedding_grad_repeated_ids_bit_equal_to_dense():
+    ids = np.random.default_rng(1).integers(0, 9, size=64)  # every id repeats
+    column, dense = column_and_dense_grads(lambda w, lookup: weighted_sum(lookup(w, ids), 2), EMB)
+    assert_bit_equal(column, dense)
+
+
+def test_embedding_grad_several_lookups_of_one_weight_bit_equal_to_dense():
+    # Like the encoder and decoder sharing one embedding: many lookups, overlapping ids.
+    rng = np.random.default_rng(3)
+    batches = [rng.integers(0, 12, size=int(n)) for n in rng.integers(1, 20, size=8)]
+
+    def build(w, lookup):
+        state = Tensor(np.zeros(6, dtype=np.float32))
+        for step, ids in enumerate(batches):
+            state = T.tanh(T.add(weighted_sum(lookup(w, ids), step), state))
+        return T.reduce_sum(state)
+
+    column, dense = column_and_dense_grads(build, EMB)
+    assert_bit_equal(column, dense)
+
+
+def test_embedding_grad_first_and_later_accumulation_bit_equal_to_dense():
+    ids = np.array([5, 0, 5, 39, 5, 2])
+    first = np.random.default_rng(4).standard_normal(EMB.shape).astype(np.float32)
+
+    def build(w, lookup, dense_first):
+        loss = weighted_sum(lookup(w, ids), 5)
+        if dense_first:  # a dense gradient reaches the weight before the lookup's
+            loss = T.add(weighted_sum(w, 6), loss)
+        return loss
+
+    for dense_first in (False, True):
+        column, dense = column_and_dense_grads(build, EMB, dense_first=dense_first)
+        assert_bit_equal(column, dense)
+
+    # A second backward adds onto the gradient the first one left.
+    grads = []
+    for lookup in (T.embedding_lookup, dense_embedding_lookup):
+        w = Tensor(EMB.copy(), requires_grad=True)
+        w.grad = first.copy()
+        backward(weighted_sum(lookup(w, ids), 7))
+        backward(weighted_sum(lookup(w, ids[::-1]), 8))
+        grads.append(w.grad)
+    assert_bit_equal(*grads)
+
+
+def test_embedding_grad_empty_ids_bit_equal_to_dense():
+    ids = np.array([], dtype=np.int64)
+    column, dense = column_and_dense_grads(
+        lambda w, lookup: T.add(T.reduce_sum(lookup(w, ids)), weighted_sum(lookup(w, [4, 4]), 9)), EMB
+    )
+    assert_bit_equal(column, dense)
+
+
+def test_embedding_grad_through_non_leaf_weight():
+    ids = np.array([2, 0, 2, 8])
+    rows = Tensor(RNG.standard_normal((4, 4)))
+    check_op(lambda w_: T.mul(T.embedding_lookup(T.scale(w_, 2.0), ids), rows), leaf((4, 9)))
+    column, dense = column_and_dense_grads(lambda w, lookup: weighted_sum(lookup(T.scale(w, 2.0), ids), 10), EMB)
+    assert_bit_equal(column, dense)
+
+
 def test_embedding_lookup_rejects_out_of_range():
     w = leaf((4, 9))
     with pytest.raises(ValueError, match="out of range"):
