@@ -52,7 +52,7 @@ class Lexicon:
         literals: dict[str, set[int]] = {}
         prefixes: dict[str, set[int]] = {}
         in_entries = False
-        for lineno, line in enumerate(text.splitlines(), 1):
+        for lineno, line in enumerate(text.split("\n"), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

@@ -302,7 +302,10 @@ def _read_references(path) -> dict[int, list[str]]:
                 raise CLIError(f"{path}: line {lineno}: bad source index {parts[0]!r}") from None
             if index in result:
                 raise CLIError(f"{path}: line {lineno}: duplicate source index {index}")
-            result[index] = parts[1].split()
+            tokens = parts[1].split()
+            if not tokens:
+                raise CLIError(f"{path}: line {lineno}: reference has no tokens")
+            result[index] = tokens
     if not result:
         raise CLIError(f"{path}: no references")
     return result
@@ -514,10 +517,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         settings = load_run_config(args.config, args.set)
         return args.func(args, settings)
-    except CLIError as exc:
-        print(f"fcrg {args.command}: error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (CLIError, OSError, ValueError) as exc:
         print(f"fcrg {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

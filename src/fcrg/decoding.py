@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import BOS, EOS, MAX_TARGET_LEN, PAD
 from .model import FCRGModel, encode_single
-from .tensor import Tensor
+from .tensor import Tensor, row_log_softmax
 
 
 @dataclass
@@ -45,9 +45,7 @@ def _masked_log_probs(logits: np.ndarray, ban_eos: bool) -> np.ndarray:
     scores[:, [PAD, BOS]] = -np.inf
     if ban_eos:
         scores[:, EOS] = -np.inf
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    with np.errstate(divide="ignore"):
-        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return row_log_softmax(scores)
 
 
 def _select(scores: np.ndarray, beam_size: int) -> tuple[np.ndarray, np.ndarray]:

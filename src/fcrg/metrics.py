@@ -250,7 +250,7 @@ class EmbeddingTable:
 
 
 def load_embedding_table(path) -> EmbeddingTable:
-    """One ``token v1 v2 ... vd`` line per token, space-separated decimals."""
+    """One ``token v1 v2 ... vd`` line per token: d finite decimals, the same d on every line."""
     vectors: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -258,9 +258,15 @@ def load_embedding_table(path) -> EmbeddingTable:
             if len(parts) < 2:
                 raise ValueError(f"{path}: line {lineno}: expected a token and at least one value")
             try:
-                vectors[parts[0]] = np.array([float(x) for x in parts[1:]])
+                vector = np.array([float(x) for x in parts[1:]])
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: malformed vector") from None
+            dim = len(vector) if lineno == 1 else dim
+            if len(vector) != dim or not np.isfinite(vector).all():
+                raise ValueError(f"{path}: line {lineno}: expected {dim} finite values")
+            vectors[parts[0]] = vector
+    if not vectors:
+        raise ValueError(f"{path}: embedding table is empty")
     return EmbeddingTable(vectors)
 
 

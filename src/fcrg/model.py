@@ -208,10 +208,8 @@ class FCRGModel:
                 break
             out = self.decode_step(target[:, j], h, encoded, train=train)
             h = out.hidden
-            log_probs = T.log_softmax(out.logits, axis=1)
-            picked = T.pick(log_probs, gold)
-            pieces.append(T.reduce_sum(T.mul(picked, Tensor(step_mask))))
-        loss = T.scale(T.reduce_sum(T.stack(pieces, axis=0)), -1.0)
+            pieces.append(T.masked_nll(out.logits, gold, step_mask))
+        loss = T.reduce_sum(T.stack(pieces, axis=0))
         return loss, token_count
 
     # -- embedding inspection ---------------------------------------------

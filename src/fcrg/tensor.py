@@ -1,9 +1,9 @@
 """Minimal dense tensors with reverse-mode gradients.
 
 Covers exactly the operations the recurrent generation model needs: matmul,
-elementwise arithmetic with broadcasting, sigmoid/tanh, concat/stack,
-(log-)softmax, embedding lookup, dropout and reductions.  float32 by
-default; float64 is used for gradient checking.
+elementwise arithmetic with broadcasting, sigmoid/tanh, concat/stack, softmax,
+embedding lookup, dropout, reductions and the masked negative log-likelihood
+loss.  float32 by default; float64 is used for gradient checking.
 
 Each op records one ``(parent, grad_fn)`` edge per input that wants a
 gradient; ``grad_fn`` maps the output's gradient array to that input's share
@@ -133,10 +133,6 @@ def mul(a, b) -> Tensor:
     return _make(x * y, (a, lambda g: _unbroadcast(g * y, x.shape)), (b, lambda g: _unbroadcast(g * x, y.shape)))
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    return _make(a.data * c, (a, lambda g: g * c))
-
-
 def one_minus(a: Tensor) -> Tensor:
     return _make(1.0 - a.data, (a, np.negative))
 
@@ -205,11 +201,24 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(y, (a, lambda g: y * (g - (g * y).sum(axis=axis, keepdims=True))))
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    x = a.data
-    shifted = x - x.max(axis=axis, keepdims=True)
-    y = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    return _make(y, (a, lambda g: g - np.exp(y) * g.sum(axis=axis, keepdims=True)))
+def row_log_softmax(x: np.ndarray) -> np.ndarray:
+    """Log-softmax of each row of a 2-D array."""
+    shifted = x - x.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def masked_nll(logits: Tensor, gold: np.ndarray, mask: np.ndarray) -> Tensor:
+    """Scalar ``-sum_i mask[i] * log_softmax(logits)[i, gold[i]]`` of (n, V) logits."""
+    rows = np.arange(logits.shape[0])
+    y = row_log_softmax(logits.data)
+
+    def grad_fn(g):
+        c = g * mask
+        grad = np.exp(y) * c[:, None]
+        grad[rows, gold] -= c
+        return grad
+
+    return _make(-(y[rows, gold] * mask).sum(), (logits, grad_fn))
 
 
 def embedding_lookup(weight: Tensor, ids) -> Tensor:
@@ -229,20 +238,6 @@ def embedding_lookup(weight: Tensor, ids) -> Tensor:
         return ColumnGrad(cols, sums)
 
     return _make(weight.data[:, ids].T.copy(), (weight, grad_fn))
-
-
-def pick(a: Tensor, indices) -> Tensor:
-    """Select a[i, indices[i]] for every row; returns (n,)."""
-    indices = np.asarray(indices, dtype=np.int64)
-    x = a.data
-    rows = np.arange(x.shape[0])
-
-    def grad_fn(g):
-        ga = np.zeros_like(x)
-        np.add.at(ga, (rows, indices), g)
-        return ga
-
-    return _make(x[rows, indices].copy(), (a, grad_fn))
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator, train: bool = True) -> Tensor:

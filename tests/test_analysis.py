@@ -69,6 +69,13 @@ def test_parse_error_carries_line_number():
         Lexicon.parse("1\ta\nbadline\n%\n")
 
 
+def test_parse_splits_lines_on_newline_only():
+    # A form feed inside a comment is not a line break: the error is on line 5.
+    with pytest.raises(ValueError, match="line 5: expected 'pattern"):
+        Lexicon.parse("1\ta\n# comment\x0cwith a form feed\n%\nword\t1\nbadline\n")
+    assert Lexicon.parse("1\ta\n# comment\x0c\x85\u2028end\n%\nword\t1\n").match("word") == {"a"}
+
+
 def test_bundled_demo_lexicon_loads():
     path = Path(analysis.__file__).parent / "data" / "demo_lexicon.tsv"
     demo = Lexicon.load(path)

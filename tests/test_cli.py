@@ -367,6 +367,16 @@ def test_evaluate_malformed_generations(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_evaluate_empty_reference_names_the_line(tmp_path, capsys):
+    gens = tmp_path / "gens.tsv"
+    gens.write_text("0\t1\t-1.0\ta b\n1\t1\t-1.0\tc\n")
+    refs = tmp_path / "refs.tsv"
+    refs.write_text("0\ta b\n1\t \n")
+    code = main(["evaluate", "--generations", str(gens), "--references", str(refs), "--run-dir", str(tmp_path / "e")])
+    assert code == 1
+    assert capsys.readouterr().err == f"fcrg evaluate: error: {refs}: line 2: reference has no tokens\n"
+
+
 def test_analyze_outputs(dataset, tmp_path):
     run = tmp_path / "analysis"
     code = main([

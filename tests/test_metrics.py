@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from collections import Counter
 from functools import lru_cache
 
@@ -302,6 +303,28 @@ def test_embedding_table_validation(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text("a 1.0 2.0\nb nope 2.0\n")
     with pytest.raises(ValueError, match="line 2"):
+        load_embedding_table(path)
+
+
+def test_embedding_file_empty_names_the_path(tmp_path):
+    path = tmp_path / "vec.txt"
+    path.write_text("")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: embedding table is empty$"):
+        load_embedding_table(path)
+
+
+def test_embedding_file_dimension_mismatch_names_the_line(tmp_path):
+    path = tmp_path / "vec.txt"
+    path.write_text("a 1.0 2.0\nb 1.0 2.0\nc 1.0 2.0 3.0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: expected 2 finite values$"):
+        load_embedding_table(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_embedding_file_non_finite_value_names_the_line(tmp_path, value):
+    path = tmp_path / "vec.txt"
+    path.write_text(f"a 1.0 2.0\nb 1.0 {value}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: expected 2 finite values$"):
         load_embedding_table(path)
 
 
