@@ -23,3 +23,14 @@ def midranks(values: Sequence[float]) -> np.ndarray:
 def tie_groups(values: Sequence[float]) -> list[int]:
     """Sizes of groups of tied values."""
     return np.unique(values, return_counts=True)[1].tolist()
+
+
+def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosines between the rows of ``a`` (n, d) and ``b`` (m, d), as (n, m).
+
+    A pair with a zero-norm row has cosine 0; values are clipped to [-1, 1].
+    """
+    norms = np.outer(np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1))
+    dots = a @ b.T
+    cosines = np.divide(dots, norms, out=np.zeros_like(dots), where=norms != 0.0)
+    return np.clip(cosines, -1.0, 1.0)

@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._stats import midranks, normal_sf, tie_groups
-from .corpus import RawPair, normalize, tokenize
+from ._stats import cosine_matrix, midranks, normal_sf, tie_groups
+from .corpus import RawPair, normalize, read_lines, tokenize
 from .metrics import EmbeddingTable
 
 Tokens = Sequence[str]
@@ -92,8 +92,7 @@ class Lexicon:
 
     @classmethod
     def load(cls, path) -> "Lexicon":
-        with open(path, encoding="utf-8") as fh:
-            return cls.parse(fh.read(), origin=str(path))
+        return cls.parse("\n".join(read_lines(path)), origin=str(path))
 
 
 def category_score(tokens: Tokens, lexicon: Lexicon) -> dict[str, float]:
@@ -310,16 +309,8 @@ def two_proportion_z(count_a: int, n_a: int, count_b: int, n_b: int, alternative
 
 def doc_similarity(doc_a: Tokens, doc_b: Tokens, table: EmbeddingTable) -> float:
     """Cosine between mean-pooled token vectors of the two documents."""
-    a = table.lookup(doc_a)
-    b = table.lookup(doc_b)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ValueError("no in-table tokens in one document; pair skipped")
-    mean_a = a.mean(axis=0)
-    mean_b = b.mean(axis=0)
-    na, nb = np.linalg.norm(mean_a), np.linalg.norm(mean_b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.clip(mean_a @ mean_b / (na * nb), -1.0, 1.0))
+    a, b = table.lookup_pair(doc_a, doc_b)
+    return float(cosine_matrix(a.mean(axis=0, keepdims=True), b.mean(axis=0, keepdims=True))[0, 0])
 
 
 SHORT_BUCKET = (0, 9)

@@ -29,6 +29,7 @@ from .corpus import (
     normalize,
     read_dataset,
     read_gazetteer,
+    read_lines,
     split_dataset,
     tokenize,
     write_dataset,
@@ -85,7 +86,8 @@ DEFAULTS: dict[str, object] = {
 }
 
 
-def _coerce(key: str, text: str) -> object:
+def _coerce(key: str, text: str, where: str = "") -> object:
+    """Parse ``text`` as the type of ``key``'s default; ``where`` prefixes the error."""
     default = DEFAULTS[key]
     try:
         if isinstance(default, int):
@@ -94,7 +96,7 @@ def _coerce(key: str, text: str) -> object:
             return float(text)
         return text
     except ValueError:
-        raise CLIError(f"config key {key!r}: cannot parse {text!r} as {type(default).__name__}") from None
+        raise CLIError(f"{where}config key {key!r}: cannot parse {text!r} as {type(default).__name__}") from None
 
 
 def load_run_config(config_path: Optional[str], overrides: Sequence[str]) -> dict:
@@ -104,7 +106,7 @@ def load_run_config(config_path: Optional[str], overrides: Sequence[str]) -> dic
         path = Path(config_path)
         if not path.exists():
             raise CLIError(f"config file not found: {path}")
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(read_lines(path), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -114,7 +116,7 @@ def load_run_config(config_path: Optional[str], overrides: Sequence[str]) -> dic
             key, value = key.strip(), value.strip()
             if key not in settings:
                 raise CLIError(f"{path}: line {lineno}: unknown config key {key!r}")
-            settings[key] = _coerce(key, value)
+            settings[key] = _coerce(key, value, f"{path}: line {lineno}: ")
     for item in overrides:
         if "=" not in item:
             raise CLIError(f"--set {item!r}: expected key=value")
@@ -247,8 +249,7 @@ def cmd_generate(args, settings: dict) -> int:
         )
     gazetteer = _load_gazetteer(args.gazetteer)
     decode = _build(DecodeConfig, settings)
-    with open(args.sources, encoding="utf-8") as fh:
-        sources = [line.rstrip("\n") for line in fh]
+    sources = list(read_lines(args.sources))
 
     lines = []
     for index, text in enumerate(sources):
@@ -264,22 +265,26 @@ def cmd_generate(args, settings: dict) -> int:
     return 0
 
 
+def _indexed_rows(path, width: int):
+    """``(lineno, source index, fields)`` for each non-blank line of ``width`` tab-separated fields."""
+    for lineno, line in enumerate(read_lines(path), 1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != width:
+            raise CLIError(f"{path}: line {lineno}: expected {width} tab-separated fields")
+        try:
+            index = int(parts[0])
+        except ValueError:
+            raise CLIError(f"{path}: line {lineno}: bad source index {parts[0]!r}") from None
+        yield lineno, index, parts
+
+
 def _read_generations(path) -> dict[int, list[list[str]]]:
     """``index <TAB> rank <TAB> log_prob <TAB> tokens`` per line."""
     result: dict[int, list[list[str]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise CLIError(f"{path}: line {lineno}: expected 4 tab-separated fields")
-            try:
-                index = int(parts[0])
-            except ValueError:
-                raise CLIError(f"{path}: line {lineno}: bad source index {parts[0]!r}") from None
-            result.setdefault(index, []).append(parts[3].split())
+    for _, index, parts in _indexed_rows(path, 4):
+        result.setdefault(index, []).append(parts[3].split())
     if not result:
         raise CLIError(f"{path}: no generations")
     return result
@@ -288,24 +293,13 @@ def _read_generations(path) -> dict[int, list[list[str]]]:
 def _read_references(path) -> dict[int, list[str]]:
     """``index <TAB> tokens`` per line."""
     result: dict[int, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise CLIError(f"{path}: line {lineno}: expected 2 tab-separated fields")
-            try:
-                index = int(parts[0])
-            except ValueError:
-                raise CLIError(f"{path}: line {lineno}: bad source index {parts[0]!r}") from None
-            if index in result:
-                raise CLIError(f"{path}: line {lineno}: duplicate source index {index}")
-            tokens = parts[1].split()
-            if not tokens:
-                raise CLIError(f"{path}: line {lineno}: reference has no tokens")
-            result[index] = tokens
+    for lineno, index, parts in _indexed_rows(path, 2):
+        if index in result:
+            raise CLIError(f"{path}: line {lineno}: duplicate source index {index}")
+        tokens = parts[1].split()
+        if not tokens:
+            raise CLIError(f"{path}: line {lineno}: reference has no tokens")
+        result[index] = tokens
     if not result:
         raise CLIError(f"{path}: no references")
     return result

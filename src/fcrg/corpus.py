@@ -163,26 +163,26 @@ class Vocabulary:
         token_to_id: dict[str, int] = {}
         id_to_token: list[str] = []
         counts: dict[str, int] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ValueError(f"{path}: line {lineno}: expected 3 tab-separated fields")
-                token = parts[0]
-                try:
-                    idx, count = int(parts[1]), int(parts[2])
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: line {lineno}: id and count must be integers, got {parts[1]!r} and {parts[2]!r}"
-                    ) from None
-                if idx != len(id_to_token):
-                    raise ValueError(f"{path}: line {lineno}: ids must be dense and in order")
-                token_to_id[token] = idx
-                id_to_token.append(token)
-                counts[token] = count
+        for lineno, line in enumerate(read_lines(path), 1):
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ValueError(f"{path}: line {lineno}: expected 3 tab-separated fields")
+            token = parts[0]
+            try:
+                idx, count = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: id and count must be integers, got {parts[1]!r} and {parts[2]!r}"
+                ) from None
+            if idx != len(id_to_token):
+                raise ValueError(f"{path}: line {lineno}: ids must be dense and in order")
+            if token in token_to_id:
+                raise ValueError(f"{path}: line {lineno}: duplicate token {token!r}")
+            token_to_id[token] = idx
+            id_to_token.append(token)
+            counts[token] = count
         if tuple(id_to_token[:4]) != RESERVED_TOKENS:
             raise ValueError(f"{path}: reserved tokens missing or out of order")
         return cls(token_to_id, id_to_token, counts)
@@ -317,35 +317,50 @@ def batches(
             yield make_batch(chunk)
 
 
+def read_lines(path) -> Iterator[str]:
+    """Lines of a UTF-8 file, split at "\\n", "\\r\\n" or "\\r" only, without their ends.
+
+    The file is read one line at a time.  A line that is not valid UTF-8
+    raises ``ValueError`` naming the path and the line.
+    """
+    lineno = 0
+    with open(path, "rb") as fh:
+        for raw in fh:
+            for piece in raw.removesuffix(b"\n").removesuffix(b"\r").split(b"\r"):
+                lineno += 1
+                try:
+                    yield piece.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise ValueError(f"{path}: line {lineno}: not valid UTF-8") from None
+
+
 def read_dataset(path) -> list[RawPair]:
     """Read tab-separated ``original <TAB> reply [<TAB> shares] [<TAB> label]`` lines."""
     pairs: list[RawPair] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2 or len(parts) > 4:
-                raise ValueError(f"{path}: line {lineno}: expected 2-4 tab-separated fields")
-            extras: dict[str, object] = {}
-            for extra in parts[2:]:
-                if extra in ("true", "false"):
-                    kind, value = "label", extra
-                else:
-                    try:
-                        kind, value = "share count", int(extra)
-                    except ValueError:
-                        raise ValueError(
-                            f"{path}: line {lineno}: field {extra!r} is neither a share count nor a label"
-                        ) from None
-                if kind in extras:
-                    raise ValueError(f"{path}: line {lineno}: repeated {kind} {extra!r}")
-                extras[kind] = value
-            try:
-                pairs.append(RawPair(parts[0], parts[1], extras.get("share count"), extras.get("label")))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    for lineno, line in enumerate(read_lines(path), 1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) < 2 or len(parts) > 4:
+            raise ValueError(f"{path}: line {lineno}: expected 2-4 tab-separated fields")
+        extras: dict[str, object] = {}
+        for extra in parts[2:]:
+            if extra in ("true", "false"):
+                kind, value = "label", extra
+            else:
+                try:
+                    kind, value = "share count", int(extra)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: line {lineno}: field {extra!r} is neither a share count nor a label"
+                    ) from None
+            if kind in extras:
+                raise ValueError(f"{path}: line {lineno}: repeated {kind} {extra!r}")
+            extras[kind] = value
+        try:
+            pairs.append(RawPair(parts[0], parts[1], extras.get("share count"), extras.get("label")))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return pairs
 
 
@@ -362,8 +377,7 @@ def write_dataset(path, pairs: Sequence[RawPair]) -> None:
 
 def read_gazetteer(path) -> frozenset[str]:
     """One name per line; blank lines ignored."""
-    with open(path, encoding="utf-8") as fh:
-        return frozenset(line.strip() for line in fh if line.strip())
+    return frozenset(line.strip() for line in read_lines(path) if line.strip())
 
 
 def corpus_statistics(pairs: Sequence[RawPair], gazetteer: frozenset[str] = frozenset(), min_count: int = MIN_COUNT) -> dict:

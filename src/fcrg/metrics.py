@@ -19,7 +19,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._stats import midranks, normal_sf, tie_groups
+from ._stats import cosine_matrix, midranks, normal_sf, tie_groups
+from .corpus import read_lines
 from .stemmer import porter_stem
 
 Tokens = Sequence[str]
@@ -248,23 +249,29 @@ class EmbeddingTable:
         rows = [self._vectors[t] for t in tokens if t in self._vectors]
         return np.array(rows) if rows else np.empty((0, self.dim))
 
+    def lookup_pair(self, a: Tokens, b: Tokens) -> tuple[np.ndarray, np.ndarray]:
+        """``lookup`` of both sides; raises ValueError when either has no in-table token."""
+        vectors_a, vectors_b = self.lookup(a), self.lookup(b)
+        if vectors_a.shape[0] == 0 or vectors_b.shape[0] == 0:
+            raise ValueError("no in-table tokens on one side; pair skipped")
+        return vectors_a, vectors_b
+
 
 def load_embedding_table(path) -> EmbeddingTable:
     """One ``token v1 v2 ... vd`` line per token: d finite decimals, the same d on every line."""
     vectors: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) < 2:
-                raise ValueError(f"{path}: line {lineno}: expected a token and at least one value")
-            try:
-                vector = np.array([float(x) for x in parts[1:]])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: malformed vector") from None
-            dim = len(vector) if lineno == 1 else dim
-            if len(vector) != dim or not np.isfinite(vector).all():
-                raise ValueError(f"{path}: line {lineno}: expected {dim} finite values")
-            vectors[parts[0]] = vector
+    for lineno, line in enumerate(read_lines(path), 1):
+        parts = line.split(" ")
+        if len(parts) < 2:
+            raise ValueError(f"{path}: line {lineno}: expected a token and at least one value")
+        try:
+            vector = np.array([float(x) for x in parts[1:]])
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: malformed vector") from None
+        dim = len(vector) if lineno == 1 else dim
+        if len(vector) != dim or not np.isfinite(vector).all():
+            raise ValueError(f"{path}: line {lineno}: expected {dim} finite values")
+        vectors[parts[0]] = vector
     if not vectors:
         raise ValueError(f"{path}: embedding table is empty")
     return EmbeddingTable(vectors)
@@ -276,24 +283,11 @@ def embedding_table_from_model(model, vocab) -> EmbeddingTable:
     return EmbeddingTable({vocab.id_to_token[i]: emb[:, i].copy() for i in range(4, vocab.size)})
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
-
-
 def greedy_matching(candidate: Tokens, reference: Tokens, table: EmbeddingTable) -> float:
     """Symmetric mean of per-token maximal cosines between the two sides."""
-    cand = table.lookup(candidate)
-    ref = table.lookup(reference)
-    if cand.shape[0] == 0 or ref.shape[0] == 0:
-        raise ValueError("no in-table tokens on one side; pair skipped")
-
-    def directed(a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.mean([max(_cosine(x, y) for y in b) for x in a]))
-
-    return 0.5 * (directed(cand, ref) + directed(ref, cand))
+    cand, ref = table.lookup_pair(candidate, reference)
+    cosines = cosine_matrix(cand, ref)
+    return 0.5 * (float(cosines.max(axis=1).mean()) + float(cosines.max(axis=0).mean()))
 
 
 def extrema_vector(vectors: np.ndarray) -> np.ndarray:
@@ -309,11 +303,8 @@ def vector_extrema(candidate: Tokens, reference: Tokens, table: EmbeddingTable) 
     Returns 0.0 when an extrema vector is all zero (degenerate input).  The
     raw cosine may be negative; reporting clamps to [0, 1].
     """
-    cand = table.lookup(candidate)
-    ref = table.lookup(reference)
-    if cand.shape[0] == 0 or ref.shape[0] == 0:
-        raise ValueError("no in-table tokens on one side; pair skipped")
-    return _cosine(extrema_vector(cand), extrema_vector(ref))
+    cand, ref = table.lookup_pair(candidate, reference)
+    return float(cosine_matrix(extrema_vector(cand)[None], extrema_vector(ref)[None])[0, 0])
 
 
 # ---------------------------------------------------------------- evaluation driver

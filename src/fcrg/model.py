@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tensor as T
+from ._stats import cosine_matrix
 from .corpus import BOS, EOS, MAX_SOURCE_LEN, MAX_TARGET_LEN, PAD, Batch, EncodedPair, Vocabulary, batches, make_batch
 from .params import ParamStore, TrainConfig
 from .tensor import Tensor, backward
@@ -224,10 +225,7 @@ class FCRGModel:
             raise ValueError(f"word {word!r} is not in the vocabulary")
         query_id = vocab.token_to_id[word]
         emb = self.params["embedding"].data  # (D, V)
-        norms = np.linalg.norm(emb, axis=0)
-        norms[norms == 0] = 1.0
-        query = emb[:, query_id] / norms[query_id]
-        sims = (emb / norms).T @ query
+        sims = cosine_matrix(emb.T, emb[:, [query_id]].T)[:, 0]
         candidates = [i for i in range(vocab.size) if i >= 4 and i != query_id]
         candidates.sort(key=lambda i: (-sims[i], i))
         return [(vocab.id_to_token[i], float(sims[i])) for i in candidates[:k]]

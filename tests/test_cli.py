@@ -124,6 +124,21 @@ def test_config_parse_error_has_line_number(tmp_path):
         load_run_config(str(cfg), [])
 
 
+def test_config_value_errors_name_the_file_and_line(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("beam_size=5\nmin_tokens=lots\n")
+    message = f"{cfg}: line 2: config key 'min_tokens': cannot parse 'lots' as int"
+    with pytest.raises(CLIError, match=f"^{re.escape(message)}$"):
+        load_run_config(str(cfg), [])
+
+
+def test_config_line_numbers_count_newlines_only(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# note\x0cmore words\nbeam_size=3\njust words\n")
+    with pytest.raises(CLIError, match=f"^{re.escape(str(cfg))}: line 3: expected 'key=value'$"):
+        load_run_config(str(cfg), [])
+
+
 def test_config_type_errors_name_the_key():
     with pytest.raises(CLIError, match="beam_size"):
         load_run_config(None, ["beam_size=lots"])
@@ -375,6 +390,22 @@ def test_evaluate_empty_reference_names_the_line(tmp_path, capsys):
     code = main(["evaluate", "--generations", str(gens), "--references", str(refs), "--run-dir", str(tmp_path / "e")])
     assert code == 1
     assert capsys.readouterr().err == f"fcrg evaluate: error: {refs}: line 2: reference has no tokens\n"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "analyze", "preprocess"])
+def test_bad_byte_is_reported_with_path_and_line(dataset, tmp_path, capsys, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0\tfine\n1\tcaf\xe9\n")
+    gens = tmp_path / "gens.tsv"
+    gens.write_text("0\t1\t-1.0\tfine\n")
+    inputs = {
+        "evaluate": ["--generations", gens, "--references", bad],
+        "analyze": ["--dataset", bad],
+        "preprocess": ["--dataset", dataset, "--gazetteer", bad],
+    }[command]
+    code = main([command, *map(str, inputs), "--run-dir", str(tmp_path / "r")])
+    assert code == 1
+    assert capsys.readouterr().err == f"fcrg {command}: error: {bad}: line 2: not valid UTF-8\n"
 
 
 def test_analyze_outputs(dataset, tmp_path):

@@ -24,6 +24,7 @@ from fcrg.corpus import (
     make_batch,
     normalize,
     read_dataset,
+    read_lines,
     split_dataset,
     tokenize,
     write_dataset,
@@ -181,6 +182,13 @@ def test_vocabulary_load_names_line_of_bad_integer(tmp_path, line):
         Vocabulary.load(path)
 
 
+def test_vocabulary_load_rejects_duplicate_token(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_text("<pad>\t0\t0\n<s>\t1\t0\n</s>\t2\t0\n<unk>\t3\t0\nfoo\t4\t2\nfoo\t5\t1\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 6: duplicate token 'foo'$"):
+        Vocabulary.load(path)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), min_size=1, max_size=20))
 def test_encode_decode_roundtrip_in_vocab(tokens):
@@ -282,6 +290,23 @@ def test_batches_deterministic_under_seed():
 
 
 # ---------------------------------------------------------------- io and statistics
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet=st.sampled_from("ab \t\n\r\x0c\x0b\x1c\x85\u2028\u00e9")))
+def test_read_lines_matches_text_mode_iteration(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("lines") / "input.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        assert list(read_lines(path)) == [line.rstrip("\n") for line in fh]
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_read_lines_names_the_line_of_a_bad_byte(tmp_path, newline):
+    path = tmp_path / "input.txt"
+    path.write_bytes(newline.join([b"caf\xc3\xa9", b"\x0c ok", b"caf\xe9", b"later \xff"]))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: not valid UTF-8$"):
+        list(read_lines(path))
 
 
 def test_dataset_roundtrip(tmp_path):

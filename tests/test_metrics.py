@@ -8,7 +8,11 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from fcrg.analysis import doc_similarity
 from fcrg.metrics import (
     EmbeddingTable,
     bleu_n,
@@ -295,6 +299,52 @@ def test_vector_extrema_identity_orthogonal():
 def test_vector_extrema_can_be_negative():
     table = table_from({"p": [1, 0], "q": [-1, 0]})
     assert vector_extrema(["p"], ["q"], table) == pytest.approx(-1.0)
+
+
+# ---------------------------------------------------------------- cosine oracle
+
+
+def _cosine(a, b):
+    """One cosine from two norms; 0 when either vector is zero."""
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
+
+
+def _greedy_oracle(cand, ref):
+    def directed(a, b):
+        return float(np.mean([max(_cosine(x, y) for y in b) for x in a]))
+
+    return 0.5 * (directed(cand, ref) + directed(ref, cand))
+
+
+@st.composite
+def embedding_pairs(draw):
+    """A table over a few words (some all-zero) and two 1-20 token sides drawn from it."""
+    dim = draw(st.integers(1, 50))
+    n_words = draw(st.integers(1, 6))
+    # Entries below 1e-6 are zeroed so that no product of norms underflows;
+    # there the loop divides 0 by 0 where the matrix form returns 0.
+    elements = st.floats(-10, 10, allow_subnormal=False).map(lambda x: x if abs(x) >= 1e-6 else 0.0)
+    vectors = draw(hnp.arrays(np.float64, (n_words, dim), elements=elements))
+    zero_rows = draw(st.lists(st.booleans(), min_size=n_words, max_size=n_words))
+    vectors[np.array(zero_rows)] = 0.0
+    table = EmbeddingTable({f"w{i}": vectors[i] for i in range(n_words)})
+    side = st.lists(st.sampled_from([f"w{i}" for i in range(n_words)]), min_size=1, max_size=20)
+    return table, draw(side), draw(side)
+
+
+@settings(max_examples=300, deadline=None)
+@given(embedding_pairs())
+def test_embedding_metrics_match_the_cosine_loop(case):
+    table, cand_tokens, ref_tokens = case
+    cand, ref = table.lookup(cand_tokens), table.lookup(ref_tokens)
+    assert greedy_matching(cand_tokens, ref_tokens, table) == pytest.approx(_greedy_oracle(cand, ref), abs=1e-12)
+    expected = _cosine(extrema_vector(cand), extrema_vector(ref))
+    assert vector_extrema(cand_tokens, ref_tokens, table) == pytest.approx(expected, abs=1e-12)
+    expected = _cosine(cand.mean(axis=0), ref.mean(axis=0))
+    assert doc_similarity(cand_tokens, ref_tokens, table) == pytest.approx(expected, abs=1e-12)
 
 
 def test_embedding_table_validation(tmp_path):
