@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -157,10 +158,14 @@ class TopicModel:
     doc_tokens: list[np.ndarray]
 
 
-def _site_weights(doc_topic_row: np.ndarray, word_column: np.ndarray, topic_totals: np.ndarray,
-                  alpha: float, beta: float, vocab_size: int) -> np.ndarray:
-    """Unnormalized collapsed-Gibbs weights p(z=k) with own count removed."""
-    return (doc_topic_row + alpha) * (word_column + beta) / (topic_totals + vocab_size * beta)
+def _sync_topic_model(model: TopicModel, doc_topic: list[list[int]], word_topic: list[list[int]],
+                      topic_totals: list[int], assignments: list[list[int]]) -> None:
+    """Copy the sampler's count lists into ``model``'s arrays (``word_topic`` is word-major)."""
+    model.doc_topic[...] = doc_topic
+    model.topic_word[...] = np.array(word_topic, dtype=np.int64).T
+    model.topic_totals[...] = topic_totals
+    for z, z_list in zip(model.assignments, assignments):
+        z[...] = z_list
 
 
 def lda_fit(
@@ -176,6 +181,15 @@ def lda_fit(
 
     ``alpha`` defaults to 50/K.  Deterministic under the seed.  ``on_sweep``
     (if given) is called with the partially fitted model after every sweep.
+
+    The counts live in Python lists while sampling (a site reads K ints of
+    its document, K of its word and the K topic totals), since numpy call
+    overhead dominates on length-K arrays.  Each sweep draws its uniforms in
+    one ``rng.random(n_sites)`` block, the same PCG64 stream as one
+    ``rng.random()`` per site.  A site's weights
+    (n_dk + alpha)(n_kw + beta)/(n_k + V beta), own count removed, are summed
+    in topic order, and the new topic is the first whose running sum exceeds
+    u times the total.
     """
     if num_topics < 1:
         raise ValueError("num_topics must be >= 1")
@@ -185,45 +199,58 @@ def lda_fit(
         raise ValueError("every document must be non-empty")
     if alpha is None:
         alpha = 50.0 / num_topics
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be a finite number > 0, got {value}")
     vocab = sorted({t for doc in documents for t in doc})
     if not vocab:
         raise ValueError("vocabulary of size 0")
     token_to_id = {t: i for i, t in enumerate(vocab)}
     vocab_size = len(vocab)
-    doc_tokens = [np.array([token_to_id[t] for t in doc], dtype=np.int64) for doc in documents]
+    doc_ids = [[token_to_id[t] for t in doc] for doc in documents]
 
     rng = np.random.default_rng(seed)
-    doc_topic = np.zeros((len(documents), num_topics), dtype=np.int64)
-    topic_word = np.zeros((num_topics, vocab_size), dtype=np.int64)
-    topic_totals = np.zeros(num_topics, dtype=np.int64)
-    assignments: list[np.ndarray] = []
-    for d, ids in enumerate(doc_tokens):
+    doc_topic = [[0] * num_topics for _ in doc_ids]
+    word_topic = [[0] * num_topics for _ in vocab]
+    topic_totals = [0] * num_topics
+    assignment_arrays: list[np.ndarray] = []
+    assignments: list[list[int]] = []
+    for ids, row in zip(doc_ids, doc_topic):
         z = rng.integers(0, num_topics, size=len(ids))
-        assignments.append(z)
-        for w, k in zip(ids, z):
-            doc_topic[d, k] += 1
-            topic_word[k, w] += 1
+        assignment_arrays.append(z)
+        assignments.append(z.tolist())
+        for w, k in zip(ids, assignments[-1]):
+            row[k] += 1
+            word_topic[w][k] += 1
             topic_totals[k] += 1
 
     model = TopicModel(num_topics, alpha, beta, iterations, seed, vocab,
-                       doc_topic, topic_word, topic_totals, assignments, doc_tokens)
+                       np.zeros((len(doc_ids), num_topics), dtype=np.int64),
+                       np.zeros((num_topics, vocab_size), dtype=np.int64),
+                       np.zeros(num_topics, dtype=np.int64), assignment_arrays,
+                       [np.array(ids, dtype=np.int64) for ids in doc_ids])
+    n_sites = sum(len(ids) for ids in doc_ids)
+    vocab_beta = vocab_size * beta
     for _ in range(iterations):
-        for d, ids in enumerate(doc_tokens):
-            z = assignments[d]
-            for pos, w in enumerate(ids):
-                k_old = z[pos]
-                doc_topic[d, k_old] -= 1
-                topic_word[k_old, w] -= 1
-                topic_totals[k_old] -= 1
-                weights = _site_weights(doc_topic[d], topic_word[:, w], topic_totals, alpha, beta, vocab_size)
-                cdf = np.cumsum(weights)
-                k_new = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-                z[pos] = k_new
-                doc_topic[d, k_new] += 1
-                topic_word[k_new, w] += 1
-                topic_totals[k_new] += 1
+        draws = iter(rng.random(n_sites).tolist())
+        for ids, z, row in zip(doc_ids, assignments, doc_topic):
+            for pos, (w, u) in enumerate(zip(ids, draws)):
+                col = word_topic[w]
+                k = z[pos]
+                row[k] -= 1
+                col[k] -= 1
+                topic_totals[k] -= 1
+                cdf = list(itertools.accumulate([(r + alpha) * (c + beta) / (t + vocab_beta)
+                                                 for r, c, t in zip(row, col, topic_totals)]))
+                k = bisect_right(cdf, u * cdf[-1])
+                z[pos] = k
+                row[k] += 1
+                col[k] += 1
+                topic_totals[k] += 1
         if on_sweep is not None:
+            _sync_topic_model(model, doc_topic, word_topic, topic_totals, assignments)
             on_sweep(model)
+    _sync_topic_model(model, doc_topic, word_topic, topic_totals, assignments)
     return model
 
 

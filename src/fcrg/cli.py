@@ -370,7 +370,7 @@ def cmd_analyze(args, settings: dict) -> int:
 
     documents = [doc for doc in reply_docs if doc]
     if documents:
-        alpha = settings["lda_alpha"] if settings["lda_alpha"] >= 0 else None
+        alpha = None if settings["lda_alpha"] < 0 else settings["lda_alpha"]
         topics = analysis.lda_fit(
             documents,
             num_topics=settings["num_topics"],

@@ -229,14 +229,15 @@ def meteor_lite(candidate: Tokens, reference: Tokens) -> float:
 class EmbeddingTable:
     """Token -> fixed-dimension vector map; out-of-table tokens are skipped."""
 
-    def __init__(self, vectors: Mapping[str, np.ndarray]):
+    def __init__(self, vectors: Mapping[str, Sequence[float] | np.ndarray]):
         if not vectors:
             raise ValueError("embedding table is empty")
         dims = {len(v) for v in vectors.values()}
         if len(dims) != 1:
             raise ValueError(f"inconsistent embedding dimensions: {sorted(dims)}")
         self.dim = dims.pop()
-        self._vectors = {t: np.asarray(v, dtype=np.float64) for t, v in vectors.items()}
+        # one float64 copy per vector, so the table never aliases a caller's array
+        self._vectors = {t: np.array(v, dtype=np.float64) for t, v in vectors.items()}
 
     def __contains__(self, token: str) -> bool:
         return token in self._vectors
@@ -259,17 +260,17 @@ class EmbeddingTable:
 
 def load_embedding_table(path) -> EmbeddingTable:
     """One ``token v1 v2 ... vd`` line per token: d finite decimals, the same d on every line."""
-    vectors: dict[str, np.ndarray] = {}
+    vectors: dict[str, list[float]] = {}
     for lineno, line in enumerate(read_lines(path), 1):
         parts = line.split(" ")
         if len(parts) < 2:
             raise ValueError(f"{path}: line {lineno}: expected a token and at least one value")
         try:
-            vector = np.array([float(x) for x in parts[1:]])
+            vector = [float(x) for x in parts[1:]]
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: malformed vector") from None
         dim = len(vector) if lineno == 1 else dim
-        if len(vector) != dim or not np.isfinite(vector).all():
+        if len(vector) != dim or not all(map(math.isfinite, vector)):
             raise ValueError(f"{path}: line {lineno}: expected {dim} finite values")
         vectors[parts[0]] = vector
     if not vectors:
@@ -280,7 +281,7 @@ def load_embedding_table(path) -> EmbeddingTable:
 def embedding_table_from_model(model, vocab) -> EmbeddingTable:
     """Word vectors from a trained model's shared embedding (reserved ids excluded)."""
     emb = model.params["embedding"].data
-    return EmbeddingTable({vocab.id_to_token[i]: emb[:, i].copy() for i in range(4, vocab.size)})
+    return EmbeddingTable({vocab.id_to_token[i]: emb[:, i] for i in range(4, vocab.size)})
 
 
 def greedy_matching(candidate: Tokens, reference: Tokens, table: EmbeddingTable) -> float:

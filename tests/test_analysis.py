@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcrg import analysis
 from fcrg.analysis import (
@@ -18,7 +20,6 @@ from fcrg.analysis import (
     length_share_test,
     mann_whitney_u,
     two_proportion_z,
-    _site_weights,
 )
 from fcrg.corpus import RawPair
 from fcrg.metrics import EmbeddingTable
@@ -132,6 +133,98 @@ def test_group_stats_matches_two_pass_oracle(lex):
 # ---------------------------------------------------------------- LDA
 
 
+# Oracle: the per-site numpy sampler, which ``lda_fit`` must reproduce exactly
+# (the same draws and the same float operations in the same order).
+def _site_weights(doc_topic_row: np.ndarray, word_column: np.ndarray, topic_totals: np.ndarray,
+                  alpha: float, beta: float, vocab_size: int) -> np.ndarray:
+    """Unnormalized collapsed-Gibbs weights p(z=k) with own count removed."""
+    return (doc_topic_row + alpha) * (word_column + beta) / (topic_totals + vocab_size * beta)
+
+
+def _reference_lda_fit(documents, num_topics, alpha=None, beta=0.01, iterations=1000, seed=0, on_sweep=None):
+    if alpha is None:
+        alpha = 50.0 / num_topics
+    vocab = sorted({t for doc in documents for t in doc})
+    token_to_id = {t: i for i, t in enumerate(vocab)}
+    vocab_size = len(vocab)
+    doc_tokens = [np.array([token_to_id[t] for t in doc], dtype=np.int64) for doc in documents]
+
+    rng = np.random.default_rng(seed)
+    doc_topic = np.zeros((len(documents), num_topics), dtype=np.int64)
+    topic_word = np.zeros((num_topics, vocab_size), dtype=np.int64)
+    topic_totals = np.zeros(num_topics, dtype=np.int64)
+    assignments = []
+    for d, ids in enumerate(doc_tokens):
+        z = rng.integers(0, num_topics, size=len(ids))
+        assignments.append(z)
+        for w, k in zip(ids, z):
+            doc_topic[d, k] += 1
+            topic_word[k, w] += 1
+            topic_totals[k] += 1
+
+    model = analysis.TopicModel(num_topics, alpha, beta, iterations, seed, vocab,
+                                doc_topic, topic_word, topic_totals, assignments, doc_tokens)
+    for _ in range(iterations):
+        for d, ids in enumerate(doc_tokens):
+            z = assignments[d]
+            for pos, w in enumerate(ids):
+                k_old = z[pos]
+                doc_topic[d, k_old] -= 1
+                topic_word[k_old, w] -= 1
+                topic_totals[k_old] -= 1
+                weights = _site_weights(doc_topic[d], topic_word[:, w], topic_totals, alpha, beta, vocab_size)
+                cdf = np.cumsum(weights)
+                k_new = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+                z[pos] = k_new
+                doc_topic[d, k_new] += 1
+                topic_word[k_new, w] += 1
+                topic_totals[k_new] += 1
+        if on_sweep is not None:
+            on_sweep(model)
+    return model
+
+
+def _lda_state(model):
+    """Copies of the sampled state, with dtypes, for exact comparison."""
+    arrays = [model.doc_topic, model.topic_word, model.topic_totals, *model.assignments, *model.doc_tokens]
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+_hyperparameter = st.one_of(
+    st.integers(-3, 2).flatmap(lambda e: st.floats(10.0 ** e, 10.0 ** (e + 1))),
+    st.integers(1, 20),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    docs=st.integers(1, 12).flatmap(
+        lambda v: st.lists(st.lists(st.integers(0, v - 1).map(lambda i: f"w{i}"), min_size=1, max_size=12),
+                           min_size=1, max_size=30)),
+    num_topics=st.integers(1, 8),
+    alpha=st.one_of(st.none(), _hyperparameter),
+    beta=_hyperparameter,
+    iterations=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lda_fit_equals_the_per_site_numpy_sampler(docs, num_topics, alpha, beta, iterations, seed):
+    sweeps = {"kernel": [], "reference": []}
+    args = dict(num_topics=num_topics, alpha=alpha, beta=beta, iterations=iterations, seed=seed)
+    model = lda_fit(docs, **args, on_sweep=lambda m: sweeps["kernel"].append(_lda_state(m)))
+    reference = _reference_lda_fit(docs, **args, on_sweep=lambda m: sweeps["reference"].append(_lda_state(m)))
+    assert len(sweeps["kernel"]) == iterations
+    assert sweeps["kernel"] == sweeps["reference"]
+    assert _lda_state(model) == _lda_state(reference)
+    assert model.vocab == reference.vocab and model.alpha == reference.alpha
+
+
+def test_lda_fit_without_on_sweep_equals_the_per_site_numpy_sampler():
+    docs, _ = synthetic_two_topic_corpus(n_docs=40, seed=5)
+    docs += [["sport0"], ["polit3", "polit3", "polit3"]]
+    model = lda_fit(docs, num_topics=3, alpha=0.1, iterations=5, seed=11)
+    assert _lda_state(model) == _lda_state(_reference_lda_fit(docs, 3, alpha=0.1, iterations=5, seed=11))
+
+
 def test_lda_single_topic_is_smoothed_unigram():
     docs = [["a", "b", "a"], ["b", "c"], ["a"]]
     model = lda_fit(docs, num_topics=1, iterations=2, seed=0)
@@ -213,6 +306,14 @@ def test_lda_validation():
         lda_fit([["a"]], 0)
     with pytest.raises(ValueError):
         lda_fit([["a"]], 2, iterations=0)
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta"])
+@pytest.mark.parametrize("value", [0, 0.0, -0.5, float("nan"), float("inf"), -float("inf")])
+def test_lda_rejects_non_positive_or_non_finite_hyperparameters(name, value):
+    # alpha=0 makes every weight 0 at the one-token document, an all-zero cdf
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number > 0, got {value}$"):
+        lda_fit([["a", "b"], ["c"]], 3, **{name: value})
 
 
 # ---------------------------------------------------------------- Mann-Whitney

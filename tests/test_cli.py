@@ -422,6 +422,16 @@ def test_analyze_outputs(dataset, tmp_path):
     assert "length_share_test" in text
 
 
+
+@pytest.mark.parametrize("setting", ["lda_beta=0", "lda_beta=-0.5", "lda_beta=nan", "lda_alpha=0", "lda_alpha=nan"])
+def test_analyze_rejects_bad_lda_hyperparameter_in_one_line(dataset, tmp_path, capsys, setting):
+    name, value = setting.split("=")
+    code = main(["analyze", "--dataset", str(dataset), "--run-dir", str(tmp_path / "a"), "--set", setting])
+    assert code == 1
+    shown = str(float(value))
+    assert capsys.readouterr().err == f"fcrg analyze: error: {name[4:]} must be a finite number > 0, got {shown}\n"
+
+
 def test_gradcheck_passes(tmp_path, capsys):
     code = main(["gradcheck", "--run-dir", str(tmp_path / "g")])
     assert code == 0

@@ -16,6 +16,7 @@ from fcrg.analysis import doc_similarity
 from fcrg.metrics import (
     EmbeddingTable,
     bleu_n,
+    embedding_table_from_model,
     evaluate,
     extrema_vector,
     greedy_matching,
@@ -25,6 +26,8 @@ from fcrg.metrics import (
     vector_extrema,
     wilcoxon_one_sided,
 )
+from fcrg.corpus import build_vocabulary
+from fcrg.model import FCRGModel, ModelConfig
 from fcrg.stemmer import porter_stem
 
 WORDS = ["the", "cat", "sat", "down", "fake", "news", "url", "a", "dog", "ran"]
@@ -384,6 +387,20 @@ def test_embedding_table_file_roundtrip(tmp_path):
     table = load_embedding_table(path)
     assert table.dim == 2
     assert np.allclose(table["a"], [1.0, 0.0])
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_embedding_table_from_model_copies_each_column_once(dtype):
+    vocab = build_vocabulary([["fake", "news", "hoax", "news"]], min_count=1)
+    model = FCRGModel(ModelConfig(vocab_size=vocab.size, embed_dim=3, hidden_size=2, output_size=2, dtype=dtype))
+    emb = model.params["embedding"].data
+    table = embedding_table_from_model(model, vocab)
+    expected = {t: emb[:, vocab.token_to_id[t]].astype(np.float64) for t in ("fake", "news", "hoax")}
+    emb += 1.0  # the table must not alias the parameter, a float64 one included
+    for token, vector in expected.items():
+        assert table[token].dtype == np.float64
+        assert np.array_equal(table[token], vector)
+    assert "<unk>" not in table
 
 
 # ---------------------------------------------------------------- evaluate driver
