@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -207,6 +208,15 @@ def lda_fit(
         raise ValueError("vocabulary of size 0")
     token_to_id = {t: i for i, t in enumerate(vocab)}
     vocab_size = len(vocab)
+    n_sites = sum(len(doc) for doc in documents)
+    vocab_beta = vocab_size * beta
+    # No site weight is below this one; if it is 0 or subnormal, every weight
+    # of a site may round to 0, leaving nothing to sample from.
+    if not alpha * beta / (n_sites + vocab_beta) >= sys.float_info.min:
+        raise ValueError(
+            f"alpha={alpha} and beta={beta} underflow: the smallest site weight "
+            f"alpha*beta/(tokens + V*beta) is not a normal float"
+        )
     doc_ids = [[token_to_id[t] for t in doc] for doc in documents]
 
     rng = np.random.default_rng(seed)
@@ -229,8 +239,6 @@ def lda_fit(
                        np.zeros((num_topics, vocab_size), dtype=np.int64),
                        np.zeros(num_topics, dtype=np.int64), assignment_arrays,
                        [np.array(ids, dtype=np.int64) for ids in doc_ids])
-    n_sites = sum(len(ids) for ids in doc_ids)
-    vocab_beta = vocab_size * beta
     for _ in range(iterations):
         draws = iter(rng.random(n_sites).tolist())
         for ids, z, row in zip(doc_ids, assignments, doc_topic):

@@ -33,6 +33,7 @@ from .corpus import (
     split_dataset,
     tokenize,
     write_dataset,
+    write_text,
 )
 from .decoding import DecodeConfig, beam_search
 from .model import FCRGModel, ModelConfig, train_model
@@ -131,7 +132,7 @@ def _prepare_run_dir(run_dir: str, settings: dict) -> Path:
     out = Path(run_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = [f"{k}={settings[k]}" for k in sorted(settings)]
-    (out / "config.resolved").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(out / "config.resolved", "\n".join(lines) + "\n")
     return out
 
 
@@ -193,7 +194,7 @@ def cmd_preprocess(args, settings: dict) -> int:
     stats_lines.append(f"train_pairs\t{len(train)}")
     stats_lines.append(f"validation_pairs\t{len(validation)}")
     stats_lines.append(f"test_pairs\t{len(test)}")
-    (out / "stats.tsv").write_text("\n".join(stats_lines) + "\n", encoding="utf-8")
+    write_text(out / "stats.tsv", "\n".join(stats_lines) + "\n")
     print(f"preprocess: {len(pairs)} pairs, vocabulary {vocab.size}, outputs in {out}")
     return 0
 
@@ -230,7 +231,7 @@ def cmd_train(args, settings: dict) -> int:
         model, train_pairs, val_pairs, _build(TrainConfig, settings),
         shuffle_seed=settings["shuffle_seed"], log=log,
     )
-    (out / "epochs.tsv").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
+    write_text(out / "epochs.tsv", "\n".join(log_lines) + "\n")
     save_checkpoint(
         out / "model.ckpt", model.params, model.config.to_dict(),
         seed=settings["model_seed"], epoch=result.best_epoch,
@@ -260,7 +261,7 @@ def cmd_generate(args, settings: dict) -> int:
         for rank, response in enumerate(responses, 1):
             words = " ".join(vocab.decode(response.ids))
             lines.append(f"{index}\t{rank}\t{response.log_prob:.6f}\t{words}")
-    (out / "generations.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(out / "generations.tsv", "\n".join(lines) + "\n")
     print(f"generate: {len(sources)} sources, beam {decode.beam_size}, outputs in {out}")
     return 0
 
@@ -323,12 +324,12 @@ def cmd_evaluate(args, settings: dict) -> int:
         report = metrics.evaluate(generations, references, table)
     except ValueError as exc:
         raise CLIError(str(exc)) from None
-    (out / "metrics.tsv").write_text(report.to_tsv(), encoding="utf-8")
+    write_text(out / "metrics.tsv", report.to_tsv())
     detail = []
     for name in metrics.METRIC_NAMES:
         for index in sorted(report.per_source.get(name, ())):
             detail.append(f"{name}\t{index}\t{report.per_source[name][index] * 100.0:.3f}")
-    (out / "per_source.tsv").write_text("\n".join(detail) + "\n", encoding="utf-8")
+    write_text(out / "per_source.tsv", "\n".join(detail) + "\n")
     print(report.to_tsv(), end="")
     for name, count in sorted(report.skipped.items()):
         if count:
@@ -389,7 +390,7 @@ def cmd_analyze(args, settings: dict) -> int:
         except ValueError as exc:
             lines.append(f"length_share_test\tskipped\t{exc}")
 
-    (out / "analysis.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(out / "analysis.tsv", "\n".join(lines) + "\n")
     print(f"analyze: {len(pairs)} pairs, outputs in {out}")
     return 0
 
@@ -440,7 +441,7 @@ def cmd_gradcheck(args, settings: dict) -> int:
     text = "\n".join(lines) + f"\nworst\t-\t{worst:.3e}\n"
     if args.run_dir:
         out = _prepare_run_dir(args.run_dir, settings)
-        (out / "gradcheck.tsv").write_text(text, encoding="utf-8")
+        write_text(out / "gradcheck.tsv", text)
     print(text, end="")
     if worst >= _GRADCHECK_TOLERANCE:
         print(f"gradcheck: FAILED (worst {worst:.3e} >= {_GRADCHECK_TOLERANCE})", file=sys.stderr)

@@ -8,10 +8,12 @@ here.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import BinaryIO, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -154,9 +156,9 @@ class Vocabulary:
         return token in self.token_to_id
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             for idx, token in enumerate(self.id_to_token):
-                fh.write(f"{token}\t{idx}\t{self.counts.get(token, 0)}\n")
+                fh.write(f"{token}\t{idx}\t{self.counts.get(token, 0)}\n".encode("utf-8"))
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
@@ -334,6 +336,32 @@ def read_lines(path) -> Iterator[str]:
                     raise ValueError(f"{path}: line {lineno}: not valid UTF-8") from None
 
 
+@contextlib.contextmanager
+def atomic_write(path) -> Iterator[BinaryIO]:
+    """A binary file that takes the place of ``path`` only once it is fully written.
+
+    The bytes go to a temp file beside ``path``, renamed over it with
+    ``os.replace`` when the block ends without an exception.  A write that
+    fails or is interrupted leaves any previous file at ``path`` as it was,
+    and the temp file is removed.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, through ``atomic_write``."""
+    with atomic_write(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
 def read_dataset(path) -> list[RawPair]:
     """Read tab-separated ``original <TAB> reply [<TAB> shares] [<TAB> label]`` lines."""
     pairs: list[RawPair] = []
@@ -365,14 +393,14 @@ def read_dataset(path) -> list[RawPair]:
 
 
 def write_dataset(path, pairs: Sequence[RawPair]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for p in pairs:
             fields = [p.original_text, p.reply_text]
             if p.share_count is not None:
                 fields.append(str(p.share_count))
             if p.label is not None:
                 fields.append(p.label)
-            fh.write("\t".join(fields) + "\n")
+            fh.write(("\t".join(fields) + "\n").encode("utf-8"))
 
 
 def read_gazetteer(path) -> frozenset[str]:

@@ -77,12 +77,13 @@ def beam_search(source_ids: Sequence[int], model: FCRGModel, config: DecodeConfi
     ``ids`` (k, 1 + t) with <s> in column 0, ``scores`` (k,) and ``hidden`` (k, H).
     """
     encoded = encode_single(model, source_ids)
+    gru = model.gru_weights("dec")
     ids = np.full((1, 1), BOS, dtype=np.int64)
     scores = np.zeros(1)
     hidden = encoded.final.data
     completed: list[DecodedResponse] = []
     for t in range(config.max_len):
-        out = model.decode_step(ids[:, -1], Tensor(hidden), encoded, train=False)
+        out = model.decode_step(ids[:, -1], Tensor(hidden), encoded, gru, train=False)
         candidates = scores[:, None] + _masked_log_probs(out.logits.data, t < config.min_tokens)
         parent, token = _select(candidates, config.beam_size)
         scores = candidates[parent, token]

@@ -11,7 +11,8 @@ Training minimizes negative log-likelihood under teacher forcing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -66,16 +67,27 @@ class EncoderOutput:
 
 @dataclass
 class DecodeStepOutput:
-    logits: Tensor  # (b, V) pre-softmax scores
+    features: Tensor  # (b, 2H) [context; h] after dropout: the output head's input
     hidden: Tensor  # (b, H)
+    head: Callable[[Tensor], Tensor]
+
+    @cached_property
+    def logits(self) -> Tensor:
+        """(b, V) pre-softmax scores, computed on first access."""
+        return self.head(self.features)
 
 
-def gru_cell(x, h_prev, w_update, u_update, w_reset, u_reset, w_candidate, u_candidate) -> Tensor:
-    """One GRU step in row convention: inputs (b, D), hidden (b, H)."""
-    z = T.sigmoid(T.add(T.matmul(x, w_update), T.matmul(h_prev, u_update)))
-    r = T.sigmoid(T.add(T.matmul(x, w_reset), T.matmul(h_prev, u_reset)))
-    candidate = T.tanh(T.add(T.matmul(x, w_candidate), T.matmul(T.mul(r, h_prev), u_candidate)))
-    return T.add(T.mul(T.one_minus(z), candidate), T.mul(z, h_prev))
+@dataclass
+class GRUWeights:
+    """One side's gate weights, concatenated at use for ``T.gru_step``."""
+
+    w_x: Tensor  # (D, 3H) [W_z|W_r|W_c]
+    u_zr: Tensor  # (H, 2H) [U_z|U_r]
+    u_c: Tensor  # (H, H)
+
+    def step(self, x: Tensor, h_prev: Tensor) -> Tensor:
+        """The next (b, H) state from inputs x (b, D): one input GEMM, then ``T.gru_step``."""
+        return T.gru_step(T.matmul(x, self.w_x), h_prev, self.u_zr, self.u_c)
 
 
 _GATES = ("update", "reset", "candidate")
@@ -135,13 +147,13 @@ class FCRGModel:
         out = T.embedding_lookup(self.params["embedding"], np.asarray(ids, dtype=np.int64))
         return T.dropout(out, self.config.dropout, self._dropout_rng, train=train)
 
-    def _gru(self, side: str, x: Tensor, h_prev: Tensor) -> Tensor:
+    def gru_weights(self, side: str) -> GRUWeights:
+        """The ``side`` ("enc" or "dec") GRU's per-gate parameters, concatenated for ``T.gru_step``."""
         p = self.params
-        return gru_cell(
-            x, h_prev,
-            p[f"{side}_update_x"], p[f"{side}_update_h"],
-            p[f"{side}_reset_x"], p[f"{side}_reset_h"],
-            p[f"{side}_candidate_x"], p[f"{side}_candidate_h"],
+        return GRUWeights(
+            w_x=T.concat([p[f"{side}_{gate}_x"] for gate in _GATES], axis=1),
+            u_zr=T.concat([p[f"{side}_update_h"], p[f"{side}_reset_h"]], axis=1),
+            u_c=p[f"{side}_candidate_h"],
         )
 
     def encode(self, source: np.ndarray, lengths: np.ndarray, train: bool = False) -> EncoderOutput:
@@ -152,11 +164,12 @@ class FCRGModel:
         if max_len == 0 or lengths.min() < 1:
             raise ValueError("encode: empty source sequence")
         dt = self._np_dtype
+        gru = self.gru_weights("enc")
         h = Tensor(np.zeros((b, self.config.hidden_size), dtype=dt))
         states: list[Tensor] = []
         for t in range(max_len):
             x = self.embed(source[:, t], train=train)
-            h_new = self._gru("enc", x, h)
+            h_new = gru.step(x, h)
             alive = (t < lengths).astype(dt)[:, None]
             h = T.add(T.mul(h_new, Tensor(alive)), T.mul(h, Tensor(1.0 - alive)))
             states.append(h)
@@ -175,16 +188,25 @@ class FCRGModel:
         scores = T.add(scores, Tensor((encoded.mask - 1.0) * _MASK_SCORE))
         return T.softmax(scores, axis=1)
 
-    def decode_step(self, prev_ids, h_prev: Tensor, encoded: EncoderOutput, train: bool = False) -> DecodeStepOutput:
+    def decode_step(
+        self, prev_ids, h_prev: Tensor, encoded: EncoderOutput, gru: GRUWeights, train: bool = False
+    ) -> DecodeStepOutput:
+        """One decoder step from the previous tokens; ``gru`` is ``gru_weights("dec")``.
+
+        The output head is left to the caller: ``logits`` applies it on first access.
+        """
         x = self.embed(prev_ids, train=train)
-        h = self._gru("dec", x, h_prev)
+        h = gru.step(x, h_prev)
         attn = self.attention_weights(encoded, h)
         k, length = attn.shape
         context = T.reduce_sum(T.mul(encoded.states, T.reshape(attn, (k, length, 1))), axis=1)
         features = T.concat([context, h], axis=1)
         features = T.dropout(features, self.config.dropout, self._dropout_rng, train=train)
-        logits = T.matmul(T.tanh(T.matmul(features, self.params["out_hidden"])), self.params["out_vocab"])
-        return DecodeStepOutput(logits=logits, hidden=h)
+        return DecodeStepOutput(features=features, hidden=h, head=self.output_head)
+
+    def output_head(self, features: Tensor) -> Tensor:
+        """Logits (n, V) of (n, 2H) ``[context; h]`` rows: ``tanh(features @ out_hidden) @ out_vocab``."""
+        return T.matmul(T.tanh(T.matmul(features, self.params["out_hidden"])), self.params["out_vocab"])
 
     # -- training objective ---------------------------------------------
 
@@ -194,23 +216,28 @@ class FCRGModel:
         <s> is input-only; every gold token after it (including </s>) is a
         prediction target.  Pad positions contribute zero loss and gradients.
         Returns (scalar loss, number of scored tokens).
+
+        Teacher forcing never feeds the output head back into the recurrence,
+        so the decoder steps only collect their head inputs, and the head and
+        the loss run once over all (step, row) pairs.
         """
         target = batch.target
         token_count = int((target[:, 1:] != PAD).sum())
         if token_count == 0:
             raise ValueError("sequence_nll: batch contains no target tokens")
         encoded = self.encode(batch.source, batch.source_lengths, train=train)
+        gru = self.gru_weights("dec")
         h = encoded.final
-        pieces: list[Tensor] = []
+        features: list[Tensor] = []
         for j in range(target.shape[1] - 1):
-            gold = target[:, j + 1]
-            step_mask = (gold != PAD).astype(self._np_dtype)
-            if not step_mask.any():
+            if not (target[:, j + 1] != PAD).any():
                 break
-            out = self.decode_step(target[:, j], h, encoded, train=train)
+            out = self.decode_step(target[:, j], h, encoded, gru, train=train)
             h = out.hidden
-            pieces.append(T.masked_nll(out.logits, gold, step_mask))
-        loss = T.reduce_sum(T.stack(pieces, axis=0))
+            features.append(out.features)
+        gold = target[:, 1 : len(features) + 1].T.reshape(-1)  # step-major, like the concatenated rows
+        mask = (gold != PAD).astype(self._np_dtype)
+        loss = T.masked_nll(self.output_head(T.concat(features, axis=0)), gold, mask)
         return loss, token_count
 
     # -- embedding inspection ---------------------------------------------

@@ -7,14 +7,13 @@ are training-only state: the first ``adam_step`` makes them.
 
 from __future__ import annotations
 
-import contextlib
 import json
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
+from .corpus import atomic_write
 from .tensor import Tensor, backward
 
 PARTITIONS = ("encoder", "decoder", "shared")
@@ -156,19 +155,10 @@ def save_checkpoint(path, store: ParamStore, config: dict, *, seed: int = 0, epo
         shape = ",".join(str(d) for d in store[name].shape)
         header_lines.append(f"param {name} {store.partition(name)} {shape}")
     header_lines.append("payload")
-    # Written beside ``path`` and renamed over it, so a failed write leaves any
-    # previous checkpoint as it was.
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(("\n".join(header_lines) + "\n").encode("utf-8"))
-            for name in names:
-                fh.write(np.ascontiguousarray(store[name].data, dtype=f"<{np.dtype(dtype).kind}{np.dtype(dtype).itemsize}").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    with atomic_write(path) as fh:
+        fh.write(("\n".join(header_lines) + "\n").encode("utf-8"))
+        for name in names:
+            fh.write(np.ascontiguousarray(store[name].data, dtype=f"<{np.dtype(dtype).kind}{np.dtype(dtype).itemsize}").tobytes())
 
 
 def load_checkpoint(path) -> tuple[ParamStore, dict]:

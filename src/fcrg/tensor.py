@@ -1,9 +1,10 @@
 """Minimal dense tensors with reverse-mode gradients.
 
 Covers exactly the operations the recurrent generation model needs: matmul,
-elementwise arithmetic with broadcasting, sigmoid/tanh, concat/stack, softmax,
-embedding lookup, dropout, reductions and the masked negative log-likelihood
-loss.  float32 by default; float64 is used for gradient checking.
+elementwise add/mul with broadcasting, tanh, concat/stack/reshape, softmax,
+embedding lookup, dropout, reductions, one fused GRU step (``gru_step``) and
+the masked negative log-likelihood loss.  float32 by default; float64 is used
+for gradient checking.
 
 Each op records one ``(parent, grad_fn)`` edge per input that wants a
 gradient; ``grad_fn`` maps the output's gradient array to that input's share
@@ -60,10 +61,13 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def accumulate_grad(self, g: np.ndarray | ColumnGrad) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
         if isinstance(g, ColumnGrad):
+            if self.grad is None:
+                self.grad = np.zeros_like(self.data)
             self.grad[:, g.cols] += g.sums.T
+        elif self.grad is None:
+            # Always a copy: ``add`` hands the same array to both of its parents.
+            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
         else:
             self.grad += g
 
@@ -133,10 +137,6 @@ def mul(a, b) -> Tensor:
     return _make(x * y, (a, lambda g: _unbroadcast(g * y, x.shape)), (b, lambda g: _unbroadcast(g * x, y.shape)))
 
 
-def one_minus(a: Tensor) -> Tensor:
-    return _make(1.0 - a.data, (a, np.negative))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -145,17 +145,58 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(x @ y, (a, lambda g: g @ y.T), (b, lambda g: x.T @ g))
 
 
-def sigmoid(a: Tensor) -> Tensor:
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     # Stable two-branch evaluation; avoids overflow in exp for large |x|.
-    x = a.data
     e = np.exp(-np.abs(x))
-    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype, copy=False)
-    return _make(y, (a, lambda g: g * y * (1.0 - y)))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype, copy=False)
 
 
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
     return _make(y, (a, lambda g: g * (1.0 - y * y)))
+
+
+def gru_step(xw: Tensor, h: Tensor, u_zr: Tensor, u_c: Tensor) -> Tensor:
+    """One GRU step in row convention from a projected input; returns the new (b, H) state.
+
+    ``xw`` (b, 3H) is the input already multiplied by ``[W_z|W_r|W_c]``,
+    ``h`` (b, H) the previous state, ``u_zr`` (H, 2H) is ``[U_z|U_r]`` and
+    ``u_c`` (H, H) the candidate's recurrent weight:
+
+        [z|r] = sigmoid(xw[:, :2H] + h @ u_zr)
+        c     = tanh(xw[:, 2H:] + (r * h) @ u_c)
+        h'    = (1 - z) * c + z * h
+
+    The backward pass is written out: the first wanted parent's edge computes
+    every wanted parent's share of an incoming gradient, and each edge takes
+    its own share from there.
+    """
+    x, hp, w_zr, w_c = xw.data, h.data, u_zr.data, u_c.data
+    n = hp.shape[1]
+    zr = _sigmoid(x[:, : 2 * n] + hp @ w_zr)
+    z, r = zr[:, :n], zr[:, n:]
+    rh = r * hp
+    c = np.tanh(x[:, 2 * n :] + rh @ w_c)
+    wants = (xw._wants, h._wants, u_zr._wants, u_c._wants)
+    shares: dict[int, np.ndarray] = {}
+
+    def grad_fn(i: int, g: np.ndarray) -> np.ndarray:
+        if i not in shares:
+            dc = g * (1.0 - z) * (1.0 - c * c)  # at the candidate's pre-activation
+            drh = dc @ w_c.T
+            dzr = np.concatenate([g * (hp - c), drh * hp], axis=1) * zr * (1.0 - zr)  # at the gates' pre-activation
+            if wants[0]:
+                shares[0] = np.concatenate([dzr, dc], axis=1)
+            if wants[1]:
+                shares[1] = g * z + drh * r + dzr @ w_zr.T
+            if wants[2]:
+                shares[2] = hp.T @ dzr
+            if wants[3]:
+                shares[3] = rh.T @ dc
+        return shares.pop(i)
+
+    out = (1.0 - z) * c + z * hp
+    return _make(out, *((t, partial(grad_fn, i)) for i, t in enumerate((xw, h, u_zr, u_c))))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -208,17 +249,29 @@ def row_log_softmax(x: np.ndarray) -> np.ndarray:
 
 
 def masked_nll(logits: Tensor, gold: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Scalar ``-sum_i mask[i] * log_softmax(logits)[i, gold[i]]`` of (n, V) logits."""
-    rows = np.arange(logits.shape[0])
-    y = row_log_softmax(logits.data)
+    """Scalar ``-sum_i mask[i] * log_softmax(logits)[i, gold[i]]`` of (n, V) logits.
+
+    The same float operations as ``row_log_softmax``, but the forward pass
+    keeps only each row's shift and log-normaliser: the full (n, V)
+    log-probabilities are built in backward, in the array that is returned.
+    """
+    x = logits.data
+    rows = np.arange(x.shape[0])
+    shift = x.max(axis=1, keepdims=True)
+    e = x - shift
+    log_z = np.log(np.exp(e, out=e).sum(axis=1, keepdims=True))
 
     def grad_fn(g):
         c = g * mask
-        grad = np.exp(y) * c[:, None]
+        grad = x - shift
+        grad -= log_z
+        np.exp(grad, out=grad)
+        grad *= c[:, None]
         grad[rows, gold] -= c
         return grad
 
-    return _make(-(y[rows, gold] * mask).sum(), (logits, grad_fn))
+    picked = (x[rows, gold] - shift[:, 0]) - log_z[:, 0]
+    return _make(-(picked * mask).sum(), (logits, grad_fn))
 
 
 def embedding_lookup(weight: Tensor, ids) -> Tensor:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +315,22 @@ def test_lda_rejects_non_positive_or_non_finite_hyperparameters(name, value):
     # alpha=0 makes every weight 0 at the one-token document, an all-zero cdf
     with pytest.raises(ValueError, match=f"^{name} must be a finite number > 0, got {value}$"):
         lda_fit([["a", "b"], ["c"]], 3, **{name: value})
+
+
+@pytest.mark.parametrize("alpha, beta", [(1e-200, 1e-200), (1e-300, 1e-10), (1e-10, 1e-300), (1.0, 1e308)])
+def test_lda_rejects_hyperparameters_whose_site_weights_underflow(alpha, beta):
+    # At (1e-200, 1e-200) every weight of the one-token document's site rounded to 0;
+    # at beta=1e308, V*beta overflows and every weight is 0.
+    message = re.escape(f"alpha={alpha} and beta={beta} underflow: the smallest site weight "
+                        "alpha*beta/(tokens + V*beta) is not a normal float")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        lda_fit([["a"], ["b", "c"]], 2, alpha=alpha, beta=beta, iterations=1)
+
+
+def test_lda_accepts_the_smallest_hyperparameters_with_normal_site_weights():
+    # alpha*beta/(3 tokens + 3*beta) is about 3.3e-301, a normal float.
+    model = lda_fit([["a"], ["b", "c"]], 2, alpha=1e-150, beta=1e-150, iterations=3)
+    assert model.topic_totals.sum() == 3
 
 
 # ---------------------------------------------------------------- Mann-Whitney

@@ -9,6 +9,7 @@ from fcrg import cli
 from fcrg.cli import DEFAULTS, load_run_config, main, CLIError
 from fcrg.model import FCRGModel, ModelConfig
 from fcrg.params import save_checkpoint
+from test_corpus import fail_writes_midway
 
 TINY = [
     "--set", "embed_dim=4", "--set", "hidden_size=5", "--set", "output_size=6",
@@ -430,6 +431,31 @@ def test_analyze_rejects_bad_lda_hyperparameter_in_one_line(dataset, tmp_path, c
     assert code == 1
     shown = str(float(value))
     assert capsys.readouterr().err == f"fcrg analyze: error: {name[4:]} must be a finite number > 0, got {shown}\n"
+
+
+def test_analyze_rejects_underflowing_lda_hyperparameters_in_one_line(dataset, tmp_path, capsys):
+    code = main(["analyze", "--dataset", str(dataset), "--run-dir", str(tmp_path / "a"),
+                 "--set", "lda_alpha=1e-300", "--set", "lda_beta=1e-300"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "fcrg analyze: error: alpha=1e-300 and beta=1e-300 underflow: the smallest site weight "
+        "alpha*beta/(tokens + V*beta) is not a normal float\n"
+    )
+
+
+def test_analyze_failing_midway_keeps_the_previous_outputs(dataset, tmp_path, monkeypatch, capsys):
+    run = tmp_path / "analysis"
+    argv = ["analyze", "--dataset", str(dataset), "--run-dir", str(run), "--set", "lda_iterations=5"]
+    assert main(argv + ["--set", "num_topics=2"]) == 0
+    previous = {p.name: p.read_bytes() for p in run.iterdir()}
+    assert sorted(previous) == ["analysis.tsv", "config.resolved"]
+    fail_writes_midway(monkeypatch, "analysis.tsv")
+    capsys.readouterr()
+    assert main(argv + ["--set", "num_topics=3"]) == 1
+    assert capsys.readouterr().err == "fcrg analyze: error: [Errno 28] No space left on device\n"
+    assert sorted(p.name for p in run.iterdir()) == ["analysis.tsv", "config.resolved"]
+    assert (run / "analysis.tsv").read_bytes() == previous["analysis.tsv"]
+    assert b"num_topics=3" in (run / "config.resolved").read_bytes()  # written before the failure
 
 
 def test_gradcheck_passes(tmp_path, capsys):

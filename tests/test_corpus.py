@@ -1,13 +1,17 @@
 """Normalization, tokenization, vocabulary and batching tests."""
 
+import ast
+import os
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fcrg import corpus
 from fcrg.corpus import (
     BOS,
     EOS,
@@ -28,6 +32,7 @@ from fcrg.corpus import (
     split_dataset,
     tokenize,
     write_dataset,
+    write_text,
 )
 
 GAZ = frozenset({"Obama", "Barack", "Clinton"})
@@ -355,3 +360,90 @@ def test_corpus_statistics():
     assert stats["reply_tokens_mean"] == pytest.approx(7 / 3)
     # one:3 and a:3 meet min_count; 4 reserved + 2
     assert stats["vocab_size"] == 6
+
+
+# ---------------------------------------------------------------- atomic writes
+
+
+class HalfWrite:
+    """A file whose every write stores the first half of its bytes and then fails, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+def fail_writes_midway(monkeypatch, name_part: str) -> None:
+    """Make ``fcrg.corpus`` open files whose path contains ``name_part`` as ``HalfWrite`` files."""
+    real_open = open
+
+    def opener(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        return HalfWrite(fh) if name_part in os.fspath(path) else fh
+
+    monkeypatch.setattr(corpus, "open", opener, raising=False)
+
+
+WRITERS = {
+    "write_text": lambda path: write_text(path, "a\tb\n" * 50),
+    "write_dataset": lambda path: write_dataset(path, [RawPair("x y", "z", 3, "true")] * 50),
+    "vocabulary": lambda path: build_vocabulary([["x", "y"], ["y"]], min_count=1).save(path),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_write_failing_midway_keeps_the_previous_file(tmp_path, monkeypatch, writer):
+    path = tmp_path / "out.tsv"
+    path.write_bytes(b"previous\ncontent\n")
+    fail_writes_midway(monkeypatch, "out.tsv")
+    with pytest.raises(OSError, match="No space"):
+        WRITERS[writer](path)
+    assert path.read_bytes() == b"previous\ncontent\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.tsv"]
+
+    monkeypatch.undo()
+    WRITERS[writer](path)
+    assert path.read_bytes() != b"previous\ncontent\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.tsv"]
+
+
+def test_interrupted_write_removes_the_temp_file(tmp_path):
+    path = tmp_path / "out.tsv"
+    with pytest.raises(KeyboardInterrupt):
+        with corpus.atomic_write(path) as fh:
+            fh.write(b"half")
+            raise KeyboardInterrupt
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_file_written_by_fcrg_goes_through_atomic_write():
+    """No ``open`` for writing, ``write_text`` or ``write_bytes`` outside ``corpus.atomic_write``."""
+    package = Path(corpus.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        skip = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "atomic_write":
+                skip |= {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in skip:
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            modes = [a.value for a in node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+                     if isinstance(a, ast.Constant)]
+            if name in ("write_text", "write_bytes") and isinstance(func, ast.Attribute) or (
+                name == "open" and any(set(m) & set("wax+") for m in modes)
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"files written without atomic_write: {found}"

@@ -62,7 +62,7 @@ def _step(model: FCRGModel, hyps: Sequence[Hypothesis], encoded: EncoderOutput, 
     """
     prev_ids = np.array([h.ids[-1] if h.ids else BOS for h in hyps], dtype=np.int64)
     h_prev = Tensor(np.stack([h.hidden for h in hyps]))
-    out = model.decode_step(prev_ids, h_prev, encoded, train=False)
+    out = model.decode_step(prev_ids, h_prev, encoded, model.gru_weights("dec"), train=False)
     hidden = out.hidden.data
     for i, h in enumerate(hyps):
         h.hidden = hidden[i].copy()
@@ -149,7 +149,7 @@ def oracle_scores(model, source_ids, min_tokens, max_len):
     encoded = encode_single(model, source_ids)
 
     def masked_log_probs(prev_id, hidden, n_content):
-        out = model.decode_step(np.array([prev_id]), Tensor(hidden[None, :]), encoded, train=False)
+        out = model.decode_step(np.array([prev_id]), Tensor(hidden[None, :]), encoded, model.gru_weights("dec"), train=False)
         scores = out.logits.data[0].astype(np.float64).copy()
         scores[PAD] = -np.inf
         scores[BOS] = -np.inf

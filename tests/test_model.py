@@ -5,18 +5,21 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fcrg import tensor as T
 from fcrg.corpus import BOS, EOS, PAD, EncodedPair, Vocabulary, make_batch
 from fcrg.model import (
     FCRGModel,
     ModelConfig,
     encode_single,
-    gru_cell,
     train_model,
     validation_nll,
 )
 from fcrg.params import ParamStore, TrainConfig
-from fcrg.tensor import Tensor, backward
+from fcrg.tensor import ColumnGrad, Tensor, backward
+from test_tensor import one_minus, sigmoid as sigmoid_op
 
 
 def tiny_config(**overrides):
@@ -73,6 +76,141 @@ def oracle_nll(model, source_rows, target_rows):
             log_probs = log_probs - np.log(np.exp(log_probs).sum())
             total -= log_probs[tgt[j + 1]]
     return total
+
+
+# ---------------------------------------------------------------- composed oracles
+
+# The GRU cell and the per-step output head as fcrg computed them before
+# T.gru_step and the batched head: every piece a separate tensor op, so the
+# tape's generic gradients check the hand-written and batched ones.
+
+
+def gru_cell(x, h_prev, w_update, u_update, w_reset, u_reset, w_candidate, u_candidate) -> Tensor:
+    """One GRU step in row convention: inputs (b, D), hidden (b, H)."""
+    z = sigmoid_op(T.add(T.matmul(x, w_update), T.matmul(h_prev, u_update)))
+    r = sigmoid_op(T.add(T.matmul(x, w_reset), T.matmul(h_prev, u_reset)))
+    candidate = T.tanh(T.add(T.matmul(x, w_candidate), T.matmul(T.mul(r, h_prev), u_candidate)))
+    return T.add(T.mul(one_minus(z), candidate), T.mul(z, h_prev))
+
+
+def per_step_head_nll(model, batch, train):
+    """sequence_nll with the output head and the loss applied at every decoder step."""
+    target = batch.target
+    encoded = model.encode(batch.source, batch.source_lengths, train=train)
+    gru = model.gru_weights("dec")
+    h = encoded.final
+    pieces = []
+    for j in range(target.shape[1] - 1):
+        gold = target[:, j + 1]
+        step_mask = (gold != PAD).astype(model.params["out_vocab"].dtype)
+        if not step_mask.any():
+            break
+        out = model.decode_step(target[:, j], h, encoded, gru, train=train)
+        h = out.hidden
+        logits = T.matmul(T.tanh(T.matmul(out.features, model.params["out_hidden"])), model.params["out_vocab"])
+        pieces.append(T.masked_nll(logits, gold, step_mask))
+    return T.reduce_sum(T.stack(pieces, axis=0))
+
+
+def assert_close_to_scale(actual, expected, rel):
+    """Every entry within ``rel`` times the largest magnitude of ``expected`` (at least 1)."""
+    assert actual.shape == expected.shape
+    scale = max(1.0, float(np.abs(expected).max(initial=0.0)))
+    assert np.abs(actual - expected).max(initial=0.0) <= rel * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    b=st.integers(1, 5), d=st.integers(1, 8), n=st.integers(1, 8),
+    scale=st.sampled_from([1.0, 30.0, 1e3]), seed=st.integers(0, 2**32 - 1),
+)
+def test_gru_step_matches_the_composed_cell(b, d, n, scale, seed):
+    # scale 30 and 1e3 saturate the gates (sigmoid and tanh at 0 or +-1).
+    rng = np.random.default_rng(seed)
+    x, w = rng.standard_normal((b, d)), rng.standard_normal((d, 3 * n))
+    xw = (x @ w) * scale
+    h = rng.standard_normal((b, n)) * scale
+    u_zr, u_c = rng.standard_normal((n, 2 * n)), rng.standard_normal((n, n))
+    coeff = Tensor(rng.standard_normal((b, n)))
+
+    fused = [Tensor(a.copy(), requires_grad=True) for a in (xw, h, u_zr, u_c)]
+    out = T.gru_step(*fused)
+    backward(T.reduce_sum(T.mul(out, coeff)))
+
+    # The composed cell reads the three pre-activations out of xw through 0/1 selector weights.
+    pick = np.eye(3 * n)
+    composed = [Tensor(a.copy(), requires_grad=True) for a in (xw, h, u_zr[:, :n], u_zr[:, n:], u_c)]
+    c_xw, c_h, c_uz, c_ur, c_uc = composed
+    expected = gru_cell(c_xw, c_h, Tensor(pick[:, :n]), c_uz, Tensor(pick[:, n : 2 * n]), c_ur, Tensor(pick[:, 2 * n :]), c_uc)
+    backward(T.reduce_sum(T.mul(expected, coeff)))
+
+    assert_close_to_scale(out.data, expected.data, 1e-12)
+    assert_close_to_scale(fused[0].grad, c_xw.grad, 1e-12)
+    assert_close_to_scale(fused[1].grad, c_h.grad, 1e-12)
+    assert_close_to_scale(fused[2].grad, np.concatenate([c_uz.grad, c_ur.grad], axis=1), 1e-12)
+    assert_close_to_scale(fused[3].grad, c_uc.grad, 1e-12)
+
+
+def ragged_batch():
+    pairs = [
+        EncodedPair([4, 5, 6, 7, 8], [BOS, 9, 10, 11, 5, 6, EOS]),
+        EncodedPair([8, 9], [BOS, 4, EOS]),
+        EncodedPair([10, 11, 4], [BOS, 7, 7, 8, EOS]),
+    ]
+    return make_batch(pairs)
+
+
+@pytest.mark.parametrize("attention", ["dot", "bilinear"])
+@pytest.mark.parametrize("train", [True, False])
+def test_batched_head_matches_the_per_step_head(attention, train):
+    batch = ragged_batch()
+    results = []
+    for nll in (lambda m: m.sequence_nll(batch, train=train)[0], lambda m: per_step_head_nll(m, batch, train)):
+        model = FCRGModel(tiny_config(attention=attention, dropout=0.2))
+        loss = nll(model)
+        backward(loss)
+        results.append((loss.item(), {name: t.grad for name, t in model.params.items()}))
+    (loss, grads), (expected_loss, expected_grads) = results
+    assert loss == pytest.approx(expected_loss, rel=1e-12)
+    assert grads.keys() == expected_grads.keys()
+    for name, grad in grads.items():
+        assert_close_to_scale(grad, expected_grads[name], 1e-12)
+
+
+def test_sequence_nll_runs_the_head_and_the_loss_once_per_batch(monkeypatch):
+    model = FCRGModel(tiny_config(attention="bilinear"))
+    head = {id(model.params["out_hidden"]): "out_hidden", id(model.params["out_vocab"]): "out_vocab"}
+    calls = []
+    matmul, masked_nll = T.matmul, T.masked_nll
+    monkeypatch.setattr(T, "matmul", lambda a, b: calls.append(head.get(id(b), "other")) or matmul(a, b))
+    monkeypatch.setattr(T, "masked_nll", lambda *args: calls.append("masked_nll") or masked_nll(*args))
+    model.sequence_nll(ragged_batch(), train=True)
+    assert calls.count("out_hidden") == calls.count("out_vocab") == calls.count("masked_nll") == 1
+
+
+def accumulate_grad_before_copy(self, g):
+    """Tensor.accumulate_grad as it was: every first dense gradient is zeros plus ``g``."""
+    if self.grad is None:
+        self.grad = np.zeros_like(self.data)
+    if isinstance(g, ColumnGrad):
+        self.grad[:, g.cols] += g.sums.T
+    else:
+        self.grad += g
+
+
+@pytest.mark.parametrize("attention", ["dot", "bilinear"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_first_gradient_copy_is_bit_equal_to_zeros_plus_gradient(monkeypatch, attention, dtype):
+    batch = ragged_batch()
+    grads = []
+    for patch in (False, True):
+        if patch:
+            monkeypatch.setattr(Tensor, "accumulate_grad", accumulate_grad_before_copy)
+        model = FCRGModel(tiny_config(attention=attention, dtype=dtype, dropout=0.2))
+        loss, _ = model.sequence_nll(batch, train=True)
+        backward(loss)
+        grads.append({name: (t.grad.dtype, t.grad.tobytes()) for name, t in model.params.items()})
+    assert grads[0] == grads[1]
 
 
 @pytest.mark.parametrize("attention", ["dot", "bilinear"])

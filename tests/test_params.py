@@ -2,7 +2,7 @@
 
 import tracemalloc
 
-from fcrg import params
+from fcrg import corpus
 
 import numpy as np
 import pytest
@@ -280,7 +280,7 @@ def test_checkpoint_failed_write_keeps_previous_file(tmp_path, monkeypatch):
                 raise OSError(28, "No space left on device")
             return self.fh.write(data)
 
-    monkeypatch.setattr(params, "open", lambda *a, **k: DiskFull(real_open(*a, **k)), raising=False)
+    monkeypatch.setattr(corpus, "open", lambda *a, **k: DiskFull(real_open(*a, **k)), raising=False)
     store["w"].data += 1.0
     with pytest.raises(OSError, match="No space"):
         save_checkpoint(path, store, {}, seed=2, epoch=2)

@@ -49,6 +49,23 @@ def check_op(build, *leaves, tol=1e-7):
         x.grad = None
 
 
+# The two element-wise ops the composed GRU cell was built from.  They left
+# fcrg.tensor with that cell (T.gru_step replaced it) and are kept here, as
+# they were, for the composed cell that is now gru_step's oracle.
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    # Stable two-branch evaluation; avoids overflow in exp for large |x|.
+    x = a.data
+    e = np.exp(-np.abs(x))
+    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype, copy=False)
+    return T._make(y, (a, lambda g: g * y * (1.0 - y)))
+
+
+def one_minus(a: Tensor) -> Tensor:
+    return T._make(1.0 - a.data, (a, np.negative))
+
+
 def test_add_broadcast_grad():
     check_op(T.add, leaf((3, 4)), leaf((1, 4)))
 
@@ -58,7 +75,7 @@ def test_mul_broadcast_grad():
 
 
 def test_one_minus_grad():
-    check_op(T.one_minus, leaf((3, 2)))
+    check_op(one_minus, leaf((3, 2)))
 
 
 def test_matmul_grad():
@@ -71,17 +88,33 @@ def test_matmul_shape_error_names_both_shapes():
 
 
 def test_sigmoid_grad():
-    check_op(T.sigmoid, leaf((5,)))
+    check_op(sigmoid, leaf((5,)))
 
 
 def test_sigmoid_stable_at_extremes():
-    out = T.sigmoid(Tensor(np.array([-1000.0, 0.0, 1000.0])))
+    out = sigmoid(Tensor(np.array([-1000.0, 0.0, 1000.0])))
     assert np.allclose(out.data, [0.0, 0.5, 1.0])
     assert np.isfinite(out.data).all()
 
 
 def test_tanh_grad():
     check_op(T.tanh, leaf((5,)))
+
+
+def test_gru_step_grad():
+    # Weighted so that no output unit's gradient is the plain sum.
+    w = Tensor(RNG.standard_normal((3, 4)))
+    check_op(lambda xw, h, u_zr, u_c: T.mul(T.gru_step(xw, h, u_zr, u_c), w),
+             leaf((3, 12)), leaf((3, 4)), leaf((4, 8)), leaf((4, 4)))
+
+
+def test_gru_step_grad_with_a_constant_state():
+    # The encoder's first step: the zero state wants no gradient, the weights do.
+    h = Tensor(RNG.standard_normal((2, 3)))
+    step = T.gru_step(leaf((2, 9)), h, leaf((3, 6)), leaf((3, 3)))
+    assert len(step._edges) == 3
+    check_op(lambda xw, u_zr, u_c: T.gru_step(xw, h, u_zr, u_c), leaf((2, 9)), leaf((3, 6)), leaf((3, 3)))
+    assert h.grad is None
 
 
 def test_concat_grad():
@@ -345,6 +378,17 @@ def test_grad_accumulates_over_reuse():
     assert np.allclose(x.grad, 2.0)
 
 
+def test_parents_of_add_keep_separate_gradients():
+    # add hands one gradient array to both parents; adding more to one parent's
+    # gradient later must leave the other's as it was.
+    a, b = leaf((2, 3)), leaf((2, 3))
+    w = Tensor(RNG.standard_normal((2, 3)))
+    backward(T.reduce_sum(T.mul(T.add(a, b), w)))
+    backward(T.reduce_sum(T.mul(a, w)))
+    assert np.array_equal(a.grad, 2.0 * w.data)
+    assert np.array_equal(b.grad, w.data)
+
+
 def test_deep_chain_no_recursion_limit():
     x = leaf((2,))
     y = x
@@ -383,7 +427,7 @@ def test_composite_expression_grad():
     a, b = leaf((3, 3)), leaf((3, 3))
 
     def build(a_, b_):
-        h = T.sigmoid(T.matmul(a_, b_))
+        h = sigmoid(T.matmul(a_, b_))
         return T.mul(h, T.tanh(a_))
 
     check_op(build, a, b)
