@@ -147,10 +147,10 @@ def _load_gazetteer(path: Optional[str]) -> frozenset[str]:
     return read_gazetteer(path) if path else frozenset()
 
 
-def _model_from_checkpoint(path: str) -> tuple[FCRGModel, dict]:
+def _model_from_checkpoint(path: str) -> FCRGModel:
     store, meta = load_checkpoint(path)
     try:
-        return FCRGModel(ModelConfig(**meta["config"]), params=store), meta
+        return FCRGModel(ModelConfig(**meta["config"]), params=store)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -242,7 +242,7 @@ def cmd_train(args, settings: dict) -> int:
 
 def cmd_generate(args, settings: dict) -> int:
     out = _prepare_run_dir(args.run_dir, settings)
-    model, _ = _model_from_checkpoint(args.checkpoint)
+    model = _model_from_checkpoint(args.checkpoint)
     vocab = Vocabulary.load(args.vocab)
     if vocab.size != model.config.vocab_size:
         raise CLIError(
@@ -316,7 +316,7 @@ def cmd_evaluate(args, settings: dict) -> int:
     elif args.checkpoint:
         if not args.vocab:
             raise CLIError("--checkpoint needs --vocab to name the embedding rows")
-        model, _ = _model_from_checkpoint(args.checkpoint)
+        model = _model_from_checkpoint(args.checkpoint)
         table = metrics.embedding_table_from_model(model, Vocabulary.load(args.vocab))
     else:
         print("evaluate: no embeddings given; skipping greedy matching and vector extrema")
@@ -363,6 +363,8 @@ def cmd_analyze(args, settings: dict) -> int:
         if len(docs) < 2:
             continue
         stats = analysis.group_stats(docs, lexicon)
+        if stats.skipped_empty:
+            print(f"analyze: {group}: skipped {stats.skipped_empty} empty repl(ies)")
         for category in lexicon.categories:
             lines.append(
                 f"lexicon\t{group}\t{category}\t{stats.means[category]:.6f}"

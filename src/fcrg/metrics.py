@@ -35,21 +35,11 @@ def _ngram_counts(tokens: Tokens, order: int) -> Counter:
     return Counter(tuple(tokens[i : i + order]) for i in range(len(tokens) - order + 1))
 
 
-def bleu_n(
-    candidates: Sequence[Tokens],
-    references: Sequence[Tokens],
-    n: int,
-    *,
-    sentence_level: bool = False,
-    add_one: bool = False,
-) -> float:
-    """BLEU-n over a parallel corpus.
+def bleu_n(candidates: Sequence[Tokens], references: Sequence[Tokens], n: int) -> float:
+    """Corpus-level BLEU-n over a parallel corpus.
 
-    Corpus-level by default: clipped n-gram counts for orders 1..n are pooled
-    over all pairs before the geometric mean and the brevity penalty
-    exp(1 - r/c) for c < r.  ``sentence_level`` averages per-pair scores
-    instead, with optional add-one smoothing on orders >= 2 (used for paired
-    significance testing).
+    Clipped n-gram counts for orders 1..n are pooled over all pairs before
+    the geometric mean and the brevity penalty exp(1 - r/c) for c < r.
     """
     if n not in (1, 2, 3, 4):
         raise ValueError(f"BLEU order must be in 1..4, got {n}")
@@ -57,13 +47,6 @@ def bleu_n(
         raise ValueError(f"candidate/reference count mismatch: {len(candidates)} vs {len(references)}")
     if not candidates:
         raise ValueError("empty corpus")
-    if sentence_level:
-        scores = [
-            bleu_n([c], [r], n, sentence_level=False, add_one=add_one)
-            for c, r in zip(candidates, references)
-        ]
-        return float(np.mean(scores))
-
     matched = [0] * n
     total = [0] * n
     cand_len = 0
@@ -79,8 +62,6 @@ def bleu_n(
     log_sum = 0.0
     for order in range(n):
         num, den = matched[order], total[order]
-        if add_one and order > 0:
-            num, den = num + 1, den + 1
         if num == 0 or den == 0:
             return 0.0
         log_sum += math.log(num / den)
@@ -117,7 +98,7 @@ def rouge_l(candidate: Tokens, reference: Tokens) -> float:
 # ---------------------------------------------------------------- METEOR-lite
 
 
-def _stage_quotas(cand: Tokens, ref: Tokens) -> tuple[Counter, Counter]:
+def _stage_quotas(cand: Tokens, ref: Tokens, stems: Mapping[str, str]) -> tuple[Counter, Counter]:
     """Exact-match quota per word, then stem-match quota on the residual."""
     cand_counts = Counter(cand)
     ref_counts = Counter(ref)
@@ -126,15 +107,17 @@ def _stage_quotas(cand: Tokens, ref: Tokens) -> tuple[Counter, Counter]:
     residual_ref = Counter({w: c - exact[w] for w, c in ref_counts.items() if c - exact[w] > 0})
     cand_stems = Counter()
     for w, c in residual_cand.items():
-        cand_stems[porter_stem(w)] += c
+        cand_stems[stems[w]] += c
     ref_stems = Counter()
     for w, c in residual_ref.items():
-        ref_stems[porter_stem(w)] += c
+        ref_stems[stems[w]] += c
     stem = Counter({s: min(c, ref_stems[s]) for s, c in cand_stems.items() if min(c, ref_stems[s]) > 0})
     return exact, stem
 
 
-def _min_chunks(cand: Tokens, ref: Tokens, exact: Counter, stem: Counter, node_budget: int = 500_000) -> int:
+def _min_chunks(
+    cand: Tokens, ref: Tokens, stems: Mapping[str, str], exact: Counter, stem: Counter, node_budget: int = 500_000
+) -> int:
     """Fewest chunks over alignments realizing the stage-wise maximum matching.
 
     Branch-and-bound over candidate positions.  ``node_budget`` caps the
@@ -142,8 +125,8 @@ def _min_chunks(cand: Tokens, ref: Tokens, exact: Counter, stem: Counter, node_b
     once exhausted (tweets stay far below the cap).
     """
     total = sum(exact.values()) + sum(stem.values())
-    cand_stems = [porter_stem(w) for w in cand]
-    ref_stems = [porter_stem(w) for w in ref]
+    cand_stems = [stems[w] for w in cand]
+    ref_stems = [stems[w] for w in ref]
     best = total + 1  # any valid alignment has at most `total` chunks
     nodes = 0
 
@@ -211,11 +194,12 @@ def meteor_lite(candidate: Tokens, reference: Tokens) -> float:
     """
     if not candidate or not reference:
         raise ValueError("candidate and reference must be non-empty")
-    exact, stem = _stage_quotas(candidate, reference)
+    stems = {w: porter_stem(w) for w in {*candidate, *reference}}  # each distinct word stemmed once
+    exact, stem = _stage_quotas(candidate, reference, stems)
     m = sum(exact.values()) + sum(stem.values())
     if m == 0:
         return 0.0
-    chunks = _min_chunks(candidate, reference, exact, stem)
+    chunks = _min_chunks(candidate, reference, stems, exact, stem)
     precision = m / len(candidate)
     recall = m / len(reference)
     f_mean = 10.0 * precision * recall / (recall + 9.0 * precision)

@@ -22,8 +22,6 @@ from .corpus import BOS, EOS, MAX_SOURCE_LEN, MAX_TARGET_LEN, PAD, Batch, Encode
 from .params import ParamStore, TrainConfig
 from .tensor import Tensor, backward
 
-_MASK_SCORE = 1e30  # subtracted from attention scores at padded positions
-
 ATTENTION_KINDS = ("dot", "bilinear")
 
 
@@ -176,17 +174,15 @@ class FCRGModel:
         mask = (np.arange(max_len)[None, :] < lengths[:, None]).astype(dt)
         return EncoderOutput(states=T.stack(states, axis=1), mask=mask, final=h, lengths=lengths)
 
-    def attention_weights(self, encoded: EncoderOutput, hidden: Tensor) -> Tensor:
-        """Alignment distribution over unmasked source positions."""
-        if encoded.mask.sum() == 0:
-            raise ValueError("attention: all source positions are masked")
+    def attention_query(self, hidden: Tensor) -> Tensor:
+        """The attention query: ``hidden``, or ``hidden @ attn_bilinear``."""
         if self.config.attention == "bilinear":
-            hidden = T.matmul(hidden, self.params["attn_bilinear"])
-        k = hidden.shape[0]
-        query = T.reshape(hidden, (k, 1, hidden.shape[1]))
-        scores = T.reduce_sum(T.mul(encoded.states, query), axis=2)  # (k, L)
-        scores = T.add(scores, Tensor((encoded.mask - 1.0) * _MASK_SCORE))
-        return T.softmax(scores, axis=1)
+            return T.matmul(hidden, self.params["attn_bilinear"])
+        return hidden
+
+    def attention_weights(self, encoded: EncoderOutput, hidden: Tensor) -> Tensor:
+        """Alignment distribution over unmasked source positions (no gradient)."""
+        return Tensor(T.attention_probs(encoded.states.data, self.attention_query(hidden).data, encoded.mask))
 
     def decode_step(
         self, prev_ids, h_prev: Tensor, encoded: EncoderOutput, gru: GRUWeights, train: bool = False
@@ -197,9 +193,7 @@ class FCRGModel:
         """
         x = self.embed(prev_ids, train=train)
         h = gru.step(x, h_prev)
-        attn = self.attention_weights(encoded, h)
-        k, length = attn.shape
-        context = T.reduce_sum(T.mul(encoded.states, T.reshape(attn, (k, length, 1))), axis=1)
+        context = T.attention(encoded.states, self.attention_query(h), encoded.mask)
         features = T.concat([context, h], axis=1)
         features = T.dropout(features, self.config.dropout, self._dropout_rng, train=train)
         return DecodeStepOutput(features=features, hidden=h, head=self.output_head)

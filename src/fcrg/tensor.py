@@ -1,8 +1,9 @@
 """Minimal dense tensors with reverse-mode gradients.
 
 Covers exactly the operations the recurrent generation model needs: matmul,
-elementwise add/mul with broadcasting, tanh, concat/stack/reshape, softmax,
-embedding lookup, dropout, reductions, one fused GRU step (``gru_step``) and
+elementwise add/mul with broadcasting, tanh, concat/stack, embedding lookup,
+dropout, one fused GRU step (``gru_step``), one masked dot-attention context
+(``attention``, whose weights ``attention_probs`` gives as a plain array) and
 the masked negative log-likelihood loss.  float32 by default; float64 is used
 for gradient checking.
 
@@ -218,28 +219,44 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(out_data, *((t, partial(np.take, indices=i, axis=axis)) for i, t in enumerate(tensors)))
 
 
-def reshape(a: Tensor, shape: tuple) -> Tensor:
-    old_shape = a.shape
-    return _make(a.data.reshape(shape), (a, lambda g: g.reshape(old_shape)))
+_MASK_SCORE = 1e30  # subtracted from attention scores at padded positions
 
 
-def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    shape = a.shape
+def attention_probs(states: np.ndarray, query: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """(k, L) softmax of ``states · query`` over the positions where ``mask`` is 1.
 
-    def grad_fn(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, shape)
+    ``states`` (b, L, H) and ``mask`` (b, L) have b = k, or b = 1 shared by all
+    k rows of ``query`` (k, H), as in beam search.
+    """
+    if mask.sum() == 0:
+        raise ValueError("attention: all source positions are masked")
+    scores = (states * query[:, None, :]).sum(2) + (mask - 1.0) * _MASK_SCORE
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a, grad_fn))
 
+def attention(states: Tensor, query: Tensor, mask: np.ndarray) -> Tensor:
+    """(k, H) context: each query row's ``attention_probs``-weighted sum of ``states``.
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    x = a.data
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-    return _make(y, (a, lambda g: y * (g - (g * y).sum(axis=axis, keepdims=True))))
+    The backward pass is written out, as in ``gru_step``; with ``a`` the
+    weights, the scores' gradient is ``a * (da - sum(da * a))``, ``da = states · g``.
+    """
+    s, q = states.data, query.data
+    a = attention_probs(s, q, mask)
+    wants = (states._wants, query._wants)
+    shares: dict[int, np.ndarray] = {}
+
+    def grad_fn(i: int, g: np.ndarray) -> np.ndarray:
+        if i not in shares:
+            da = np.matmul(s, g[:, :, None])[:, :, 0]
+            ds = a * (da - (da * a).sum(axis=1, keepdims=True))
+            if wants[0]:
+                shares[0] = _unbroadcast(a[:, :, None] * g[:, None, :] + ds[:, :, None] * q[:, None, :], s.shape)
+            if wants[1]:
+                shares[1] = np.matmul(ds[:, None, :], s)[:, 0, :]
+        return shares.pop(i)
+
+    return _make((s * a[:, :, None]).sum(1), (states, partial(grad_fn, 0)), (query, partial(grad_fn, 1)))
 
 
 def row_log_softmax(x: np.ndarray) -> np.ndarray:

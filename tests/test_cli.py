@@ -423,6 +423,19 @@ def test_analyze_outputs(dataset, tmp_path):
     assert "length_share_test" in text
 
 
+def test_analyze_reports_skipped_empty_replies(dataset, tmp_path, capsys):
+    # Two "true" replies normalise to no tokens; analysis.tsv is unchanged in form.
+    lines = dataset.read_text().splitlines()
+    lines[0] = lines[0].replace("is fake news see url", "☃☃")
+    lines[2] = lines[2].replace("is an old hoax see url", "\U0001F600")
+    dataset.write_text("\n".join(lines) + "\n")
+    assert main(["analyze", "--dataset", str(dataset), "--run-dir", str(tmp_path / "a"), "--set", "lda_iterations=5"]) == 0
+    out = capsys.readouterr().out
+    assert "analyze: true: skipped 2 empty repl(ies)\n" in out
+    assert "analyze: false:" not in out
+    assert "empty repl" not in (tmp_path / "a" / "analysis.tsv").read_text()
+
+
 
 @pytest.mark.parametrize("setting", ["lda_beta=0", "lda_beta=-0.5", "lda_beta=nan", "lda_alpha=0", "lda_alpha=nan"])
 def test_analyze_rejects_bad_lda_hyperparameter_in_one_line(dataset, tmp_path, capsys, setting):

@@ -19,7 +19,7 @@ from fcrg.model import (
 )
 from fcrg.params import ParamStore, TrainConfig
 from fcrg.tensor import ColumnGrad, Tensor, backward
-from test_tensor import one_minus, sigmoid as sigmoid_op
+from test_tensor import assert_bit_equal, one_minus, reduce_sum, reshape, sigmoid as sigmoid_op, softmax
 
 
 def tiny_config(**overrides):
@@ -80,9 +80,10 @@ def oracle_nll(model, source_rows, target_rows):
 
 # ---------------------------------------------------------------- composed oracles
 
-# The GRU cell and the per-step output head as fcrg computed them before
-# T.gru_step and the batched head: every piece a separate tensor op, so the
-# tape's generic gradients check the hand-written and batched ones.
+# The GRU cell, the attention context and the per-step output head as fcrg
+# computed them before T.gru_step, T.attention and the batched head: every
+# piece a separate tensor op, so the tape's generic gradients check the
+# hand-written and batched ones.
 
 
 def gru_cell(x, h_prev, w_update, u_update, w_reset, u_reset, w_candidate, u_candidate) -> Tensor:
@@ -91,6 +92,15 @@ def gru_cell(x, h_prev, w_update, u_update, w_reset, u_reset, w_candidate, u_can
     r = sigmoid_op(T.add(T.matmul(x, w_reset), T.matmul(h_prev, u_reset)))
     candidate = T.tanh(T.add(T.matmul(x, w_candidate), T.matmul(T.mul(r, h_prev), u_candidate)))
     return T.add(T.mul(one_minus(z), candidate), T.mul(z, h_prev))
+
+
+def composed_attention(states, query, mask) -> Tensor:
+    """The (k, H) context as eight tape ops: scores, mask, softmax and the weighted sum of states."""
+    k, length = query.shape[0], states.shape[1]
+    scores = reduce_sum(T.mul(states, reshape(query, (k, 1, query.shape[1]))), axis=2)  # (k, L)
+    scores = T.add(scores, Tensor((mask - 1.0) * 1e30))
+    attn = softmax(scores, axis=1)
+    return reduce_sum(T.mul(states, reshape(attn, (k, length, 1))), axis=1)
 
 
 def per_step_head_nll(model, batch, train):
@@ -109,7 +119,7 @@ def per_step_head_nll(model, batch, train):
         h = out.hidden
         logits = T.matmul(T.tanh(T.matmul(out.features, model.params["out_hidden"])), model.params["out_vocab"])
         pieces.append(T.masked_nll(logits, gold, step_mask))
-    return T.reduce_sum(T.stack(pieces, axis=0))
+    return reduce_sum(T.stack(pieces, axis=0))
 
 
 def assert_close_to_scale(actual, expected, rel):
@@ -135,20 +145,55 @@ def test_gru_step_matches_the_composed_cell(b, d, n, scale, seed):
 
     fused = [Tensor(a.copy(), requires_grad=True) for a in (xw, h, u_zr, u_c)]
     out = T.gru_step(*fused)
-    backward(T.reduce_sum(T.mul(out, coeff)))
+    backward(reduce_sum(T.mul(out, coeff)))
 
     # The composed cell reads the three pre-activations out of xw through 0/1 selector weights.
     pick = np.eye(3 * n)
     composed = [Tensor(a.copy(), requires_grad=True) for a in (xw, h, u_zr[:, :n], u_zr[:, n:], u_c)]
     c_xw, c_h, c_uz, c_ur, c_uc = composed
     expected = gru_cell(c_xw, c_h, Tensor(pick[:, :n]), c_uz, Tensor(pick[:, n : 2 * n]), c_ur, Tensor(pick[:, 2 * n :]), c_uc)
-    backward(T.reduce_sum(T.mul(expected, coeff)))
+    backward(reduce_sum(T.mul(expected, coeff)))
 
     assert_close_to_scale(out.data, expected.data, 1e-12)
     assert_close_to_scale(fused[0].grad, c_xw.grad, 1e-12)
     assert_close_to_scale(fused[1].grad, c_h.grad, 1e-12)
     assert_close_to_scale(fused[2].grad, np.concatenate([c_uz.grad, c_ur.grad], axis=1), 1e-12)
     assert_close_to_scale(fused[3].grad, c_uc.grad, 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(1, 5), length=st.integers(1, 6), n=st.integers(1, 6),
+    shared=st.booleans(), bilinear=st.booleans(), single=st.booleans(),
+    dtype=st.sampled_from([np.float32, np.float64]), scale=st.sampled_from([1.0, 10.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_attention_matches_the_composed_chain(k, length, n, shared, bilinear, single, dtype, scale, seed):
+    # shared: one source's states (1, L, H) against k queries, as in beam search.
+    # single: the first row has one real position.  scale 10 makes the weights peaked.
+    rng = np.random.default_rng(seed)
+    b = 1 if shared else k
+    lengths = rng.integers(1, length + 1, size=b)
+    if single:
+        lengths[0] = 1
+    mask = (np.arange(length)[None, :] < lengths[:, None]).astype(dtype)
+    arrays = [rng.standard_normal((b, length, n)) * scale, rng.standard_normal((k, n))]
+    if bilinear:
+        arrays.append(rng.standard_normal((n, n)))
+    coeff = Tensor(rng.standard_normal((k, n)).astype(dtype))
+
+    results = []
+    for context in (T.attention, composed_attention):
+        leaves = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+        query = T.matmul(leaves[1], leaves[2]) if bilinear else leaves[1]
+        out = context(leaves[0], query, mask)
+        backward(reduce_sum(T.mul(out, coeff)))
+        results.append((out.data, [leaf.grad for leaf in leaves]))
+    (out, grads), (expected, expected_grads) = results
+
+    assert_bit_equal(out, expected)
+    for grad, expected_grad in zip(grads, expected_grads):
+        assert_close_to_scale(grad, expected_grad, 1e-12 if dtype == np.float64 else 1e-5)
 
 
 def ragged_batch():

@@ -15,6 +15,7 @@ from fcrg.params import (
     save_checkpoint,
 )
 from fcrg import tensor as T
+from test_tensor import reduce_sum
 
 
 def store_with(grads: dict[str, np.ndarray]) -> ParamStore:
@@ -386,7 +387,7 @@ def test_finite_diff_check_accepts_correct_gradient():
     w = store.add("w", np.array([0.3, -0.2, 0.5]))
 
     def loss():
-        return T.reduce_sum(T.mul(T.tanh(w), T.tanh(w)))
+        return reduce_sum(T.mul(T.tanh(w), T.tanh(w)))
 
     report = finite_diff_check(loss, store, samples_per_param=3)
     assert report["w"] < 1e-6
@@ -398,7 +399,7 @@ def test_finite_diff_check_flags_wrong_gradient():
 
     def broken_loss():
         # forward value of sum(w^2) but a gradient recorded as if it were sum(w)
-        out = T.reduce_sum(w)
+        out = reduce_sum(w)
         out.data = (w.data**2).sum()
         return out
 
@@ -410,4 +411,4 @@ def test_finite_diff_check_requires_float64():
     store = ParamStore()
     w = store.add("w", np.zeros(2, dtype=np.float32))
     with pytest.raises(ValueError, match="float64"):
-        finite_diff_check(lambda: T.reduce_sum(w), store)
+        finite_diff_check(lambda: reduce_sum(w), store)

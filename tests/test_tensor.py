@@ -40,7 +40,7 @@ def check_op(build, *leaves, tol=1e-7):
     """build(*leaves) -> output tensor; compares grads of sum(out) to FD."""
 
     def loss():
-        return T.reduce_sum(build(*leaves))
+        return reduce_sum(build(*leaves))
 
     backward(loss())
     for x in leaves:
@@ -64,6 +64,40 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def one_minus(a: Tensor) -> Tensor:
     return T._make(1.0 - a.data, (a, np.negative))
+
+
+# Three generic ops the composed attention chain was built from.  They left
+# fcrg.tensor when T.attention replaced that chain and are kept here, as they
+# were, for the tests' losses and for the chain that is now attention's oracle.
+
+
+def reshape(a: Tensor, shape: tuple) -> Tensor:
+    old_shape = a.shape
+    return T._make(a.data.reshape(shape), (a, lambda g: g.reshape(old_shape)))
+
+
+def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    shape = a.shape
+
+    def grad_fn(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g, shape)
+
+    return T._make(a.data.sum(axis=axis, keepdims=keepdims), (a, grad_fn))
+
+
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    x = a.data
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=axis, keepdims=True)
+    return T._make(y, (a, lambda g: y * (g - (g * y).sum(axis=axis, keepdims=True))))
+
+
+def row_probs(x: np.ndarray) -> np.ndarray:
+    """``T.attention_probs`` of scores ``x`` (k, L) with no position masked: the row softmax."""
+    return T.attention_probs(x[:, :, None], np.ones((x.shape[0], 1), dtype=x.dtype), np.ones_like(x))
 
 
 def test_add_broadcast_grad():
@@ -126,29 +160,48 @@ def test_stack_grad():
 
 
 def test_reshape_grad():
-    check_op(lambda a: T.reshape(a, (6,)), leaf((2, 3)))
+    check_op(lambda a: reshape(a, (6,)), leaf((2, 3)))
 
 
 def test_reduce_sum_axis_grad():
-    check_op(lambda a: T.reduce_sum(a, axis=0), leaf((3, 4)))
-    check_op(lambda a: T.reduce_sum(a, axis=1, keepdims=True), leaf((3, 4)))
+    check_op(lambda a: reduce_sum(a, axis=0), leaf((3, 4)))
+    check_op(lambda a: reduce_sum(a, axis=1, keepdims=True), leaf((3, 4)))
 
 
 def test_softmax_grad():
     # weight rows so the loss is not constant under the softmax's shift invariance
     w = Tensor(RNG.standard_normal((3, 5)))
-    check_op(lambda a: T.mul(T.softmax(a, axis=1), w), leaf((3, 5)))
+    check_op(lambda a: T.mul(softmax(a, axis=1), w), leaf((3, 5)))
 
 
 def test_softmax_rows_sum_to_one():
-    out = T.softmax(Tensor(RNG.standard_normal((4, 7))), axis=1)
-    assert np.allclose(out.data.sum(axis=1), 1.0)
-    assert (out.data > 0).all()
+    probs = row_probs(RNG.standard_normal((4, 7)))
+    assert np.allclose(probs.sum(axis=1), 1.0)
+    assert (probs > 0).all()
 
 
 def test_log_softmax_matches_log_of_softmax():
-    x = Tensor(RNG.standard_normal((4, 7)))
-    assert np.allclose(T.row_log_softmax(x.data), np.log(T.softmax(x, axis=1).data), atol=1e-6)
+    x = RNG.standard_normal((4, 7))
+    assert np.allclose(T.row_log_softmax(x), np.log(row_probs(x)), atol=1e-6)
+
+
+# Ragged rows: the last has a single real position.
+ATTENTION_MASK = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+
+
+def test_attention_grad():
+    # Per-row states, then one source's states (1, L, H) shared by every query, as in beam search.
+    w = Tensor(RNG.standard_normal((3, 5)))
+    for states, mask in ((leaf((3, 4, 5)), ATTENTION_MASK), (leaf((1, 4, 5)), ATTENTION_MASK[1:2])):
+        check_op(lambda s, q: T.mul(T.attention(s, q, mask), w), states, leaf((3, 5)))
+
+
+def test_attention_probs_masks_padding_and_rejects_an_all_masked_source():
+    probs = T.attention_probs(RNG.standard_normal((3, 4, 5)), RNG.standard_normal((3, 5)), ATTENTION_MASK)
+    assert np.array_equal(probs == 0.0, ATTENTION_MASK == 0.0)
+    assert probs[2, 0] == 1.0
+    with pytest.raises(ValueError, match="all source positions are masked"):
+        T.attention_probs(np.ones((1, 2, 3)), np.ones((1, 3)), np.zeros((1, 2)))
 
 
 def test_masked_nll_grad():
@@ -195,7 +248,7 @@ def test_masked_nll_bit_equal_to_five_op_chain(dtype):
     masks[0][:] = 1.0
     masks[-1][:] = 0.0
     leaves = [Tensor(x.copy(), requires_grad=True) for x in logits]
-    loss = T.reduce_sum(T.stack([T.masked_nll(x, g, m) for x, g, m in zip(leaves, golds, masks)], axis=0))
+    loss = reduce_sum(T.stack([T.masked_nll(x, g, m) for x, g, m in zip(leaves, golds, masks)], axis=0))
     backward(loss)
     expected_loss, expected_grads = five_op_chain(logits, golds, masks)
     assert_bit_equal(np.asarray(loss.data), np.asarray(expected_loss))
@@ -206,10 +259,8 @@ def test_masked_nll_bit_equal_to_five_op_chain(dtype):
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=8))
 def test_softmax_invariant_to_shift(xs):
-    x = np.array(xs)
-    a = T.softmax(Tensor(x), axis=0).data
-    b = T.softmax(Tensor(x + 17.0), axis=0).data
-    assert np.allclose(a, b, atol=1e-6)
+    x = np.array([xs])
+    assert np.allclose(row_probs(x), row_probs(x + 17.0), atol=1e-6)
 
 
 def test_embedding_lookup_forward_and_grad():
@@ -255,7 +306,7 @@ def assert_bit_equal(a, b):
 
 def weighted_sum(out, seed):
     coeff = np.random.default_rng(seed).standard_normal(out.shape).astype(out.dtype)
-    return T.reduce_sum(T.mul(out, Tensor(coeff)))
+    return reduce_sum(T.mul(out, Tensor(coeff)))
 
 
 EMB = np.random.default_rng(7).standard_normal((6, 40)).astype(np.float32)  # (dim, vocab)
@@ -285,7 +336,7 @@ def test_embedding_grad_several_lookups_of_one_weight_bit_equal_to_dense():
         state = Tensor(np.zeros(6, dtype=np.float32))
         for step, ids in enumerate(batches):
             state = T.tanh(T.add(weighted_sum(lookup(w, ids), step), state))
-        return T.reduce_sum(state)
+        return reduce_sum(state)
 
     column, dense = column_and_dense_grads(build, EMB)
     assert_bit_equal(column, dense)
@@ -319,7 +370,7 @@ def test_embedding_grad_first_and_later_accumulation_bit_equal_to_dense():
 def test_embedding_grad_empty_ids_bit_equal_to_dense():
     ids = np.array([], dtype=np.int64)
     column, dense = column_and_dense_grads(
-        lambda w, lookup: T.add(T.reduce_sum(lookup(w, ids)), weighted_sum(lookup(w, [4, 4]), 9)), EMB
+        lambda w, lookup: T.add(reduce_sum(lookup(w, ids)), weighted_sum(lookup(w, [4, 4]), 9)), EMB
     )
     assert_bit_equal(column, dense)
 
@@ -374,7 +425,7 @@ def test_backward_requires_recorded_graph():
 def test_grad_accumulates_over_reuse():
     # x used twice: d/dx sum(x + x) = 2
     x = leaf((3,))
-    backward(T.reduce_sum(T.add(x, x)))
+    backward(reduce_sum(T.add(x, x)))
     assert np.allclose(x.grad, 2.0)
 
 
@@ -383,8 +434,8 @@ def test_parents_of_add_keep_separate_gradients():
     # gradient later must leave the other's as it was.
     a, b = leaf((2, 3)), leaf((2, 3))
     w = Tensor(RNG.standard_normal((2, 3)))
-    backward(T.reduce_sum(T.mul(T.add(a, b), w)))
-    backward(T.reduce_sum(T.mul(a, w)))
+    backward(reduce_sum(T.mul(T.add(a, b), w)))
+    backward(reduce_sum(T.mul(a, w)))
     assert np.array_equal(a.grad, 2.0 * w.data)
     assert np.array_equal(b.grad, w.data)
 
@@ -394,7 +445,7 @@ def test_deep_chain_no_recursion_limit():
     y = x
     for _ in range(5000):
         y = T.add(y, x)
-    backward(T.reduce_sum(y))
+    backward(reduce_sum(y))
     assert np.allclose(x.grad, 5001.0)
 
 
@@ -402,7 +453,7 @@ def test_backward_keeps_grad_on_leaves_only():
     x, w = leaf((2, 3)), leaf((3,))
     constant = Tensor(np.ones(3, dtype=np.float64))
     hidden = T.tanh(T.mul(T.add(x, constant), w))
-    loss = T.reduce_sum(hidden)
+    loss = reduce_sum(hidden)
     backward(loss)
     assert x.grad is not None and w.grad is not None
     assert hidden.grad is None and loss.grad is None
@@ -414,7 +465,7 @@ def test_recorded_graph_leaves_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        loss = T.reduce_sum(T.tanh(T.mul(x, x)))
+        loss = reduce_sum(T.tanh(T.mul(x, x)))
         backward(loss)
         del loss
         assert gc.collect() == 0
