@@ -20,6 +20,7 @@ import numpy as np
 
 from . import analysis, metrics
 from .corpus import (
+    RESERVED_TOKENS,
     RawPair,
     SplitSpec,
     Vocabulary,
@@ -360,7 +361,8 @@ def cmd_analyze(args, settings: dict) -> int:
     lines.append("section\tgroup\tcategory\tmean\tvariance\tn")
     for group in sorted(groups):
         docs = groups[group]
-        if len(docs) < 2:
+        if sum(1 for doc in docs if doc) < 2:
+            print(f"analyze: {group}: skipped, fewer than 2 non-empty replies")
             continue
         stats = analysis.group_stats(docs, lexicon)
         if stats.skipped_empty:
@@ -410,8 +412,8 @@ def gradcheck_report(samples_per_param: int = 25) -> dict[str, dict[str, float]]
     rng = np.random.default_rng(7)
     pairs = []
     for _ in range(3):
-        source = rng.integers(4, g["vocab_size"], size=g["source_len"]).tolist()
-        body = rng.integers(4, g["vocab_size"], size=g["target_len"]).tolist()
+        source = rng.integers(len(RESERVED_TOKENS), g["vocab_size"], size=g["source_len"]).tolist()
+        body = rng.integers(len(RESERVED_TOKENS), g["vocab_size"], size=g["target_len"]).tolist()
         pairs.append(EncodedPair(source, [1] + body + [2]))
     batch = make_batch(pairs)
 

@@ -185,7 +185,7 @@ class Vocabulary:
             token_to_id[token] = idx
             id_to_token.append(token)
             counts[token] = count
-        if tuple(id_to_token[:4]) != RESERVED_TOKENS:
+        if tuple(id_to_token[: len(RESERVED_TOKENS)]) != RESERVED_TOKENS:
             raise ValueError(f"{path}: reserved tokens missing or out of order")
         return cls(token_to_id, id_to_token, counts)
 
@@ -193,7 +193,7 @@ class Vocabulary:
 def build_vocabulary(corpus: Iterable[Sequence[str]], min_count: int = MIN_COUNT) -> Vocabulary:
     """Build a vocabulary keeping tokens seen at least ``min_count`` times.
 
-    Ids are assigned after the 4 reserved ids, in descending frequency order
+    Ids are assigned after the reserved ids, in descending frequency order
     with lexicographic tie-break.  Everything below the threshold encodes to
     <unk>.
     """

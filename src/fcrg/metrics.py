@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from ._stats import cosine_matrix, midranks, normal_sf, tie_groups
-from .corpus import read_lines
+from .corpus import RESERVED_TOKENS, read_lines
 from .stemmer import porter_stem
 
 Tokens = Sequence[str]
@@ -265,7 +265,7 @@ def load_embedding_table(path) -> EmbeddingTable:
 def embedding_table_from_model(model, vocab) -> EmbeddingTable:
     """Word vectors from a trained model's shared embedding (reserved ids excluded)."""
     emb = model.params["embedding"].data
-    return EmbeddingTable({vocab.id_to_token[i]: emb[:, i] for i in range(4, vocab.size)})
+    return EmbeddingTable({vocab.id_to_token[i]: emb[:, i] for i in range(len(RESERVED_TOKENS), vocab.size)})
 
 
 def greedy_matching(candidate: Tokens, reference: Tokens, table: EmbeddingTable) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from ._stats import cosine_matrix
-from .corpus import BOS, EOS, MAX_SOURCE_LEN, MAX_TARGET_LEN, PAD, Batch, EncodedPair, Vocabulary, batches, make_batch
+from .corpus import MAX_SOURCE_LEN, MAX_TARGET_LEN, PAD, RESERVED_TOKENS, Batch, EncodedPair, Vocabulary, batches
 from .params import ParamStore, TrainConfig
 from .tensor import Tensor, backward
 
@@ -155,7 +155,11 @@ class FCRGModel:
         )
 
     def encode(self, source: np.ndarray, lengths: np.ndarray, train: bool = False) -> EncoderOutput:
-        """Run the encoder GRU over real tokens; padded rows hold their last state."""
+        """Run the encoder GRU over every position; ``mask`` marks the real tokens.
+
+        Past a row's length the GRU runs on over padding, and those states are
+        masked out of attention; ``final`` is the state at the last real token.
+        """
         source = np.atleast_2d(np.asarray(source, dtype=np.int64))
         lengths = np.asarray(lengths, dtype=np.int64)
         b, max_len = source.shape
@@ -163,16 +167,21 @@ class FCRGModel:
             raise ValueError("encode: empty source sequence")
         dt = self._np_dtype
         gru = self.gru_weights("enc")
-        h = Tensor(np.zeros((b, self.config.hidden_size), dtype=dt))
+        h0 = Tensor(np.zeros((b, self.config.hidden_size), dtype=dt))
+        h = h0
         states: list[Tensor] = []
         for t in range(max_len):
-            x = self.embed(source[:, t], train=train)
-            h_new = gru.step(x, h)
-            alive = (t < lengths).astype(dt)[:, None]
-            h = T.add(T.mul(h_new, Tensor(alive)), T.mul(h, Tensor(1.0 - alive)))
+            h = gru.step(self.embed(source[:, t], train=train), h)
             states.append(h)
-        mask = (np.arange(max_len)[None, :] < lengths[:, None]).astype(dt)
-        return EncoderOutput(states=T.stack(states, axis=1), mask=mask, final=h, lengths=lengths)
+        stacked = T.stack(states, axis=1)
+        positions = np.arange(max_len)[None, :]
+        mask = (positions < lengths[:, None]).astype(dt)
+        # Attention that sees only the last real position picks that state
+        # exactly: its weight is 1 and every other is exp(-1e30) == 0, and in
+        # backward the scores' gradient a * (da - sum(da * a)) is 0, so the
+        # gradient reaches that position alone.  The zero query is h0.
+        final = T.attention(stacked, h0, (positions == lengths[:, None] - 1).astype(dt))
+        return EncoderOutput(states=stacked, mask=mask, final=final, lengths=lengths)
 
     def attention_query(self, hidden: Tensor) -> Tensor:
         """The attention query: ``hidden``, or ``hidden @ attn_bilinear``."""
@@ -247,7 +256,7 @@ class FCRGModel:
         query_id = vocab.token_to_id[word]
         emb = self.params["embedding"].data  # (D, V)
         sims = cosine_matrix(emb.T, emb[:, [query_id]].T)[:, 0]
-        candidates = [i for i in range(vocab.size) if i >= 4 and i != query_id]
+        candidates = [i for i in range(vocab.size) if i >= len(RESERVED_TOKENS) and i != query_id]
         candidates.sort(key=lambda i: (-sims[i], i))
         return [(vocab.id_to_token[i], float(sims[i])) for i in candidates[:k]]
 

@@ -1,11 +1,11 @@
 """Minimal dense tensors with reverse-mode gradients.
 
 Covers exactly the operations the recurrent generation model needs: matmul,
-elementwise add/mul with broadcasting, tanh, concat/stack, embedding lookup,
-dropout, one fused GRU step (``gru_step``), one masked dot-attention context
-(``attention``, whose weights ``attention_probs`` gives as a plain array) and
-the masked negative log-likelihood loss.  float32 by default; float64 is used
-for gradient checking.
+tanh, concat/stack, embedding lookup, dropout, one fused GRU step
+(``gru_step``), one masked dot-attention context (``attention``, whose
+weights ``attention_probs`` gives as a plain array) and the masked negative
+log-likelihood loss.  float32 by default; float64 is used for gradient
+checking.
 
 Each op records one ``(parent, grad_fn)`` edge per input that wants a
 gradient; ``grad_fn`` maps the output's gradient array to that input's share
@@ -67,7 +67,8 @@ class Tensor:
                 self.grad = np.zeros_like(self.data)
             self.grad[:, g.cols] += g.sums.T
         elif self.grad is None:
-            # Always a copy: ``add`` hands the same array to both of its parents.
+            # Always a copy: a ``grad_fn`` may return a view (``concat`` hands
+            # each parent a slice of its gradient), and ``+=`` needs an owned array.
             self.grad = np.array(g, dtype=self.data.dtype, copy=True)
         else:
             self.grad += g
@@ -94,11 +95,8 @@ class ColumnGrad:
         return self.cols.nbytes + self.sums.nbytes
 
 
-def as_tensor(x, like: Optional[Tensor] = None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.dtype if like is not None else None
-    return Tensor(np.asarray(x), dtype=dtype)
+def as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
 
 
 def _make(data: np.ndarray, *edges) -> Tensor:
@@ -116,26 +114,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
         if dim == 1 and g.shape[axis] != 1:
             g = g.sum(axis=axis, keepdims=True)
     return g
-
-
-def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ValueError(f"{op}: incompatible shapes {a.shape} and {b.shape}") from None
-
-
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b, like=a)
-    _check_broadcast(a, b, "add")
-    return _make(a.data + b.data, (a, partial(_unbroadcast, shape=a.shape)), (b, partial(_unbroadcast, shape=b.shape)))
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b, like=a)
-    _check_broadcast(a, b, "mul")
-    x, y = a.data, b.data
-    return _make(x * y, (a, lambda g: _unbroadcast(g * y, x.shape)), (b, lambda g: _unbroadcast(g * x, y.shape)))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -320,7 +298,7 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator, train: bool = True
     if not train or rate == 0.0:
         return a
     mask = (rng.random(a.shape) >= rate).astype(a.dtype) / (1.0 - rate)
-    return mul(a, Tensor(mask))
+    return _make(a.data * mask, (a, lambda g: g * mask))
 
 
 def backward(loss: Tensor) -> None:

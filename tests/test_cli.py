@@ -436,6 +436,26 @@ def test_analyze_reports_skipped_empty_replies(dataset, tmp_path, capsys):
     assert "empty repl" not in (tmp_path / "a" / "analysis.tsv").read_text()
 
 
+def test_analyze_skips_a_group_with_fewer_than_two_non_empty_replies(dataset, tmp_path, capsys):
+    # Every "true" reply but one is a lone snowman, which normalises to no tokens.
+    argv = ["analyze", "--run-dir", str(tmp_path / "a"), "--set", "lda_iterations=5"]
+    assert main([*argv, "--dataset", str(dataset)]) == 0
+    before = (tmp_path / "a" / "analysis.tsv").read_text()
+    rows = [line.split("\t") for line in dataset.read_text().splitlines()]
+    snowed = [row[:1] + ["☃"] + row[2:] if row[3] == "true" and i else row for i, row in enumerate(rows)]
+    dataset.write_text("".join("\t".join(row) + "\n" for row in snowed))
+    capsys.readouterr()
+    assert main([*argv, "--dataset", str(dataset)]) == 0
+    assert "analyze: true: skipped, fewer than 2 non-empty replies\n" in capsys.readouterr().out
+    after = (tmp_path / "a" / "analysis.tsv").read_text()
+    assert "lexicon\ttrue\t" not in after
+
+    def false_lexicon(text):
+        return [line for line in text.splitlines() if line.startswith("lexicon\tfalse\t")]
+
+    assert false_lexicon(after) == false_lexicon(before) != []
+
+
 
 @pytest.mark.parametrize("setting", ["lda_beta=0", "lda_beta=-0.5", "lda_beta=nan", "lda_alpha=0", "lda_alpha=nan"])
 def test_analyze_rejects_bad_lda_hyperparameter_in_one_line(dataset, tmp_path, capsys, setting):

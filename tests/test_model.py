@@ -19,7 +19,7 @@ from fcrg.model import (
 )
 from fcrg.params import ParamStore, TrainConfig
 from fcrg.tensor import ColumnGrad, Tensor, backward
-from test_tensor import assert_bit_equal, one_minus, reduce_sum, reshape, sigmoid as sigmoid_op, softmax
+from test_tensor import add, assert_bit_equal, mul, one_minus, reduce_sum, reshape, sigmoid as sigmoid_op, softmax
 
 
 def tiny_config(**overrides):
@@ -88,19 +88,19 @@ def oracle_nll(model, source_rows, target_rows):
 
 def gru_cell(x, h_prev, w_update, u_update, w_reset, u_reset, w_candidate, u_candidate) -> Tensor:
     """One GRU step in row convention: inputs (b, D), hidden (b, H)."""
-    z = sigmoid_op(T.add(T.matmul(x, w_update), T.matmul(h_prev, u_update)))
-    r = sigmoid_op(T.add(T.matmul(x, w_reset), T.matmul(h_prev, u_reset)))
-    candidate = T.tanh(T.add(T.matmul(x, w_candidate), T.matmul(T.mul(r, h_prev), u_candidate)))
-    return T.add(T.mul(one_minus(z), candidate), T.mul(z, h_prev))
+    z = sigmoid_op(add(T.matmul(x, w_update), T.matmul(h_prev, u_update)))
+    r = sigmoid_op(add(T.matmul(x, w_reset), T.matmul(h_prev, u_reset)))
+    candidate = T.tanh(add(T.matmul(x, w_candidate), T.matmul(mul(r, h_prev), u_candidate)))
+    return add(mul(one_minus(z), candidate), mul(z, h_prev))
 
 
 def composed_attention(states, query, mask) -> Tensor:
     """The (k, H) context as eight tape ops: scores, mask, softmax and the weighted sum of states."""
     k, length = query.shape[0], states.shape[1]
-    scores = reduce_sum(T.mul(states, reshape(query, (k, 1, query.shape[1]))), axis=2)  # (k, L)
-    scores = T.add(scores, Tensor((mask - 1.0) * 1e30))
+    scores = reduce_sum(mul(states, reshape(query, (k, 1, query.shape[1]))), axis=2)  # (k, L)
+    scores = add(scores, Tensor((mask - 1.0) * 1e30))
     attn = softmax(scores, axis=1)
-    return reduce_sum(T.mul(states, reshape(attn, (k, length, 1))), axis=1)
+    return reduce_sum(mul(states, reshape(attn, (k, length, 1))), axis=1)
 
 
 def per_step_head_nll(model, batch, train):
@@ -145,14 +145,14 @@ def test_gru_step_matches_the_composed_cell(b, d, n, scale, seed):
 
     fused = [Tensor(a.copy(), requires_grad=True) for a in (xw, h, u_zr, u_c)]
     out = T.gru_step(*fused)
-    backward(reduce_sum(T.mul(out, coeff)))
+    backward(reduce_sum(mul(out, coeff)))
 
     # The composed cell reads the three pre-activations out of xw through 0/1 selector weights.
     pick = np.eye(3 * n)
     composed = [Tensor(a.copy(), requires_grad=True) for a in (xw, h, u_zr[:, :n], u_zr[:, n:], u_c)]
     c_xw, c_h, c_uz, c_ur, c_uc = composed
     expected = gru_cell(c_xw, c_h, Tensor(pick[:, :n]), c_uz, Tensor(pick[:, n : 2 * n]), c_ur, Tensor(pick[:, 2 * n :]), c_uc)
-    backward(reduce_sum(T.mul(expected, coeff)))
+    backward(reduce_sum(mul(expected, coeff)))
 
     assert_close_to_scale(out.data, expected.data, 1e-12)
     assert_close_to_scale(fused[0].grad, c_xw.grad, 1e-12)
@@ -187,7 +187,7 @@ def test_attention_matches_the_composed_chain(k, length, n, shared, bilinear, si
         leaves = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
         query = T.matmul(leaves[1], leaves[2]) if bilinear else leaves[1]
         out = context(leaves[0], query, mask)
-        backward(reduce_sum(T.mul(out, coeff)))
+        backward(reduce_sum(mul(out, coeff)))
         results.append((out.data, [leaf.grad for leaf in leaves]))
     (out, grads), (expected, expected_grads) = results
 
@@ -414,6 +414,41 @@ def test_encoder_padding_invariance():
     assert np.allclose(short.final.data, padded.final.data, atol=0)
     assert np.allclose(short.states.data, padded.states.data[:, :3], atol=0)
     assert padded.mask[0].tolist() == [1, 1, 1, 0, 0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dtype=st.sampled_from(["float32", "float64"]), train=st.booleans(), seed=st.integers(0, 2**32 - 1),
+    length=st.integers(1, 6), data=st.data(),
+)
+def test_encoder_final_is_the_last_real_state_and_takes_only_its_gradient(dtype, train, seed, length, data):
+    # Ragged lengths from 1 to L; the gradient that reaches the stacked states
+    # from ``final`` alone must be exactly ``coeff`` at each last real position.
+    lengths = np.array(data.draw(st.lists(st.integers(1, length), min_size=1, max_size=5)))
+    model =FCRGModel(tiny_config(dtype=dtype, dropout=0.2, seed=seed % 1000))
+    rng = np.random.default_rng(seed)
+    positions = np.arange(length)[None, :]
+    source = np.where(positions < lengths[:, None], rng.integers(4, 12, size=(lengths.size, length)), PAD)
+    encoded = model.encode(source, lengths, train=train)
+    rows, last = np.arange(lengths.size), lengths - 1
+    assert np.array_equal(encoded.final.data, encoded.states.data[rows, last])
+
+    coeff = rng.standard_normal(encoded.final.shape).astype(dtype)
+    arrived = []
+    accumulate = Tensor.accumulate_grad
+
+    def record(self, g):
+        if self is encoded.states:
+            arrived.append(np.array(g))
+        accumulate(self, g)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Tensor, "accumulate_grad", record)
+        backward(reduce_sum(mul(encoded.final, Tensor(coeff))))
+    expected = np.zeros(encoded.states.shape, dtype=dtype)
+    expected[rows, last] = coeff
+    assert len(arrived) == 1
+    assert np.array_equal(arrived[0], expected)
 
 
 def test_encoder_batch_rows_independent():

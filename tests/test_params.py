@@ -15,7 +15,7 @@ from fcrg.params import (
     save_checkpoint,
 )
 from fcrg import tensor as T
-from test_tensor import reduce_sum
+from test_tensor import mul, reduce_sum
 
 
 def store_with(grads: dict[str, np.ndarray]) -> ParamStore:
@@ -387,7 +387,7 @@ def test_finite_diff_check_accepts_correct_gradient():
     w = store.add("w", np.array([0.3, -0.2, 0.5]))
 
     def loss():
-        return reduce_sum(T.mul(T.tanh(w), T.tanh(w)))
+        return reduce_sum(mul(T.tanh(w), T.tanh(w)))
 
     report = finite_diff_check(loss, store, samples_per_param=3)
     assert report["w"] < 1e-6
