@@ -406,7 +406,7 @@ _GRADCHECK_TOLERANCE = 1e-4
 
 def gradcheck_report(samples_per_param: int = 25) -> dict[str, dict[str, float]]:
     """Max relative finite-difference error per parameter, per attention kind."""
-    from .corpus import make_batch, EncodedPair
+    from .corpus import BOS, EOS, make_batch, EncodedPair
 
     g = _GRADCHECK
     rng = np.random.default_rng(7)
@@ -414,7 +414,7 @@ def gradcheck_report(samples_per_param: int = 25) -> dict[str, dict[str, float]]
     for _ in range(3):
         source = rng.integers(len(RESERVED_TOKENS), g["vocab_size"], size=g["source_len"]).tolist()
         body = rng.integers(len(RESERVED_TOKENS), g["vocab_size"], size=g["target_len"]).tolist()
-        pairs.append(EncodedPair(source, [1] + body + [2]))
+        pairs.append(EncodedPair(source, [BOS] + body + [EOS]))
     batch = make_batch(pairs)
 
     report: dict[str, dict[str, float]] = {}

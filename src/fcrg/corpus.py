@@ -12,7 +12,7 @@ import contextlib
 import os
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -162,32 +162,53 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        token_to_id: dict[str, int] = {}
-        id_to_token: list[str] = []
-        counts: dict[str, int] = {}
-        for lineno, line in enumerate(read_lines(path), 1):
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 3 tab-separated fields")
-            token = parts[0]
-            try:
-                idx, count = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: id and count must be integers, got {parts[1]!r} and {parts[2]!r}"
-                ) from None
-            if idx != len(id_to_token):
-                raise ValueError(f"{path}: line {lineno}: ids must be dense and in order")
-            if token in token_to_id:
-                raise ValueError(f"{path}: line {lineno}: duplicate token {token!r}")
-            token_to_id[token] = idx
-            id_to_token.append(token)
-            counts[token] = count
+        """Parse a ``token<TAB>id<TAB>count`` file; blank lines are skipped.
+
+        The columns are parsed in bulk; if a check fails, ``_vocabulary_fault``
+        walks the lines to name the first one at fault.
+        """
+        lines = list(read_lines(path))
+        rows = [line for line in lines if line]
+        # With two tabs on every row, the i-th row's fields are fields[3i:3i+3].
+        fields = "\t".join(rows).split("\t") if rows else []
+        try:
+            if any(row.count("\t") != 2 for row in rows):
+                raise ValueError("expected 3 fields")
+            id_to_token = fields[0::3]
+            ids = list(map(int, fields[1::3]))
+            counts = dict(zip(id_to_token, map(int, fields[2::3])))
+            token_to_id = dict(zip(id_to_token, range(len(rows))))
+            if ids != list(range(len(rows))) or len(token_to_id) != len(rows):
+                raise ValueError("ids not dense and in order, or a token repeats")
+        except ValueError:
+            raise _vocabulary_fault(path, lines) from None
         if tuple(id_to_token[: len(RESERVED_TOKENS)]) != RESERVED_TOKENS:
             raise ValueError(f"{path}: reserved tokens missing or out of order")
         return cls(token_to_id, id_to_token, counts)
+
+
+def _vocabulary_fault(path, lines: Sequence[str]) -> ValueError:
+    """The error naming the first line at fault of a vocabulary file that has one."""
+    seen: set[str] = set()
+    for lineno, line in enumerate(lines, 1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            return ValueError(f"{path}: line {lineno}: expected 3 tab-separated fields")
+        token = parts[0]
+        try:
+            idx, _ = int(parts[1]), int(parts[2])
+        except ValueError:
+            return ValueError(
+                f"{path}: line {lineno}: id and count must be integers, got {parts[1]!r} and {parts[2]!r}"
+            )
+        if idx != len(seen):
+            return ValueError(f"{path}: line {lineno}: ids must be dense and in order")
+        if token in seen:
+            return ValueError(f"{path}: line {lineno}: duplicate token {token!r}")
+        seen.add(token)
+    raise AssertionError("the bulk checks and the line walk disagree")
 
 
 def build_vocabulary(corpus: Iterable[Sequence[str]], min_count: int = MIN_COUNT) -> Vocabulary:
@@ -322,18 +343,24 @@ def batches(
 def read_lines(path) -> Iterator[str]:
     """Lines of a UTF-8 file, split at "\\n", "\\r\\n" or "\\r" only, without their ends.
 
-    The file is read one line at a time.  A line that is not valid UTF-8
-    raises ``ValueError`` naming the path and the line.
+    The file is read and decoded whole.  If it is not valid UTF-8, the lines
+    before the first bad one are yielded, then ``ValueError`` names the path
+    and the bad line.
     """
-    lineno = 0
     with open(path, "rb") as fh:
-        for raw in fh:
-            for piece in raw.removesuffix(b"\n").removesuffix(b"\r").split(b"\r"):
-                lineno += 1
-                try:
-                    yield piece.decode("utf-8")
-                except UnicodeDecodeError:
-                    raise ValueError(f"{path}: line {lineno}: not valid UTF-8") from None
+        data = fh.read()
+    try:
+        text, bad = data.decode("utf-8"), False
+    except UnicodeDecodeError as exc:
+        # The bytes before the first bad one decode, and end inside the bad line.
+        text, bad = data[: exc.start].decode("utf-8"), True
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    last = lines.pop()  # "" when the text is empty or ends with a line break
+    yield from lines
+    if bad:
+        raise ValueError(f"{path}: line {len(lines) + 1}: not valid UTF-8")
+    if last:
+        yield last
 
 
 @contextlib.contextmanager

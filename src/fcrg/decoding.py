@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import BOS, EOS, MAX_TARGET_LEN, PAD
 from .model import FCRGModel, encode_single
-from .tensor import Tensor, row_log_softmax
+from .tensor import Tensor
 
 
 @dataclass
@@ -39,29 +39,42 @@ class DecodedResponse:
     forced: bool = False
 
 
-def _masked_log_probs(logits: np.ndarray, ban_eos: bool) -> np.ndarray:
-    """Log-probabilities with <pad>/<s> banned, and </s> too when ``ban_eos``."""
-    scores = logits.astype(np.float64, copy=True)
-    scores[:, [PAD, BOS]] = -np.inf
-    if ban_eos:
-        scores[:, EOS] = -np.inf
-    return row_log_softmax(scores)
+def _best_extensions(
+    logits: np.ndarray, scores: np.ndarray, ban_eos: bool, beam_size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parent rows, tokens and scores of the ``beam_size`` best extensions of a beam.
 
+    Each extension scores ``scores[parent]`` plus the token's log-probability
+    under the row's softmax with <pad>/<s> banned, and </s> too when
+    ``ban_eos``.  Ranked by score, ties broken by the lower token id, then the
+    lower parent rank; only finite scores compete.  A row whose logits hold a
+    NaN or +inf, or are -inf at every token not banned, scores NaN throughout
+    and takes no part.
 
-def _select(scores: np.ndarray, beam_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Parent rows and tokens of the ``beam_size`` best finite entries of (k, V) ``scores``.
-
-    Ranked by score, ties broken by the lower token id, then the lower parent
-    rank.  Only the entries at or above the K-th best score are sorted.
+    The (k, V) block is built in place, one operation at a time in the order
+    ``(x - max) - log(sum(exp(x - max)))`` then ``+ score``, and one
+    ``np.partition`` of it finds the K-th best score: only the entries at or
+    above it are sorted.
     """
-    flat = scores.ravel()
-    index = np.flatnonzero(np.isfinite(flat))
-    if len(index) > beam_size:
-        cut = len(index) - beam_size
-        index = index[flat[index] >= np.partition(flat[index], cut)[cut]]
-    parent, token = np.divmod(index, scores.shape[1])
+    x = logits.astype(np.float64)
+    x[:, [PAD, BOS]] = -np.inf
+    if ban_eos:
+        x[:, EOS] = -np.inf
+    row_max = x.max(axis=1, keepdims=True)
+    x -= row_max
+    x -= np.log(np.exp(x).sum(axis=1, keepdims=True))
+    x += scores[:, None]
+    # A row is NaN exactly when its max is not finite; as -inf it drops out
+    # of the partition too, so the K-th value is the K-th best finite score.
+    x[~np.isfinite(row_max[:, 0])] = -np.inf
+    flat = x.ravel()
+    cut = max(len(flat) - beam_size, 0)
+    # With fewer than K finite scores the K-th value is -inf; the lowest finite
+    # threshold then keeps every finite score.
+    index = np.flatnonzero(flat >= max(np.partition(flat, cut)[cut], -np.finfo(np.float64).max))
+    parent, token = np.divmod(index, x.shape[1])
     order = np.lexsort((parent, token, -flat[index]))[:beam_size]
-    return parent[order], token[order]
+    return parent[order], token[order], flat[index[order]]
 
 
 def beam_search(source_ids: Sequence[int], model: FCRGModel, config: DecodeConfig) -> list[DecodedResponse]:
@@ -84,9 +97,7 @@ def beam_search(source_ids: Sequence[int], model: FCRGModel, config: DecodeConfi
     completed: list[DecodedResponse] = []
     for t in range(config.max_len):
         out = model.decode_step(ids[:, -1], Tensor(hidden), encoded, gru, train=False)
-        candidates = scores[:, None] + _masked_log_probs(out.logits.data, t < config.min_tokens)
-        parent, token = _select(candidates, config.beam_size)
-        scores = candidates[parent, token]
+        parent, token, scores = _best_extensions(out.logits.data, scores, t < config.min_tokens, config.beam_size)
         ends = token == EOS
         completed += [DecodedResponse(ids[p, 1:].tolist(), s) for p, s in zip(parent[ends], scores[ends])]
         parent, token, scores = parent[~ends], token[~ends], scores[~ends]

@@ -10,7 +10,7 @@ Training minimizes negative log-likelihood under teacher forcing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -127,7 +127,7 @@ class FCRGModel:
         bound = 1.0 / np.sqrt(self.config.hidden_size)
         for name, shape, partition in param_layout(self.config):
             value = rng.standard_normal(shape) if name == "embedding" else rng.uniform(-bound, bound, size=shape)
-            self.params.add(name, value.astype(self._np_dtype), partition=partition)
+            self.params._adopt(name, value.astype(self._np_dtype), partition)  # astype made a fresh array
 
     def _check_layout(self) -> None:
         dtype = np.dtype(self._np_dtype).name

@@ -8,6 +8,8 @@ are training-only state: the first ``adam_step`` makes them.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -47,11 +49,15 @@ class ParamStore:
         self._moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def add(self, name: str, value: np.ndarray, partition: str = "shared") -> Tensor:
+        return self._adopt(name, np.array(value), partition)
+
+    def _adopt(self, name: str, value: np.ndarray, partition: str) -> Tensor:
+        """``add`` without the copy: the store keeps ``value`` itself, so nothing else may hold it."""
         if name in self._tensors:
             raise ValueError(f"duplicate parameter name {name!r}")
         if partition not in PARTITIONS:
             raise ValueError(f"unknown partition {partition!r}")
-        t = Tensor(np.array(value), requires_grad=True)
+        t = Tensor(value, requires_grad=True)
         self._tensors[name] = t
         self._partitions[name] = partition
         return t
@@ -162,18 +168,47 @@ def save_checkpoint(path, store: ParamStore, config: dict, *, seed: int = 0, epo
 
 
 def load_checkpoint(path) -> tuple[ParamStore, dict]:
-    """Returns (parameter store, metadata with config/seed/epoch/dtype)."""
+    """Returns (parameter store, metadata with config/seed/epoch/dtype).
+
+    The header is read line by line up to its ``payload`` line.  Once the
+    header is valid and the payload's length matches the parameter table,
+    each parameter is read straight into its own array, which the store
+    keeps: every payload byte is copied once.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    marker = b"\npayload\n"
-    split = raw.find(marker)
-    if split < 0:
-        raise ValueError(f"{path}: not a checkpoint file (missing payload marker)")
-    try:
-        header = raw[:split].decode("utf-8").split("\n")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: checkpoint header is not UTF-8: {exc}") from None
-    payload = memoryview(raw)[split + len(marker) :]
+        lines: list[bytes] = []
+        for line in iter(fh.readline, b""):
+            if line == b"payload\n" and lines:
+                break
+            lines.append(line)
+        else:
+            raise ValueError(f"{path}: not a checkpoint file (missing payload marker)")
+        try:
+            header = b"".join(lines)[:-1].decode("utf-8").split("\n")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: checkpoint header is not UTF-8: {exc}") from None
+        meta, params = _parse_header(path, header)
+        dtype = np.dtype(meta["dtype"])
+        stored = dtype.newbyteorder("<")
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        offset = 0
+        for name, (_, shape) in params.items():
+            offset += math.prod(shape) * dtype.itemsize
+            if offset > payload:
+                raise ValueError(f"{path}: truncated payload for parameter {name!r}")
+        if offset != payload:
+            raise ValueError(f"{path}: {payload - offset} trailing payload bytes after the last parameter")
+        store = ParamStore()
+        for name, (partition, shape) in params.items():
+            value = np.empty(shape, dtype=stored)
+            if fh.readinto(value.reshape(-1).view(np.uint8)) != value.nbytes:
+                raise ValueError(f"{path}: truncated payload for parameter {name!r}")
+            store._adopt(name, value.astype(dtype, copy=False), partition)
+    return store, meta
+
+
+def _parse_header(path, header: list[str]) -> tuple[dict, dict[str, tuple[str, tuple[int, ...]]]]:
+    """(metadata, parameter table of name -> (partition, shape)) from a checkpoint's header lines."""
     if header[0] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: unsupported checkpoint format {header[0]!r}")
     meta: dict = {}
@@ -208,22 +243,7 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
     missing = [key for key in ("dtype", "seed", "epoch", "config") if key not in meta]
     if missing:
         raise ValueError(f"{path}: missing header line(s) {', '.join(missing)}")
-    dtype = np.dtype(meta["dtype"])
-    stored = dtype.newbyteorder("<")
-    store = ParamStore()
-    offset = 0
-    for name, (partition, shape) in params.items():
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * dtype.itemsize
-        if offset + nbytes > len(payload):
-            raise ValueError(f"{path}: truncated payload for parameter {name!r}")
-        # A view into the payload; ``add`` makes the one copy.
-        value = np.frombuffer(payload, dtype=stored, count=count, offset=offset)
-        store.add(name, value.astype(dtype, copy=False).reshape(shape), partition=partition)
-        offset += nbytes
-    if offset != len(payload):
-        raise ValueError(f"{path}: {len(payload) - offset} trailing payload bytes after the last parameter")
-    return store, meta
+    return meta, params
 
 
 def finite_diff_check(

@@ -237,18 +237,13 @@ def attention(states: Tensor, query: Tensor, mask: np.ndarray) -> Tensor:
     return _make((s * a[:, :, None]).sum(1), (states, partial(grad_fn, 0)), (query, partial(grad_fn, 1)))
 
 
-def row_log_softmax(x: np.ndarray) -> np.ndarray:
-    """Log-softmax of each row of a 2-D array."""
-    shifted = x - x.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
 def masked_nll(logits: Tensor, gold: np.ndarray, mask: np.ndarray) -> Tensor:
     """Scalar ``-sum_i mask[i] * log_softmax(logits)[i, gold[i]]`` of (n, V) logits.
 
-    The same float operations as ``row_log_softmax``, but the forward pass
-    keeps only each row's shift and log-normaliser: the full (n, V)
-    log-probabilities are built in backward, in the array that is returned.
+    The row log-softmax is ``(x - max) - log(sum(exp(x - max)))``, but the
+    forward pass keeps only each row's shift and log-normaliser: the full
+    (n, V) log-probabilities are built in backward, in the array that is
+    returned.
     """
     x = logits.data
     rows = np.arange(x.shape[0])

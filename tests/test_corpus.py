@@ -306,6 +306,44 @@ def test_read_lines_matches_text_mode_iteration(tmp_path_factory, text):
         assert list(read_lines(path)) == [line.rstrip("\n") for line in fh]
 
 
+def _line_at_a_time_read_lines(path):
+    """The reader read_lines replaced: one binary line at a time, each decoded on its own."""
+    lineno = 0
+    with open(path, "rb") as fh:
+        for raw in fh:
+            for piece in raw.removesuffix(b"\n").removesuffix(b"\r").split(b"\r"):
+                lineno += 1
+                try:
+                    yield piece.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise ValueError(f"{path}: line {lineno}: not valid UTF-8") from None
+
+
+def _lines_then_error(reader, path):
+    """Every line the reader yields, and the text of the ValueError it ends with, if any."""
+    lines = []
+    try:
+        for line in reader(path):
+            lines.append(line)
+    except ValueError as exc:
+        return lines, str(exc)
+    return lines, None
+
+
+LINE_PIECES = st.sampled_from(
+    [b"\n", b"\r\n", b"\r", "\x85".encode(), "\u2028".encode(), "caf\u00e9".encode(), b"a", b" ", b"\t",
+     b"\x80", b"\xc3", b"\xe9", b"\xff", b"\xed\xa0\x80", b"\xe2\x80"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.lists(st.one_of(LINE_PIECES, st.binary(max_size=3)), max_size=30).map(b"".join))
+def test_read_lines_equals_the_line_at_a_time_reader(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("lines") / "input.txt"
+    path.write_bytes(data)
+    assert _lines_then_error(read_lines, path) == _lines_then_error(_line_at_a_time_read_lines, path)
+
+
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
 def test_read_lines_names_the_line_of_a_bad_byte(tmp_path, newline):
     path = tmp_path / "input.txt"

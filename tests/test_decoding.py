@@ -6,11 +6,11 @@ from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fcrg.corpus import BOS, EOS, PAD
-from fcrg.decoding import DecodeConfig, DecodedResponse, beam_search, greedy_decode
+from fcrg.decoding import DecodeConfig, DecodedResponse, _best_extensions, beam_search, greedy_decode
 from fcrg.model import EncoderOutput, FCRGModel, ModelConfig, encode_single
 from fcrg.tensor import Tensor
 
@@ -133,6 +133,66 @@ def test_beam_search_equals_reference_exactly(tied, case):
         model.params["out_vocab"].data[:] = 0.0  # uniform logits: only the tie-break orders candidates
     # log_prob compares with ==: the selection must be bit-for-bit the same
     assert _as_tuples(beam_search(source, model, config)) == _as_tuples(reference_beam_search(source, model, config))
+
+
+# ---------------------------------------------------------------- candidate selection
+#
+# The two-pass selection that _best_extensions fuses: the masked row
+# log-softmax as its own array, the scores added, then the finite entries
+# gathered and partitioned.  It is the oracle for every bit of the result.
+
+
+def _two_pass_log_probs(logits: np.ndarray, ban_eos: bool) -> np.ndarray:
+    scores = logits.astype(np.float64, copy=True)
+    scores[:, [PAD, BOS]] = -np.inf
+    if ban_eos:
+        scores[:, EOS] = -np.inf
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _two_pass_select(scores: np.ndarray, beam_size: int) -> tuple[np.ndarray, np.ndarray]:
+    flat = scores.ravel()
+    index = np.flatnonzero(np.isfinite(flat))
+    if len(index) > beam_size:
+        cut = len(index) - beam_size
+        index = index[flat[index] >= np.partition(flat[index], cut)[cut]]
+    parent, token = np.divmod(index, scores.shape[1])
+    order = np.lexsort((parent, token, -flat[index]))[:beam_size]
+    return parent[order], token[order]
+
+
+# A few values, so ties are common.  Each row draws from one of three pools:
+# finite only, with -inf (fewer finite entries than the beam), or with NaN
+# and +inf too (the row drops out).
+FINITE = [0.0, 0.5, -1.25, 3.0, 1e-30]
+ROW_POOLS = (FINITE, FINITE + [-np.inf], FINITE + [-np.inf, np.nan, np.inf])
+
+
+@st.composite
+def selection_cases(draw):
+    k, vocab = draw(st.integers(1, 20)), draw(st.integers(4, 60))
+    pools = draw(st.lists(st.sampled_from(ROW_POOLS), min_size=k, max_size=k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    logits = np.array([rng.choice(pool, size=vocab) for pool in pools], dtype=dtype)
+    scores = rng.choice([0.0, -0.5, -1.25, -7.0], size=k)
+    return logits, scores, draw(st.booleans()), draw(st.integers(1, 20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=selection_cases())
+@example(case=(np.zeros((1, 4), np.float32), np.zeros(1), True, 20))  # fewer candidates than the beam
+@example(case=(np.array([[0.0, 0.0, 0.0, np.nan, 1.0]]), np.zeros(1), False, 2))  # the one row is NaN
+def test_best_extensions_bit_equal_to_two_pass_selection(case):
+    logits, scores, ban_eos, beam_size = case
+    with np.errstate(invalid="ignore"):
+        candidates = scores[:, None] + _two_pass_log_probs(logits, ban_eos)
+        parent, token = _two_pass_select(candidates, beam_size)
+        got = _best_extensions(logits, scores, ban_eos, beam_size)
+    for fused, oracle in zip(got, (parent, token, candidates[parent, token])):
+        assert fused.dtype == oracle.dtype
+        assert fused.tobytes() == oracle.tobytes()
 
 
 # ---------------------------------------------------------------- exhaustive oracle

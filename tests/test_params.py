@@ -6,6 +6,8 @@ from fcrg import corpus
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcrg.params import (
     ParamStore,
@@ -368,6 +370,54 @@ def test_checkpoint_reader_names_path_and_fault(tmp_path, edit, match):
     with pytest.raises(ValueError, match=match) as info:
         load_checkpoint(path)
     assert str(info.value).startswith(f"{path}: ")
+
+
+def _fuzz_checkpoint(tmp_path):
+    store = ParamStore()
+    store.add("w", np.arange(6, dtype=np.float32).reshape(2, 3), partition="encoder")
+    store.add("bias", np.float32(0.5), partition="decoder")
+    store.add("empty", np.zeros((0, 4), dtype=np.float32))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, store, {"vocab_size": 7, "attention": "dot"}, seed=3, epoch=1)
+    return path, path.read_bytes()
+
+
+def _load_or_name_the_path(path, data):
+    """Load ``data`` as a checkpoint: it loads, or raises a ValueError that starts with the path."""
+    path.write_bytes(data)
+    try:
+        load_checkpoint(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: "), str(exc)
+        return False
+    return True
+
+
+def test_checkpoint_reader_fuzz_truncation_and_extra_bytes(tmp_path):
+    path, raw = _fuzz_checkpoint(tmp_path)
+    assert _load_or_name_the_path(path, raw)
+    for cut in range(len(raw)):
+        assert not _load_or_name_the_path(path, raw[:cut]), cut
+    for extra in (b"\x00", b"\n", b"payload\n", raw):
+        assert not _load_or_name_the_path(path, raw + extra), extra
+
+
+def test_checkpoint_reader_fuzz_payload_line(tmp_path):
+    path, raw = _fuzz_checkpoint(tmp_path)
+    assert not _load_or_name_the_path(path, raw.replace(b"\npayload\n", b"\n", 1))
+    assert not _load_or_name_the_path(path, raw.replace(b"\npayload\n", b"\npayload\npayload\n", 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_checkpoint_reader_fuzz_header_byte_flips(tmp_path_factory, data):
+    path, raw = _fuzz_checkpoint(tmp_path_factory.mktemp("ckpt"))
+    header = raw.index(b"\npayload\n") + len(b"\npayload\n")
+    edited = bytearray(raw)
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, header - 1))
+        edited[at] ^= data.draw(st.integers(1, 255))
+    _load_or_name_the_path(path, bytes(edited))
 
 
 def test_checkpoint_roundtrip_scalar_parameter(tmp_path):
