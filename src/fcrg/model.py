@@ -11,8 +11,7 @@ Training minimizes negative log-likelihood under teacher forcing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -65,27 +64,24 @@ class EncoderOutput:
 
 @dataclass
 class DecodeStepOutput:
-    features: Tensor  # (b, 2H) [context; h] after dropout: the output head's input
-    hidden: Tensor  # (b, H)
-    head: Callable[[Tensor], Tensor]
+    """One row per (row, step), batch-major: row j·T + t is row j's step t."""
 
-    @cached_property
-    def logits(self) -> Tensor:
-        """(b, V) pre-softmax scores, computed on first access."""
-        return self.head(self.features)
+    features: Tensor  # (b·T, 2H) [context; h] after dropout: the output head's input
+    hidden: Tensor  # (b·T, H) the state after each step
+    logits: Tensor  # (b·T, V) pre-softmax scores
 
 
 @dataclass
 class GRUWeights:
-    """One side's gate weights, concatenated at use for ``T.gru_step``."""
+    """One side's gate weights, concatenated at use for ``T.gru_scan``."""
 
     w_x: Tensor  # (D, 3H) [W_z|W_r|W_c]
     u_zr: Tensor  # (H, 2H) [U_z|U_r]
     u_c: Tensor  # (H, H)
 
-    def step(self, x: Tensor, h_prev: Tensor) -> Tensor:
-        """The next (b, H) state from inputs x (b, D): one input GEMM, then ``T.gru_step``."""
-        return T.gru_step(T.matmul(x, self.w_x), h_prev, self.u_zr, self.u_c)
+    def scan(self, x: Tensor, h0: Tensor) -> Tensor:
+        """The (b, T, H) states from h0 (b, H) over inputs x (b·T, D): one input GEMM, then ``T.gru_scan``."""
+        return T.gru_scan(T.matmul(x, self.w_x), h0, self.u_zr, self.u_c)
 
 
 _GATES = ("update", "reset", "candidate")
@@ -141,12 +137,23 @@ class FCRGModel:
 
     # -- forward pieces ------------------------------------------------
 
-    def embed(self, ids, train: bool = False) -> Tensor:
-        out = T.embedding_lookup(self.params["embedding"], np.asarray(ids, dtype=np.int64))
-        return T.dropout(out, self.config.dropout, self._dropout_rng, train=train)
+    def _dropout_draws(self, b: int, steps: int, widths: Sequence[int], train: bool) -> list[Optional[np.ndarray]]:
+        """Dropout uniforms, batch-major (b·steps, w), for inputs of each width w; Nones without dropout.
+
+        One block is drawn in the order of per-step draws: at each step, every input's (b, w).
+        """
+        if not train or self.config.dropout == 0.0:
+            return [None] * len(widths)
+        block = self._dropout_rng.random((steps, b * sum(widths)))
+        parts = np.split(block, b * np.cumsum(widths)[:-1], axis=1)
+        return [u.reshape(steps, b, -1).swapaxes(0, 1).reshape(b * steps, -1) for u in parts]
+
+    def embed(self, ids: np.ndarray, uniforms: Optional[np.ndarray]) -> Tensor:
+        """(n, D) embeddings of n ids, dropped out by ``uniforms`` unless they are None."""
+        return T.dropout(T.embedding_lookup(self.params["embedding"], ids), self.config.dropout, uniforms)
 
     def gru_weights(self, side: str) -> GRUWeights:
-        """The ``side`` ("enc" or "dec") GRU's per-gate parameters, concatenated for ``T.gru_step``."""
+        """The ``side`` ("enc" or "dec") GRU's per-gate parameters, concatenated for ``T.gru_scan``."""
         p = self.params
         return GRUWeights(
             w_x=T.concat([p[f"{side}_{gate}_x"] for gate in _GATES], axis=1),
@@ -163,24 +170,18 @@ class FCRGModel:
         source = np.atleast_2d(np.asarray(source, dtype=np.int64))
         lengths = np.asarray(lengths, dtype=np.int64)
         b, max_len = source.shape
-        if max_len == 0 or lengths.min() < 1:
-            raise ValueError("encode: empty source sequence")
-        dt = self._np_dtype
-        gru = self.gru_weights("enc")
-        h0 = Tensor(np.zeros((b, self.config.hidden_size), dtype=dt))
-        h = h0
-        states: list[Tensor] = []
-        for t in range(max_len):
-            h = gru.step(self.embed(source[:, t], train=train), h)
-            states.append(h)
-        stacked = T.stack(states, axis=1)
+        if max_len == 0 or lengths.min() < 1 or lengths.max() > max_len:
+            raise ValueError(f"encode: source lengths must be in [1, {max_len}], got {lengths.tolist()}")
+        (uniforms,) = self._dropout_draws(b, max_len, [self.config.embed_dim], train)
+        h0 = Tensor(np.zeros((b, self.config.hidden_size), dtype=self._np_dtype))
+        stacked = self.gru_weights("enc").scan(self.embed(source.reshape(-1), uniforms), h0)
         positions = np.arange(max_len)[None, :]
-        mask = (positions < lengths[:, None]).astype(dt)
+        mask = (positions < lengths[:, None]).astype(self._np_dtype)
         # Attention that sees only the last real position picks that state
         # exactly: its weight is 1 and every other is exp(-1e30) == 0, and in
         # backward the scores' gradient a * (da - sum(da * a)) is 0, so the
         # gradient reaches that position alone.  The zero query is h0.
-        final = T.attention(stacked, h0, (positions == lengths[:, None] - 1).astype(dt))
+        final = T.attention(stacked, h0, (positions == lengths[:, None] - 1).astype(self._np_dtype))
         return EncoderOutput(states=stacked, mask=mask, final=final, lengths=lengths)
 
     def attention_query(self, hidden: Tensor) -> Tensor:
@@ -196,16 +197,19 @@ class FCRGModel:
     def decode_step(
         self, prev_ids, h_prev: Tensor, encoded: EncoderOutput, gru: GRUWeights, train: bool = False
     ) -> DecodeStepOutput:
-        """One decoder step from the previous tokens; ``gru`` is ``gru_weights("dec")``.
+        """Decoder steps from the state ``h_prev`` (b, H) over previous tokens (b,) for one step or (b, T).
 
-        The output head is left to the caller: ``logits`` applies it on first access.
+        ``gru`` is ``gru_weights("dec")``.  The recurrence reads only the given
+        tokens, so T steps are one ``T.gru_scan``; attention and the output
+        head then run once over all b·T rows.
         """
-        x = self.embed(prev_ids, train=train)
-        h = gru.step(x, h_prev)
+        ids = np.asarray(prev_ids, dtype=np.int64).reshape(len(prev_ids), -1)
+        (b, steps), n = ids.shape, self.config.hidden_size
+        u_x, u_features = self._dropout_draws(b, steps, [self.config.embed_dim, 2 * n], train)
+        h = T.reshape(gru.scan(self.embed(ids.reshape(-1), u_x), h_prev), (b * steps, n))
         context = T.attention(encoded.states, self.attention_query(h), encoded.mask)
-        features = T.concat([context, h], axis=1)
-        features = T.dropout(features, self.config.dropout, self._dropout_rng, train=train)
-        return DecodeStepOutput(features=features, hidden=h, head=self.output_head)
+        features = T.dropout(T.concat([context, h], axis=1), self.config.dropout, u_features)
+        return DecodeStepOutput(features=features, hidden=h, logits=self.output_head(features))
 
     def output_head(self, features: Tensor) -> Tensor:
         """Logits (n, V) of (n, 2H) ``[context; h]`` rows: ``tanh(features @ out_hidden) @ out_vocab``."""
@@ -221,27 +225,19 @@ class FCRGModel:
         Returns (scalar loss, number of scored tokens).
 
         Teacher forcing never feeds the output head back into the recurrence,
-        so the decoder steps only collect their head inputs, and the head and
-        the loss run once over all (step, row) pairs.
+        so one ``decode_step`` call runs the T steps before the first all-PAD
+        gold column, and the loss runs once over all (row, step) pairs.
         """
         target = batch.target
         token_count = int((target[:, 1:] != PAD).sum())
         if token_count == 0:
             raise ValueError("sequence_nll: batch contains no target tokens")
+        steps = int(np.logical_and.accumulate((target[:, 1:] != PAD).any(axis=0)).sum())
         encoded = self.encode(batch.source, batch.source_lengths, train=train)
-        gru = self.gru_weights("dec")
-        h = encoded.final
-        features: list[Tensor] = []
-        for j in range(target.shape[1] - 1):
-            if not (target[:, j + 1] != PAD).any():
-                break
-            out = self.decode_step(target[:, j], h, encoded, gru, train=train)
-            h = out.hidden
-            features.append(out.features)
-        gold = target[:, 1 : len(features) + 1].T.reshape(-1)  # step-major, like the concatenated rows
+        out = self.decode_step(target[:, :steps], encoded.final, encoded, self.gru_weights("dec"), train=train)
+        gold = target[:, 1 : steps + 1].reshape(-1)  # batch-major, like the decoder's rows
         mask = (gold != PAD).astype(self._np_dtype)
-        loss = T.masked_nll(self.output_head(T.concat(features, axis=0)), gold, mask)
-        return loss, token_count
+        return T.masked_nll(out.logits, gold, mask), token_count
 
     # -- embedding inspection ---------------------------------------------
 

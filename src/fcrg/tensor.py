@@ -1,11 +1,11 @@
 """Minimal dense tensors with reverse-mode gradients.
 
 Covers exactly the operations the recurrent generation model needs: matmul,
-tanh, concat/stack, embedding lookup, dropout, one fused GRU step
-(``gru_step``), one masked dot-attention context (``attention``, whose
-weights ``attention_probs`` gives as a plain array) and the masked negative
-log-likelihood loss.  float32 by default; float64 is used for gradient
-checking.
+tanh, concat, reshape, embedding lookup, dropout, one GRU run over a whole
+sequence (``gru_scan``), one masked dot-attention context for any number of
+query rows per source (``attention``, whose weights ``attention_probs`` gives
+as a plain array) and the masked negative log-likelihood loss.  float32 by
+default; float64 is used for gradient checking.
 
 Each op records one ``(parent, grad_fn)`` edge per input that wants a
 gradient; ``grad_fn`` maps the output's gradient array to that input's share
@@ -53,10 +53,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    @property
-    def size(self):
-        return self.data.size
 
     def item(self) -> float:
         return float(self.data.reshape(()))
@@ -106,16 +102,6 @@ def _make(data: np.ndarray, *edges) -> Tensor:
     return out
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient back down to the shape it was broadcast from."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -135,47 +121,60 @@ def tanh(a: Tensor) -> Tensor:
     return _make(y, (a, lambda g: g * (1.0 - y * y)))
 
 
-def gru_step(xw: Tensor, h: Tensor, u_zr: Tensor, u_c: Tensor) -> Tensor:
-    """One GRU step in row convention from a projected input; returns the new (b, H) state.
+def gru_scan(xw: Tensor, h0: Tensor, u_zr: Tensor, u_c: Tensor) -> Tensor:
+    """A GRU run over T steps in row convention; returns the (b, T, H) states.
 
-    ``xw`` (b, 3H) is the input already multiplied by ``[W_z|W_r|W_c]``,
-    ``h`` (b, H) the previous state, ``u_zr`` (H, 2H) is ``[U_z|U_r]`` and
-    ``u_c`` (H, H) the candidate's recurrent weight:
+    ``xw`` (b·T, 3H) is the input times ``[W_z|W_r|W_c]``, batch-major (row
+    j·T + t is row j's step t), ``h0`` (b, H) the state before step 0, and
+    ``u_zr`` = ``[U_z|U_r]`` (H, 2H) and ``u_c`` (H, H) the recurrent weights:
 
-        [z|r] = sigmoid(xw[:, :2H] + h @ u_zr)
-        c     = tanh(xw[:, 2H:] + (r * h) @ u_c)
+        [z|r] = sigmoid(xw_t[:, :2H] + h @ u_zr)
+        c     = tanh(xw_t[:, 2H:] + (r * h) @ u_c)
         h'    = (1 - z) * c + z * h
 
-    The backward pass is written out: the first wanted parent's edge computes
-    every wanted parent's share of an incoming gradient, and each edge takes
-    its own share from there.
+    Backward is one written-out pass back through time, then one GEMM per
+    recurrent weight.  The first wanted parent's edge computes every share.
     """
-    x, hp, w_zr, w_c = xw.data, h.data, u_zr.data, u_c.data
-    n = hp.shape[1]
-    zr = _sigmoid(x[:, : 2 * n] + hp @ w_zr)
-    z, r = zr[:, :n], zr[:, n:]
-    rh = r * hp
-    c = np.tanh(x[:, 2 * n :] + rh @ w_c)
-    wants = (xw._wants, h._wants, u_zr._wants, u_c._wants)
+    w_zr, w_c = u_zr.data, u_c.data
+    b, n = h0.shape
+    x = xw.data.reshape(b, -1, 3 * n)
+    hs, gates, cands = [h0.data], [], []  # per step: the state before it, [z|r] and c
+    for t in range(x.shape[1]):
+        h = hs[-1]
+        zr = _sigmoid(x[:, t, : 2 * n] + h @ w_zr)
+        z, r = zr[:, :n], zr[:, n:]
+        c = np.tanh(x[:, t, 2 * n :] + (r * h) @ w_c)
+        hs.append((1.0 - z) * c + z * h)
+        gates.append(zr)
+        cands.append(c)
+    wants = (xw._wants, h0._wants, u_zr._wants, u_c._wants)
     shares: dict[int, np.ndarray] = {}
 
     def grad_fn(i: int, g: np.ndarray) -> np.ndarray:
         if i not in shares:
-            dc = g * (1.0 - z) * (1.0 - c * c)  # at the candidate's pre-activation
-            drh = dc @ w_c.T
-            dzr = np.concatenate([g * (hp - c), drh * hp], axis=1) * zr * (1.0 - zr)  # at the gates' pre-activation
+            dx = np.empty_like(x)  # at the pre-activations: the gates', then the candidate's
+            dh = 0.0  # the gradient that step t + 1 passes back to its previous state
+            for t in reversed(range(x.shape[1])):
+                gt, hp, zr, c = g[:, t] + dh, hs[t], gates[t], cands[t]
+                z, r = zr[:, :n], zr[:, n:]
+                dc = gt * (1.0 - z) * (1.0 - c * c)
+                drh = dc @ w_c.T
+                dzr = np.concatenate([gt * (hp - c), drh * hp], axis=1) * zr * (1.0 - zr)
+                dx[:, t] = np.concatenate([dzr, dc], axis=1)
+                dh = gt * z + drh * r + dzr @ w_zr.T
+            prev = np.stack(hs[:-1], axis=1)
             if wants[0]:
-                shares[0] = np.concatenate([dzr, dc], axis=1)
+                shares[0] = dx.reshape(xw.shape)
             if wants[1]:
-                shares[1] = g * z + drh * r + dzr @ w_zr.T
+                shares[1] = dh
             if wants[2]:
-                shares[2] = hp.T @ dzr
+                shares[2] = prev.reshape(-1, n).T @ dx[:, :, : 2 * n].reshape(-1, 2 * n)
             if wants[3]:
-                shares[3] = rh.T @ dc
+                rh = np.stack(gates, axis=1)[:, :, n:] * prev
+                shares[3] = rh.reshape(-1, n).T @ dx[:, :, 2 * n :].reshape(-1, n)
         return shares.pop(i)
 
-    out = (1.0 - z) * c + z * hp
-    return _make(out, *((t, partial(grad_fn, i)) for i, t in enumerate((xw, h, u_zr, u_c))))
+    return _make(np.stack(hs[1:], axis=1), *((t, partial(grad_fn, i)) for i, t in enumerate((xw, h0, u_zr, u_c))))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -191,50 +190,54 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(out_data, *((t, part(stop - t.shape[axis], stop)) for t, stop in zip(tensors, ends)))
 
 
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-    return _make(out_data, *((t, partial(np.take, indices=i, axis=axis)) for i, t in enumerate(tensors)))
+def reshape(a: Tensor, shape: tuple) -> Tensor:
+    old_shape = a.shape
+    return _make(a.data.reshape(shape), (a, lambda g: g.reshape(old_shape)))
 
 
 _MASK_SCORE = 1e30  # subtracted from attention scores at padded positions
 
 
 def attention_probs(states: np.ndarray, query: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """(k, L) softmax of ``states · query`` over the positions where ``mask`` is 1.
+    """(n, L) softmax of ``states · query`` over the positions where ``mask`` is 1.
 
-    ``states`` (b, L, H) and ``mask`` (b, L) have b = k, or b = 1 shared by all
-    k rows of ``query`` (k, H), as in beam search.
+    ``states`` (b, L, H) and ``mask`` (b, L) hold b sources; row j·T + t of
+    ``query`` (n = b·T, H) reads source j.  Beam search's k queries are T = k.
     """
-    if mask.sum() == 0:
-        raise ValueError("attention: all source positions are masked")
-    scores = (states * query[:, None, :]).sum(2) + (mask - 1.0) * _MASK_SCORE
-    e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    if not mask.any(axis=1).all():
+        raise ValueError("attention: all source positions are masked in a source row")
+    b, length, n = states.shape
+    products = (s * q[:, None, :] for s, q in zip(states, query.reshape(b, -1, n)))  # one source's (T, L, H) at a time
+    scores = np.stack([p.sum(2) for p in products]) + ((mask - 1.0) * _MASK_SCORE)[:, None]
+    e = np.exp(scores - scores.max(axis=2, keepdims=True))
+    return (e / e.sum(axis=2, keepdims=True)).reshape(-1, length)
 
 
 def attention(states: Tensor, query: Tensor, mask: np.ndarray) -> Tensor:
-    """(k, H) context: each query row's ``attention_probs``-weighted sum of ``states``.
+    """(n, H) context: each query row's ``attention_probs``-weighted sum of its source's ``states``.
 
-    The backward pass is written out, as in ``gru_step``; with ``a`` the
-    weights, the scores' gradient is ``a * (da - sum(da * a))``, ``da = states · g``.
+    The backward pass is written out as in ``gru_scan``, in batched products;
+    with weights ``a``, the scores' gradient is ``a * (da - sum(da * a))``, ``da = states · g``.
     """
     s, q = states.data, query.data
-    a = attention_probs(s, q, mask)
+    b, length, n = s.shape
+    a = attention_probs(s, q, mask).reshape(b, -1, length)  # (b, T, L)
     wants = (states._wants, query._wants)
     shares: dict[int, np.ndarray] = {}
 
     def grad_fn(i: int, g: np.ndarray) -> np.ndarray:
         if i not in shares:
-            da = np.matmul(s, g[:, :, None])[:, :, 0]
-            ds = a * (da - (da * a).sum(axis=1, keepdims=True))
+            g = g.reshape(b, -1, n)
+            da = np.matmul(g, s.swapaxes(1, 2))
+            ds = a * (da - (da * a).sum(axis=2, keepdims=True))
             if wants[0]:
-                shares[0] = _unbroadcast(a[:, :, None] * g[:, None, :] + ds[:, :, None] * q[:, None, :], s.shape)
+                shares[0] = np.matmul(a.swapaxes(1, 2), g) + np.matmul(ds.swapaxes(1, 2), q.reshape(b, -1, n))
             if wants[1]:
-                shares[1] = np.matmul(ds[:, None, :], s)[:, 0, :]
+                shares[1] = np.matmul(ds, s).reshape(q.shape)
         return shares.pop(i)
 
-    return _make((s * a[:, :, None]).sum(1), (states, partial(grad_fn, 0)), (query, partial(grad_fn, 1)))
+    context = np.stack([(sj * aj[:, :, None]).sum(1) for sj, aj in zip(s, a)]).reshape(-1, n)  # source by source
+    return _make(context, (states, partial(grad_fn, 0)), (query, partial(grad_fn, 1)))
 
 
 def masked_nll(logits: Tensor, gold: np.ndarray, mask: np.ndarray) -> Tensor:
@@ -283,16 +286,17 @@ def embedding_lookup(weight: Tensor, ids) -> Tensor:
     return _make(weight.data[:, ids].T.copy(), (weight, grad_fn))
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator, train: bool = True) -> Tensor:
-    """Zero entries with probability ``rate`` and rescale survivors.
+def dropout(a: Tensor, rate: float, uniforms: Optional[np.ndarray]) -> Tensor:
+    """Zero the entries whose draw in ``uniforms`` is below ``rate`` and rescale survivors.
 
-    Identity when ``train`` is False or ``rate`` is 0.
+    ``uniforms`` holds one draw from [0, 1) per entry of ``a``; None (no
+    dropout on this pass) returns ``a`` itself.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not train or rate == 0.0:
+    if uniforms is None:
         return a
-    mask = (rng.random(a.shape) >= rate).astype(a.dtype) / (1.0 - rate)
+    mask = (uniforms >= rate).astype(a.dtype) / (1.0 - rate)
     return _make(a.data * mask, (a, lambda g: g * mask))
 
 
@@ -301,7 +305,7 @@ def backward(loss: Tensor) -> None:
 
     Interior gradients are dropped once passed on; only leaves keep ``.grad``.
     """
-    if loss.size != 1:
+    if loss.data.size != 1:
         raise ValueError(f"backward() requires a scalar loss, got shape {loss.shape}")
     if not loss._edges:
         raise RuntimeError("backward() called on a tensor with no recorded forward computation")

@@ -18,8 +18,8 @@ from fcrg.model import (
     validation_nll,
 )
 from fcrg.params import ParamStore, TrainConfig
-from fcrg.tensor import ColumnGrad, Tensor, backward
-from test_tensor import add, assert_bit_equal, mul, one_minus, reduce_sum, reshape, sigmoid as sigmoid_op, softmax
+from fcrg.tensor import ColumnGrad, Tensor, backward, reshape
+from test_tensor import add, assert_bit_equal, mul, one_minus, reduce_sum, sigmoid as sigmoid_op, softmax, stack
 
 
 def tiny_config(**overrides):
@@ -81,7 +81,7 @@ def oracle_nll(model, source_rows, target_rows):
 # ---------------------------------------------------------------- composed oracles
 
 # The GRU cell, the attention context and the per-step output head as fcrg
-# computed them before T.gru_step, T.attention and the batched head: every
+# computed them before T.gru_scan, T.attention and the batched head: every
 # piece a separate tensor op, so the tape's generic gradients check the
 # hand-written and batched ones.
 
@@ -119,7 +119,7 @@ def per_step_head_nll(model, batch, train):
         h = out.hidden
         logits = T.matmul(T.tanh(T.matmul(out.features, model.params["out_hidden"])), model.params["out_vocab"])
         pieces.append(T.masked_nll(logits, gold, step_mask))
-    return reduce_sum(T.stack(pieces, axis=0))
+    return reduce_sum(stack(pieces, axis=0))
 
 
 def assert_close_to_scale(actual, expected, rel):
@@ -131,45 +131,71 @@ def assert_close_to_scale(actual, expected, rel):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    b=st.integers(1, 5), d=st.integers(1, 8), n=st.integers(1, 8),
-    scale=st.sampled_from([1.0, 30.0, 1e3]), seed=st.integers(0, 2**32 - 1),
+    b=st.integers(1, 5), steps=st.integers(1, 6), d=st.integers(1, 8), n=st.integers(1, 8),
+    scale=st.sampled_from([1.0, 30.0, 1e3]), constant_h0=st.booleans(), seed=st.integers(0, 2**32 - 1),
 )
-def test_gru_step_matches_the_composed_cell(b, d, n, scale, seed):
+def test_gru_scan_matches_the_composed_cell_over_time(b, steps, d, n, scale, constant_h0, seed):
     # scale 30 and 1e3 saturate the gates (sigmoid and tanh at 0 or +-1).
+    # constant_h0: the state before the first step wants no gradient, as in the encoder.
     rng = np.random.default_rng(seed)
-    x, w = rng.standard_normal((b, d)), rng.standard_normal((d, 3 * n))
-    xw = (x @ w) * scale
-    h = rng.standard_normal((b, n)) * scale
+    x, w = rng.standard_normal((b * steps, d)), rng.standard_normal((d, 3 * n))
+    xw = (x @ w) * scale  # batch-major: row j * steps + t is row j's step t
+    h0 = rng.standard_normal((b, n)) * scale
     u_zr, u_c = rng.standard_normal((n, 2 * n)), rng.standard_normal((n, n))
-    coeff = Tensor(rng.standard_normal((b, n)))
+    coeff = Tensor(rng.standard_normal((b, steps, n)))
 
-    fused = [Tensor(a.copy(), requires_grad=True) for a in (xw, h, u_zr, u_c)]
-    out = T.gru_step(*fused)
+    fused = [Tensor(a.copy(), requires_grad=True) for a in (xw, h0, u_zr, u_c)]
+    if constant_h0:
+        fused[1] = Tensor(h0.copy())
+    out = T.gru_scan(*fused)
     backward(reduce_sum(mul(out, coeff)))
 
-    # The composed cell reads the three pre-activations out of xw through 0/1 selector weights.
+    # The composed cell, looped over the steps, reads the three pre-activations
+    # out of each step's rows of xw through 0/1 selector weights.
     pick = np.eye(3 * n)
-    composed = [Tensor(a.copy(), requires_grad=True) for a in (xw, h, u_zr[:, :n], u_zr[:, n:], u_c)]
-    c_xw, c_h, c_uz, c_ur, c_uc = composed
-    expected = gru_cell(c_xw, c_h, Tensor(pick[:, :n]), c_uz, Tensor(pick[:, n : 2 * n]), c_ur, Tensor(pick[:, 2 * n :]), c_uc)
+    by_step = xw.reshape(b, steps, 3 * n)
+    c_xws = [Tensor(by_step[:, t].copy(), requires_grad=True) for t in range(steps)]
+    c_h0 = Tensor(h0.copy(), requires_grad=not constant_h0)
+    c_uz, c_ur, c_uc = (Tensor(a.copy(), requires_grad=True) for a in (u_zr[:, :n], u_zr[:, n:], u_c))
+    h, states = c_h0, []
+    for c_xw in c_xws:
+        h = gru_cell(c_xw, h, Tensor(pick[:, :n]), c_uz, Tensor(pick[:, n : 2 * n]), c_ur, Tensor(pick[:, 2 * n :]), c_uc)
+        states.append(h)
+    expected = stack(states, axis=1)
     backward(reduce_sum(mul(expected, coeff)))
 
     assert_close_to_scale(out.data, expected.data, 1e-12)
-    assert_close_to_scale(fused[0].grad, c_xw.grad, 1e-12)
-    assert_close_to_scale(fused[1].grad, c_h.grad, 1e-12)
+    assert_close_to_scale(fused[0].grad, np.stack([c.grad for c in c_xws], axis=1).reshape(xw.shape), 1e-12)
+    if constant_h0:
+        assert fused[1].grad is None and c_h0.grad is None and len(out._edges) == 3
+    else:
+        assert_close_to_scale(fused[1].grad, c_h0.grad, 1e-12)
     assert_close_to_scale(fused[2].grad, np.concatenate([c_uz.grad, c_ur.grad], axis=1), 1e-12)
     assert_close_to_scale(fused[3].grad, c_uc.grad, 1e-12)
 
 
+def attention_over_steps(states, queries, mask) -> Tensor:
+    """``T.attention`` of every step's (k, H) queries at once, as k·T batch-major rows."""
+    k, n = queries[0].shape
+    return T.attention(states, reshape(stack(queries, axis=1), (k * len(queries), n)), mask)
+
+
+def composed_attention_per_step(states, queries, mask) -> Tensor:
+    """The composed chain applied to each step's queries, its contexts in the same rows."""
+    k, n = queries[0].shape
+    return reshape(stack([composed_attention(states, q, mask) for q in queries], axis=1), (k * len(queries), n))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    k=st.integers(1, 5), length=st.integers(1, 6), n=st.integers(1, 6),
+    k=st.integers(1, 5), steps=st.integers(1, 4), length=st.integers(1, 6), n=st.integers(1, 6),
     shared=st.booleans(), bilinear=st.booleans(), single=st.booleans(),
     dtype=st.sampled_from([np.float32, np.float64]), scale=st.sampled_from([1.0, 10.0]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_attention_matches_the_composed_chain(k, length, n, shared, bilinear, single, dtype, scale, seed):
+def test_attention_matches_the_composed_chain(k, steps, length, n, shared, bilinear, single, dtype, scale, seed):
     # shared: one source's states (1, L, H) against k queries, as in beam search.
+    # steps: T query blocks of k rows each, row j·T + t, as in teacher forcing.
     # single: the first row has one real position.  scale 10 makes the weights peaked.
     rng = np.random.default_rng(seed)
     b = 1 if shared else k
@@ -177,16 +203,18 @@ def test_attention_matches_the_composed_chain(k, length, n, shared, bilinear, si
     if single:
         lengths[0] = 1
     mask = (np.arange(length)[None, :] < lengths[:, None]).astype(dtype)
-    arrays = [rng.standard_normal((b, length, n)) * scale, rng.standard_normal((k, n))]
+    arrays = [rng.standard_normal((b, length, n)) * scale] + [rng.standard_normal((k, n)) for _ in range(steps)]
     if bilinear:
         arrays.append(rng.standard_normal((n, n)))
-    coeff = Tensor(rng.standard_normal((k, n)).astype(dtype))
+    coeff = Tensor(rng.standard_normal((k * steps, n)).astype(dtype))
 
     results = []
-    for context in (T.attention, composed_attention):
+    for context in (attention_over_steps, composed_attention_per_step):
         leaves = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
-        query = T.matmul(leaves[1], leaves[2]) if bilinear else leaves[1]
-        out = context(leaves[0], query, mask)
+        queries = leaves[1 : 1 + steps]
+        if bilinear:
+            queries = [T.matmul(q, leaves[-1]) for q in queries]
+        out = context(leaves[0], queries, mask)
         backward(reduce_sum(mul(out, coeff)))
         results.append((out.data, [leaf.grad for leaf in leaves]))
     (out, grads), (expected, expected_grads) = results
@@ -220,6 +248,27 @@ def test_batched_head_matches_the_per_step_head(attention, train):
     assert grads.keys() == expected_grads.keys()
     for name, grad in grads.items():
         assert_close_to_scale(grad, expected_grads[name], 1e-12)
+
+
+def graph_size(loss) -> int:
+    """Number of distinct tensors recorded under ``loss``, leaves included."""
+    seen, todo = {id(loss)}, [loss]
+    while todo:
+        for parent, _ in todo.pop()._edges:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                todo.append(parent)
+    return len(seen)
+
+
+@pytest.mark.parametrize("train", [True, False])
+def test_sequence_nll_tape_size_does_not_grow_with_the_lengths(train):
+    # Each recurrence is one op, so longer sources and targets record no more nodes.
+    short = make_batch([EncodedPair([4], [BOS, EOS])])
+    long = make_batch([EncodedPair([4, 5, 6, 7, 8, 9], [BOS, 9, 10, 11, 5, 6, EOS]), EncodedPair([8, 9], [BOS, 4, EOS])])
+    model = FCRGModel(tiny_config(attention="bilinear", dropout=0.2))
+    sizes = [graph_size(model.sequence_nll(batch, train=train)[0]) for batch in (short, long)]
+    assert sizes[0] == sizes[1]
 
 
 def test_sequence_nll_runs_the_head_and_the_loss_once_per_batch(monkeypatch):
@@ -449,6 +498,13 @@ def test_encoder_final_is_the_last_real_state_and_takes_only_its_gradient(dtype,
     expected[rows, last] = coeff
     assert len(arrived) == 1
     assert np.array_equal(arrived[0], expected)
+
+
+def test_encoder_rejects_a_length_beyond_the_source():
+    # Row 1 claims 3 tokens in 2 positions: it has no last real state to return.
+    model = FCRGModel(tiny_config())
+    with pytest.raises(ValueError, match=r"must be in \[1, 2\], got \[2, 3\]"):
+        model.encode(np.array([[4, 5], [6, 7]]), np.array([2, 3]))
 
 
 def test_encoder_batch_rows_independent():

@@ -51,8 +51,9 @@ def check_op(build, *leaves, tol=1e-7):
 
 
 # The two element-wise ops the composed GRU cell was built from.  They left
-# fcrg.tensor with that cell (T.gru_step replaced it) and are kept here, as
-# they were, for the composed cell that is now gru_step's oracle.
+# fcrg.tensor with that cell (a fused GRU step, now T.gru_scan, replaced it)
+# and are kept here, as they were, for the composed cell that is now
+# gru_scan's oracle.
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -67,14 +68,10 @@ def one_minus(a: Tensor) -> Tensor:
     return T._make(1.0 - a.data, (a, np.negative))
 
 
-# Three generic ops the composed attention chain was built from.  They left
+# Two generic ops the composed attention chain was built from.  They left
 # fcrg.tensor when T.attention replaced that chain and are kept here, as they
-# were, for the tests' losses and for the chain that is now attention's oracle.
-
-
-def reshape(a: Tensor, shape: tuple) -> Tensor:
-    old_shape = a.shape
-    return T._make(a.data.reshape(shape), (a, lambda g: g.reshape(old_shape)))
+# were, for the tests' losses and for the chain that is now attention's oracle
+# (which reshapes with T.reshape).
 
 
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -98,7 +95,18 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 # The two broadcasting element-wise ops.  They left fcrg.tensor when the
 # encoder stopped freezing its padded rows and dropout got its own edge, and
-# are kept here, as they were, for the tests' losses and the composed oracles.
+# are kept here, as they were, for the tests' losses and the composed oracles,
+# with the gradient reduction they share.
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum a gradient back down to the shape it was broadcast from."""
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for axis, dim in enumerate(shape):
+        if dim == 1 and g.shape[axis] != 1:
+            g = g.sum(axis=axis, keepdims=True)
+    return g
 
 
 def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
@@ -119,7 +127,7 @@ def _operands(a, b, op: str) -> tuple[Tensor, Tensor]:
 def add(a, b) -> Tensor:
     a, b = _operands(a, b, "add")
     return T._make(
-        a.data + b.data, (a, partial(T._unbroadcast, shape=a.shape)), (b, partial(T._unbroadcast, shape=b.shape))
+        a.data + b.data, (a, partial(_unbroadcast, shape=a.shape)), (b, partial(_unbroadcast, shape=b.shape))
     )
 
 
@@ -127,8 +135,19 @@ def mul(a, b) -> Tensor:
     a, b = _operands(a, b, "mul")
     x, y = a.data, b.data
     return T._make(
-        x * y, (a, lambda g: T._unbroadcast(g * y, x.shape)), (b, lambda g: T._unbroadcast(g * x, y.shape))
+        x * y, (a, lambda g: _unbroadcast(g * y, x.shape)), (b, lambda g: _unbroadcast(g * x, y.shape))
     )
+
+
+# The op that stacked per-step tensors.  It left fcrg.tensor when the encoder
+# and the decoder began to run all their steps as one T.gru_scan, and is kept
+# here, as it was, for the per-step oracles.
+
+
+def stack(tensors, axis: int = 0) -> Tensor:
+    tensors = [T.as_tensor(t) for t in tensors]
+    out_data = np.stack([t.data for t in tensors], axis=axis)
+    return T._make(out_data, *((t, partial(np.take, indices=i, axis=axis)) for i, t in enumerate(tensors)))
 
 
 def row_probs(x: np.ndarray) -> np.ndarray:
@@ -171,19 +190,20 @@ def test_tanh_grad():
     check_op(T.tanh, leaf((5,)))
 
 
-def test_gru_step_grad():
+@pytest.mark.parametrize("steps", [1, 3])
+def test_gru_scan_grad(steps):
     # Weighted so that no output unit's gradient is the plain sum.
-    w = Tensor(RNG.standard_normal((3, 4)))
-    check_op(lambda xw, h, u_zr, u_c: mul(T.gru_step(xw, h, u_zr, u_c), w),
-             leaf((3, 12)), leaf((3, 4)), leaf((4, 8)), leaf((4, 4)))
+    w = Tensor(RNG.standard_normal((3, steps, 4)))
+    check_op(lambda xw, h, u_zr, u_c: mul(T.gru_scan(xw, h, u_zr, u_c), w),
+             leaf((3 * steps, 12)), leaf((3, 4)), leaf((4, 8)), leaf((4, 4)))
 
 
-def test_gru_step_grad_with_a_constant_state():
-    # The encoder's first step: the zero state wants no gradient, the weights do.
+def test_gru_scan_grad_with_a_constant_state():
+    # The encoder: the zero state wants no gradient, the weights do.
     h = Tensor(RNG.standard_normal((2, 3)))
-    step = T.gru_step(leaf((2, 9)), h, leaf((3, 6)), leaf((3, 3)))
-    assert len(step._edges) == 3
-    check_op(lambda xw, u_zr, u_c: T.gru_step(xw, h, u_zr, u_c), leaf((2, 9)), leaf((3, 6)), leaf((3, 3)))
+    states = T.gru_scan(leaf((8, 9)), h, leaf((3, 6)), leaf((3, 3)))
+    assert states.shape == (2, 4, 3) and len(states._edges) == 3
+    check_op(lambda xw, u_zr, u_c: T.gru_scan(xw, h, u_zr, u_c), leaf((8, 9)), leaf((3, 6)), leaf((3, 3)))
     assert h.grad is None
 
 
@@ -192,11 +212,13 @@ def test_concat_grad():
 
 
 def test_stack_grad():
-    check_op(lambda a, b: T.stack([a, b], axis=1), leaf((2, 3)), leaf((2, 3)))
+    check_op(lambda a, b: stack([a, b], axis=1), leaf((2, 3)), leaf((2, 3)))
 
 
 def test_reshape_grad():
-    check_op(lambda a: reshape(a, (6,)), leaf((2, 3)))
+    check_op(lambda a: T.reshape(a, (6,)), leaf((2, 3)))
+    w = Tensor(RNG.standard_normal((6, 2)))
+    check_op(lambda a: mul(T.reshape(a, (6, 2)), w), leaf((2, 3, 2)))
 
 
 def test_reduce_sum_axis_grad():
@@ -221,10 +243,13 @@ ATTENTION_MASK = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0], [1.0, 0.0
 
 
 def test_attention_grad():
-    # Per-row states, then one source's states (1, L, H) shared by every query, as in beam search.
+    # Per-row states; one source's states (1, L, H) shared by every query, as
+    # in beam search; then two query steps per source, as in teacher forcing.
     w = Tensor(RNG.standard_normal((3, 5)))
     for states, mask in ((leaf((3, 4, 5)), ATTENTION_MASK), (leaf((1, 4, 5)), ATTENTION_MASK[1:2])):
         check_op(lambda s, q: mul(T.attention(s, q, mask), w), states, leaf((3, 5)))
+    w = Tensor(RNG.standard_normal((6, 5)))
+    check_op(lambda s, q: mul(T.attention(s, q, ATTENTION_MASK), w), leaf((3, 4, 5)), leaf((6, 5)))
 
 
 def test_attention_probs_masks_padding_and_rejects_an_all_masked_source():
@@ -233,6 +258,13 @@ def test_attention_probs_masks_padding_and_rejects_an_all_masked_source():
     assert probs[2, 0] == 1.0
     with pytest.raises(ValueError, match="all source positions are masked"):
         T.attention_probs(np.ones((1, 2, 3)), np.ones((1, 3)), np.zeros((1, 2)))
+
+
+def test_attention_probs_rejects_one_all_masked_row_of_a_batch():
+    # The other rows have real positions; the empty row must not get uniform weights.
+    mask = np.array([[1.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="all source positions are masked in a source row"):
+        T.attention_probs(np.ones((2, 2, 3)), np.ones((2, 3)), mask)
 
 
 def test_masked_nll_grad():
@@ -279,7 +311,7 @@ def test_masked_nll_bit_equal_to_five_op_chain(dtype):
     masks[0][:] = 1.0
     masks[-1][:] = 0.0
     leaves = [Tensor(x.copy(), requires_grad=True) for x in logits]
-    loss = reduce_sum(T.stack([T.masked_nll(x, g, m) for x, g, m in zip(leaves, golds, masks)], axis=0))
+    loss = reduce_sum(stack([T.masked_nll(x, g, m) for x, g, m in zip(leaves, golds, masks)], axis=0))
     backward(loss)
     expected_loss, expected_grads = five_op_chain(logits, golds, masks)
     assert_bit_equal(np.asarray(loss.data), np.asarray(expected_loss))
@@ -421,26 +453,28 @@ def test_embedding_lookup_rejects_out_of_range():
 
 
 def test_dropout_eval_is_identity():
+    # Evaluation draws no uniforms.
     a = leaf((10, 10))
-    rng = np.random.default_rng(0)
-    out = T.dropout(a, 0.5, rng, train=False)
+    out = T.dropout(a, 0.5, None)
     assert out is a
 
 
 def test_dropout_train_preserves_expectation():
     rng = np.random.default_rng(0)
     a = Tensor(np.ones((200, 200)))
-    out = T.dropout(a, 0.2, rng, train=True)
+    out = T.dropout(a, 0.2, rng.random(a.shape))
     kept = out.data[out.data != 0]
     assert np.allclose(kept, 1.0 / 0.8)
     assert abs(out.data.mean() - 1.0) < 0.02
 
 
 def test_dropout_deterministic_under_seed():
+    # The same draws give the same mask; an entry is dropped exactly when its draw is below the rate.
     a = Tensor(np.ones((8, 8)))
-    m1 = T.dropout(a, 0.5, np.random.default_rng(3), train=True).data
-    m2 = T.dropout(a, 0.5, np.random.default_rng(3), train=True).data
+    m1 = T.dropout(a, 0.5, np.random.default_rng(3).random(a.shape)).data
+    m2 = T.dropout(a, 0.5, np.random.default_rng(3).random(a.shape)).data
     assert np.array_equal(m1, m2)
+    assert np.array_equal(m1 == 0.0, np.random.default_rng(3).random(a.shape) < 0.5)
 
 
 def test_backward_requires_scalar():
