@@ -1,6 +1,5 @@
 """Corpus-linguistic toolkit: lexicon category scoring, LDA topics,
-nonparametric significance tests, and document-similarity / length-vs-shares
-analyses.
+nonparametric significance tests, and the length-vs-shares analysis.
 
 The lexicon format follows the LIWC convention of literal tokens and
 pattern-final prefix wildcards (``debunk*``) mapped to named categories; a
@@ -20,9 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._stats import cosine_matrix, midranks, normal_sf, tie_groups
+from ._stats import midranks, normal_sf, tie_groups
 from .corpus import RawPair, normalize, read_lines, tokenize
-from .metrics import EmbeddingTable
 
 Tokens = Sequence[str]
 
@@ -318,34 +316,7 @@ def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float], alterna
     return u_a, normal_sf(z)
 
 
-def two_proportion_z(count_a: int, n_a: int, count_b: int, n_b: int, alternative: str = "a_greater") -> tuple[float, float]:
-    """Pooled-proportion one-sided z test.
-
-    Degenerate pooled proportions (all zero or all one) give z = 0, p = 1.
-    """
-    if n_a < 1 or n_b < 1:
-        raise ValueError("sample sizes must be >= 1")
-    if not (0 <= count_a <= n_a and 0 <= count_b <= n_b):
-        raise ValueError("counts must not exceed sample sizes")
-    if alternative not in ("a_greater", "b_greater"):
-        raise ValueError(f"alternative must be 'a_greater' or 'b_greater', got {alternative!r}")
-    pooled = (count_a + count_b) / (n_a + n_b)
-    if pooled == 0.0 or pooled == 1.0:
-        return 0.0, 1.0
-    p_a, p_b = count_a / n_a, count_b / n_b
-    z = (p_a - p_b) / math.sqrt(pooled * (1.0 - pooled) * (1.0 / n_a + 1.0 / n_b))
-    if alternative == "b_greater":
-        z = -z
-    return z, normal_sf(z)
-
-
 # ---------------------------------------------------------------- document analyses
-
-
-def doc_similarity(doc_a: Tokens, doc_b: Tokens, table: EmbeddingTable) -> float:
-    """Cosine between mean-pooled token vectors of the two documents."""
-    a, b = table.lookup_pair(doc_a, doc_b)
-    return float(cosine_matrix(a.mean(axis=0, keepdims=True), b.mean(axis=0, keepdims=True))[0, 0])
 
 
 SHORT_BUCKET = (0, 9)

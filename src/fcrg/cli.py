@@ -156,6 +156,17 @@ def _model_from_checkpoint(path: str) -> FCRGModel:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _model_and_vocab(args) -> tuple[FCRGModel, Vocabulary]:
+    """The model in ``--checkpoint`` and the ``--vocab`` that names its rows; their sizes must agree."""
+    model = _model_from_checkpoint(args.checkpoint)
+    vocab = Vocabulary.load(args.vocab)
+    if vocab.size != model.config.vocab_size:
+        raise CLIError(
+            f"vocabulary size {vocab.size} does not match checkpoint vocab_size {model.config.vocab_size}"
+        )
+    return model, vocab
+
+
 # ---------------------------------------------------------------- subcommands
 
 
@@ -243,12 +254,7 @@ def cmd_train(args, settings: dict) -> int:
 
 def cmd_generate(args, settings: dict) -> int:
     out = _prepare_run_dir(args.run_dir, settings)
-    model = _model_from_checkpoint(args.checkpoint)
-    vocab = Vocabulary.load(args.vocab)
-    if vocab.size != model.config.vocab_size:
-        raise CLIError(
-            f"vocabulary size {vocab.size} does not match checkpoint vocab_size {model.config.vocab_size}"
-        )
+    model, vocab = _model_and_vocab(args)
     gazetteer = _load_gazetteer(args.gazetteer)
     decode = _build(DecodeConfig, settings)
     sources = list(read_lines(args.sources))
@@ -317,8 +323,7 @@ def cmd_evaluate(args, settings: dict) -> int:
     elif args.checkpoint:
         if not args.vocab:
             raise CLIError("--checkpoint needs --vocab to name the embedding rows")
-        model = _model_from_checkpoint(args.checkpoint)
-        table = metrics.embedding_table_from_model(model, Vocabulary.load(args.vocab))
+        table = metrics.embedding_table_from_model(*_model_and_vocab(args))
     else:
         print("evaluate: no embeddings given; skipping greedy matching and vector extrema")
     try:

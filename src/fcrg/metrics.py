@@ -115,12 +115,14 @@ def _stage_quotas(cand: Tokens, ref: Tokens, stems: Mapping[str, str]) -> tuple[
     return exact, stem
 
 
-def _min_chunks(
-    cand: Tokens, ref: Tokens, stems: Mapping[str, str], exact: Counter, stem: Counter, node_budget: int = 500_000
-) -> int:
+# Search nodes ``_min_chunks`` may visit before it settles for the best alignment found.
+_NODE_BUDGET = 500_000
+
+
+def _min_chunks(cand: Tokens, ref: Tokens, stems: Mapping[str, str], exact: Counter, stem: Counter) -> int:
     """Fewest chunks over alignments realizing the stage-wise maximum matching.
 
-    Branch-and-bound over candidate positions.  ``node_budget`` caps the
+    Branch-and-bound over candidate positions.  ``_NODE_BUDGET`` caps the
     search on adversarial inputs; the best alignment found so far is returned
     once exhausted (tweets stay far below the cap).
     """
@@ -151,7 +153,7 @@ def _min_chunks(
     def dfs(i: int, used: int, exact_left: Counter, stem_left: Counter, last: Optional[tuple[int, int]], chunks: int):
         nonlocal best, nodes
         nodes += 1
-        if chunks >= best or nodes > node_budget:
+        if chunks >= best or nodes > _NODE_BUDGET:
             return
         if i == len(cand):
             if not (+exact_left) and not (+stem_left):
@@ -211,7 +213,12 @@ def meteor_lite(candidate: Tokens, reference: Tokens) -> float:
 
 
 class EmbeddingTable:
-    """Token -> fixed-dimension vector map; out-of-table tokens are skipped."""
+    """Token -> fixed-dimension vector map; out-of-table tokens are skipped.
+
+    The vectors are stacked into one (n, dim) matrix, a copy that never aliases
+    the caller's arrays; floating values keep their dtype and others become
+    float64.  Lookups return float64.
+    """
 
     def __init__(self, vectors: Mapping[str, Sequence[float] | np.ndarray]):
         if not vectors:
@@ -219,20 +226,20 @@ class EmbeddingTable:
         dims = {len(v) for v in vectors.values()}
         if len(dims) != 1:
             raise ValueError(f"inconsistent embedding dimensions: {sorted(dims)}")
-        self.dim = dims.pop()
-        # one float64 copy per vector, so the table never aliases a caller's array
-        self._vectors = {t: np.array(v, dtype=np.float64) for t, v in vectors.items()}
+        matrix = np.array(list(vectors.values()))
+        self._matrix = matrix if matrix.dtype.kind == "f" else matrix.astype(np.float64)
+        self._rows = {t: i for i, t in enumerate(vectors)}
+        self.dim = self._matrix.shape[1]
 
     def __contains__(self, token: str) -> bool:
-        return token in self._vectors
+        return token in self._rows
 
     def __getitem__(self, token: str) -> np.ndarray:
-        return self._vectors[token]
+        return self._matrix[self._rows[token]].astype(np.float64)
 
     def lookup(self, tokens: Tokens) -> np.ndarray:
-        """Matrix of vectors for in-table tokens; may have zero rows."""
-        rows = [self._vectors[t] for t in tokens if t in self._vectors]
-        return np.array(rows) if rows else np.empty((0, self.dim))
+        """(k, dim) float64 vectors of the k in-table tokens; k may be 0."""
+        return self._matrix[[self._rows[t] for t in tokens if t in self._rows]].astype(np.float64)
 
     def lookup_pair(self, a: Tokens, b: Tokens) -> tuple[np.ndarray, np.ndarray]:
         """``lookup`` of both sides; raises ValueError when either has no in-table token."""
@@ -264,8 +271,8 @@ def load_embedding_table(path) -> EmbeddingTable:
 
 def embedding_table_from_model(model, vocab) -> EmbeddingTable:
     """Word vectors from a trained model's shared embedding (reserved ids excluded)."""
-    emb = model.params["embedding"].data
-    return EmbeddingTable({vocab.id_to_token[i]: emb[:, i] for i in range(len(RESERVED_TOKENS), vocab.size)})
+    reserved = len(RESERVED_TOKENS)
+    return EmbeddingTable(dict(zip(vocab.id_to_token[reserved:], model.params["embedding"].data.T[reserved:])))
 
 
 def greedy_matching(candidate: Tokens, reference: Tokens, table: EmbeddingTable) -> float:

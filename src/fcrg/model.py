@@ -16,8 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from ._stats import cosine_matrix
-from .corpus import MAX_SOURCE_LEN, MAX_TARGET_LEN, PAD, RESERVED_TOKENS, Batch, EncodedPair, Vocabulary, batches
+from .corpus import MAX_SOURCE_LEN, MAX_TARGET_LEN, PAD, Batch, EncodedPair, batches
 from .params import ParamStore, TrainConfig
 from .tensor import Tensor, backward
 
@@ -238,23 +237,6 @@ class FCRGModel:
         gold = target[:, 1 : steps + 1].reshape(-1)  # batch-major, like the decoder's rows
         mask = (gold != PAD).astype(self._np_dtype)
         return T.masked_nll(out.logits, gold, mask), token_count
-
-    # -- embedding inspection ---------------------------------------------
-
-    def nearest_neighbors(self, vocab: Vocabulary, word: str, k: int = 10) -> list[tuple[str, float]]:
-        """Top-k vocabulary words by embedding cosine similarity to ``word``.
-
-        The query and reserved tokens are excluded; ties break by id; k is
-        clamped to the number of available words.
-        """
-        if word not in vocab:
-            raise ValueError(f"word {word!r} is not in the vocabulary")
-        query_id = vocab.token_to_id[word]
-        emb = self.params["embedding"].data  # (D, V)
-        sims = cosine_matrix(emb.T, emb[:, [query_id]].T)[:, 0]
-        candidates = [i for i in range(vocab.size) if i >= len(RESERVED_TOKENS) and i != query_id]
-        candidates.sort(key=lambda i: (-sims[i], i))
-        return [(vocab.id_to_token[i], float(sims[i])) for i in candidates[:k]]
 
 
 @dataclass

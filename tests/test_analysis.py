@@ -14,16 +14,13 @@ from fcrg import analysis
 from fcrg.analysis import (
     Lexicon,
     category_score,
-    doc_similarity,
     group_stats,
     lda_fit,
     lda_top_words,
     length_share_test,
     mann_whitney_u,
-    two_proportion_z,
 )
 from fcrg.corpus import RawPair
-from fcrg.metrics import EmbeddingTable
 
 LEXICON_TEXT = """\
 1\tipron
@@ -414,62 +411,7 @@ def test_mw_validation():
         mann_whitney_u([1], [2], alternative="two_sided")
 
 
-# ---------------------------------------------------------------- two-proportion z
-
-
-def test_two_proportion_equal_rates():
-    z, p = two_proportion_z(10, 100, 10, 100)
-    assert z == pytest.approx(0.0)
-    assert p == pytest.approx(0.5)
-
-
-def test_two_proportion_strong_difference():
-    # mirrors a 5.71% vs 0.90% comparison at n = 10000 each
-    z, p = two_proportion_z(571, 10000, 90, 10000)
-    assert z > 0
-    assert p < 0.001
-
-
-def test_two_proportion_closed_form():
-    z, _ = two_proportion_z(30, 100, 20, 80)
-    pooled = 50 / 180
-    expected = (0.3 - 0.25) / math.sqrt(pooled * (1 - pooled) * (1 / 100 + 1 / 80))
-    assert z == pytest.approx(expected, abs=1e-12)
-
-
-def test_two_proportion_swap_negates_z():
-    z_ab, _ = two_proportion_z(30, 100, 10, 100)
-    z_ba, _ = two_proportion_z(10, 100, 30, 100)
-    assert z_ab == pytest.approx(-z_ba)
-
-
-def test_two_proportion_degenerate():
-    assert two_proportion_z(0, 10, 0, 10) == (0.0, 1.0)
-    assert two_proportion_z(10, 10, 10, 10) == (0.0, 1.0)
-
-
-def test_two_proportion_validation():
-    with pytest.raises(ValueError):
-        two_proportion_z(5, 4, 0, 10)
-    with pytest.raises(ValueError):
-        two_proportion_z(1, 0, 0, 10)
-
-
 # ---------------------------------------------------------------- document analyses
-
-
-def test_doc_similarity_identity_orthogonal_mean():
-    table = EmbeddingTable({"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
-    assert doc_similarity(["a"], ["a"], table) == pytest.approx(1.0)
-    assert doc_similarity(["a"], ["b"], table) == pytest.approx(0.0)
-    # mean pooling of a+b is (0.5, 0.5): 45 degrees from each axis
-    assert doc_similarity(["a", "b"], ["a"], table) == pytest.approx(math.cos(math.pi / 4))
-
-
-def test_doc_similarity_requires_in_table_tokens():
-    table = EmbeddingTable({"a": np.array([1.0])})
-    with pytest.raises(ValueError, match="skipped"):
-        doc_similarity(["zzz"], ["a"], table)
 
 
 def make_share_pairs(short_shares, long_shares):

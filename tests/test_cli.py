@@ -6,6 +6,7 @@ import pytest
 
 from fcrg import cli
 from fcrg.cli import DEFAULTS, load_run_config, main, CLIError
+from fcrg.corpus import build_vocabulary
 from fcrg.model import FCRGModel, ModelConfig
 from fcrg.params import save_checkpoint
 from test_corpus import fail_writes_midway
@@ -290,6 +291,33 @@ def test_checkpoint_whose_parameters_do_not_match_its_config_fails(tmp_path):
         cli._model_from_checkpoint(str(path))
     assert str(info.value).startswith(f"{path}: ")
     assert "('embedding', (4, 60), 'shared', 'float32')" in str(info.value)
+
+
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+@pytest.mark.parametrize("extra", [1, -1])
+def test_vocabulary_size_must_match_the_checkpoint(tmp_path, capsys, command, extra):
+    # extra=1: the vocabulary names a row the checkpoint lacks; -1: it leaves one unnamed.
+    vocab = build_vocabulary([["that", "is", "fake", "news"]], min_count=1)
+    vocab.save(tmp_path / "vocab.tsv")
+    model = FCRGModel(ModelConfig(vocab_size=vocab.size - extra, embed_dim=4, hidden_size=5, output_size=6))
+    save_checkpoint(tmp_path / "model.ckpt", model.params, model.config.to_dict())
+    (tmp_path / "lines.txt").write_text("that is fake news\n")
+    (tmp_path / "gens.tsv").write_text("0\t1\t-1.0\tfake news\n")
+    (tmp_path / "refs.tsv").write_text("0\tthat is fake news\n")
+    inputs = {
+        "generate": ["--sources", str(tmp_path / "lines.txt")],
+        "evaluate": ["--generations", str(tmp_path / "gens.tsv"), "--references", str(tmp_path / "refs.tsv")],
+    }[command]
+    code = main([
+        command, *inputs,
+        "--checkpoint", str(tmp_path / "model.ckpt"),
+        "--vocab", str(tmp_path / "vocab.tsv"),
+        "--run-dir", str(tmp_path / "run"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"fcrg {command}: error: vocabulary size {vocab.size} does not match checkpoint vocab_size {vocab.size - extra}\n"
+    )
 
 
 def test_generate_truncates_with_checkpoint_source_len(preprocessed, tmp_path):

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fcrg.analysis import doc_similarity
 from fcrg.metrics import (
     EmbeddingTable,
     bleu_n,
@@ -26,7 +25,7 @@ from fcrg.metrics import (
     vector_extrema,
     wilcoxon_one_sided,
 )
-from fcrg.corpus import build_vocabulary
+from fcrg.corpus import RESERVED_TOKENS, build_vocabulary
 from fcrg.model import FCRGModel, ModelConfig
 from fcrg.stemmer import porter_stem
 
@@ -338,13 +337,16 @@ def test_embedding_metrics_match_the_cosine_loop(case):
     assert greedy_matching(cand_tokens, ref_tokens, table) == pytest.approx(_greedy_oracle(cand, ref), abs=1e-12)
     expected = _cosine(extrema_vector(cand), extrema_vector(ref))
     assert vector_extrema(cand_tokens, ref_tokens, table) == pytest.approx(expected, abs=1e-12)
-    expected = _cosine(cand.mean(axis=0), ref.mean(axis=0))
-    assert doc_similarity(cand_tokens, ref_tokens, table) == pytest.approx(expected, abs=1e-12)
 
 
 def test_embedding_table_validation(tmp_path):
+    # bad values are rejected when the table is built, not at its first lookup
+    with pytest.raises(ValueError, match="empty"):
+        EmbeddingTable({})
     with pytest.raises(ValueError, match="dimension"):
         table_from({"a": [1, 2], "b": [1, 2, 3]})
+    with pytest.raises(ValueError, match="could not convert"):
+        EmbeddingTable({"a": ["x", "y"]})
     path = tmp_path / "vec.txt"
     path.write_text("a 1.0 2.0\nb nope 2.0\n")
     with pytest.raises(ValueError, match="line 2"):
@@ -382,7 +384,20 @@ def test_embedding_table_file_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_embedding_table_from_model_copies_each_column_once(dtype):
+def test_embedding_table_from_model_returns_every_column_as_float64(dtype):
+    vocab = build_vocabulary([[f"w{i}" for i in range(40)]], min_count=1)
+    model = FCRGModel(ModelConfig(vocab_size=vocab.size, embed_dim=5, hidden_size=2, output_size=2, dtype=dtype))
+    emb = model.params["embedding"].data
+    table = embedding_table_from_model(model, vocab)
+    tokens = vocab.id_to_token[len(RESERVED_TOKENS) :]
+    vectors = table.lookup(tokens)
+    assert vectors.dtype == np.float64
+    assert np.array_equal(vectors, emb[:, len(RESERVED_TOKENS) :].T.astype(np.float64))
+    assert not any(token in table for token in RESERVED_TOKENS)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_embedding_table_from_model_does_not_alias_the_parameter(dtype):
     vocab = build_vocabulary([["fake", "news", "hoax", "news"]], min_count=1)
     model = FCRGModel(ModelConfig(vocab_size=vocab.size, embed_dim=3, hidden_size=2, output_size=2, dtype=dtype))
     emb = model.params["embedding"].data
@@ -393,6 +408,12 @@ def test_embedding_table_from_model_copies_each_column_once(dtype):
         assert table[token].dtype == np.float64
         assert np.array_equal(table[token], vector)
     assert "<unk>" not in table
+
+
+def test_lookup_without_in_table_tokens_has_zero_rows():
+    for tokens in ([], ["zzz"], ["zzz", "yyy"]):
+        vectors = ORTHO.lookup(tokens)
+        assert vectors.shape == (0, 3) and vectors.dtype == np.float64
 
 
 # ---------------------------------------------------------------- evaluate driver

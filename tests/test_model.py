@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcrg import tensor as T
-from fcrg.corpus import BOS, EOS, PAD, EncodedPair, Vocabulary, make_batch
+from fcrg.corpus import BOS, EOS, PAD, EncodedPair, make_batch
 from fcrg.model import (
     FCRGModel,
     ModelConfig,
@@ -583,38 +583,6 @@ def test_dropout_changes_train_loss_but_not_eval():
     train1, _ = model.sequence_nll(batch, train=True)
     train2, _ = model.sequence_nll(batch, train=True)
     assert train1.item() != train2.item()  # different dropout masks
-
-
-# ---------------------------------------------------------------- embedding neighbors
-
-
-def make_word_vocab(words):
-    toks = ["<pad>", "<s>", "</s>", "<unk>"] + list(words)
-    return Vocabulary({t: i for i, t in enumerate(toks)}, toks, {t: 5 for t in toks})
-
-
-def test_nearest_neighbors_ranks_by_cosine():
-    vocab = make_word_vocab(["hoax", "fake", "real", "query"])
-    model = FCRGModel(tiny_config(vocab_size=8, embed_dim=2))
-    emb = np.zeros((2, 8))
-    emb[:, 4] = [1.0, 0.1]    # hoax, close to query
-    emb[:, 5] = [1.0, 1.0]    # fake, 45 degrees
-    emb[:, 6] = [-1.0, 0.0]   # real, opposite
-    emb[:, 7] = [1.0, 0.0]    # query
-    emb[:, :4] = np.random.default_rng(0).standard_normal((2, 4))
-    model.params["embedding"].data = emb
-    neighbors = model.nearest_neighbors(vocab, "query", k=3)
-    assert [w for w, _ in neighbors] == ["hoax", "fake", "real"]
-    assert neighbors[0][1] == pytest.approx(1.0 / np.sqrt(1.01))
-    # reserved tokens and the query itself never appear
-    assert all(w not in ("<pad>", "<s>", "</s>", "<unk>", "query") for w, _ in neighbors)
-
-
-def test_nearest_neighbors_unknown_word():
-    vocab = make_word_vocab(["a", "b", "c", "d"])
-    model = FCRGModel(tiny_config(vocab_size=8))
-    with pytest.raises(ValueError, match="not in the vocabulary"):
-        model.nearest_neighbors(vocab, "zzz")
 
 
 # ---------------------------------------------------------------- training loop

@@ -1,7 +1,8 @@
-"""Packaging metadata agrees with the importable package, and its modules import only what they use."""
+"""Packaging metadata agrees with the importable package, and its modules import and define only what they use."""
 
 import ast
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import fcrg
@@ -35,3 +36,32 @@ def test_no_unused_top_level_imports():
                 used |= set(ast.literal_eval(node.value))
         unused += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
     assert not unused, f"unused imports: {unused}"
+
+
+def _reads(tree) -> Counter:
+    """Names read in ``tree``: loaded bare names and loaded attribute names."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_every_function_class_and_method_is_read():
+    """Each top-level function, class and method of ``fcrg`` is read outside its own
+    definition, in the package or in the acceptance gate; re-exports in ``__init__``
+    do not count, and dunder methods are read by the language itself."""
+    package = Path(fcrg.__file__).parent
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.rglob("*.py"))}
+    reads = sum((_reads(tree) for path, tree in trees.items() if path.name != "__init__.py"), Counter())
+    reads += _reads(ast.parse((Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8")))
+    unread = []
+    for path, tree in trees.items():
+        defs = [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        defs += [n for c in tree.body if isinstance(c, ast.ClassDef) for n in c.body if isinstance(n, ast.FunctionDef)]
+        for node in defs:
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if reads[node.name] - _reads(node)[node.name] <= 0:
+                unread.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert not unread, f"defined but never read: {unread}"
