@@ -25,6 +25,21 @@ def tie_groups(values: Sequence[float]) -> list[int]:
     return np.unique(values, return_counts=True)[1].tolist()
 
 
+def rank_sum_counts(ranks: Sequence[float]) -> np.ndarray:
+    """``table[k, s]``: how many k-subsets of ``ranks`` have doubled rank sum s.
+
+    Doubled midranks are integers, so the counts are exact with ties.  Shift
+    algorithm (Streitberg & Röhmel 1986): each rank r >= 1 adds every subset
+    counted so far, one larger and 2r higher.  int64 counts are exact while C(n, k) < 2**63.
+    """
+    doubled = np.rint(2.0 * np.asarray(ranks, dtype=np.float64)).astype(np.int64)
+    table = np.zeros((len(doubled) + 1, int(doubled.sum()) + 1), dtype=np.int64)
+    table[0, 0] = 1
+    for r in doubled:
+        table[1:, r:] += table[:-1, :-r]
+    return table
+
+
 def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cosines between the rows of ``a`` (n, d) and ``b`` (m, d), as (n, m).
 

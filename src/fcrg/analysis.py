@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._stats import midranks, normal_sf, tie_groups
+from ._stats import midranks, normal_sf, rank_sum_counts, tie_groups
 from .corpus import RawPair, normalize, read_lines, tokenize
 
 Tokens = Sequence[str]
@@ -276,9 +276,10 @@ def lda_top_words(model: TopicModel, m: int) -> list[list[str]]:
 def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float], alternative: str = "a_greater") -> tuple[float, float]:
     """One-sided Mann-Whitney U test.
 
-    Exact p by enumeration of rank arrangements when the combined sample has
-    at most 12 tie-free observations; normal approximation with tie-corrected
-    variance and continuity correction otherwise.  Returns (U of sample a, p).
+    For at most 12 observations in all, the p-value is exact with ties: the
+    share of the C(n, n_a) subsets of the midranks summing to at least sample
+    a's, counted by ``rank_sum_counts``.  Otherwise it is the normal approximation
+    with tie-corrected variance and continuity correction.  Returns (U of sample a, p).
     """
     if alternative not in ("a_greater", "b_greater"):
         raise ValueError(f"alternative must be 'a_greater' or 'b_greater', got {alternative!r}")
@@ -290,23 +291,15 @@ def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float], alterna
     b = np.asarray(sample_b, dtype=np.float64)
     if len(a) == 0 or len(b) == 0:
         raise ValueError("both samples must be non-empty")
-    combined = np.concatenate([a, b])
-    ranks = midranks(combined)
-    u_a = float(ranks[: len(a)].sum() - len(a) * (len(a) + 1) / 2.0)
     n_a, n_b = len(a), len(b)
     n = n_a + n_b
-    tie_free = len(np.unique(combined)) == n
-    if n <= 12 and tie_free:
-        sorted_ranks = np.arange(1, n + 1, dtype=np.float64)
-        offset = n_a * (n_a + 1) / 2.0
-        count = 0
-        total = 0
-        for positions in itertools.combinations(range(n), n_a):
-            u = sorted_ranks[list(positions)].sum() - offset
-            total += 1
-            if u >= u_a - 1e-12:
-                count += 1
-        return u_a, count / total
+    combined = np.concatenate([a, b])
+    ranks = midranks(combined)
+    rank_sum_a = float(ranks[:n_a].sum())
+    u_a = rank_sum_a - n_a * (n_a + 1) / 2.0
+    if n <= 12:
+        counts = rank_sum_counts(ranks)[n_a]
+        return u_a, int(counts[round(2 * rank_sum_a) :].sum()) / int(counts.sum())
     mean = n_a * n_b / 2.0
     tie_term = sum(t**3 - t for t in tie_groups(combined)) / (n * (n - 1))
     var = n_a * n_b / 12.0 * ((n + 1) - tie_term)

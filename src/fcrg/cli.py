@@ -291,7 +291,16 @@ def _indexed_rows(path, width: int):
 def _read_generations(path) -> dict[int, list[list[str]]]:
     """``index <TAB> rank <TAB> log_prob <TAB> tokens`` per line."""
     result: dict[int, list[list[str]]] = {}
-    for _, index, parts in _indexed_rows(path, 4):
+    for lineno, index, parts in _indexed_rows(path, 4):
+        try:
+            if int(parts[1]) < 1:
+                raise ValueError
+        except ValueError:
+            raise CLIError(f"{path}: line {lineno}: rank must be an integer >= 1, got {parts[1]!r}") from None
+        try:
+            float(parts[2])
+        except ValueError:
+            raise CLIError(f"{path}: line {lineno}: log-prob must be a number, got {parts[2]!r}") from None
         result.setdefault(index, []).append(parts[3].split())
     if not result:
         raise CLIError(f"{path}: no generations")

@@ -164,51 +164,33 @@ class Vocabulary:
     def load(cls, path) -> "Vocabulary":
         """Parse a ``token<TAB>id<TAB>count`` file; blank lines are skipped.
 
-        The columns are parsed in bulk; if a check fails, ``_vocabulary_fault``
-        walks the lines to name the first one at fault.
+        The whole file is read first, so bad UTF-8 is reported before any other
+        fault; then the first line at fault is named.
         """
         lines = list(read_lines(path))
-        rows = [line for line in lines if line]
-        # With two tabs on every row, the i-th row's fields are fields[3i:3i+3].
-        fields = "\t".join(rows).split("\t") if rows else []
-        try:
-            if any(row.count("\t") != 2 for row in rows):
-                raise ValueError("expected 3 fields")
-            id_to_token = fields[0::3]
-            ids = list(map(int, fields[1::3]))
-            counts = dict(zip(id_to_token, map(int, fields[2::3])))
-            token_to_id = dict(zip(id_to_token, range(len(rows))))
-            if ids != list(range(len(rows))) or len(token_to_id) != len(rows):
-                raise ValueError("ids not dense and in order, or a token repeats")
-        except ValueError:
-            raise _vocabulary_fault(path, lines) from None
+        counts: dict[str, int] = {}
+        for lineno, line in enumerate(lines, 1):
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ValueError(f"{path}: line {lineno}: expected 3 tab-separated fields")
+            token, idx_text, count_text = parts
+            try:
+                idx, count = int(idx_text), int(count_text)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: id and count must be integers, got {idx_text!r} and {count_text!r}"
+                ) from None
+            if idx != len(counts):
+                raise ValueError(f"{path}: line {lineno}: ids must be dense and in order")
+            if token in counts:
+                raise ValueError(f"{path}: line {lineno}: duplicate token {token!r}")
+            counts[token] = count
+        id_to_token = list(counts)
         if tuple(id_to_token[: len(RESERVED_TOKENS)]) != RESERVED_TOKENS:
             raise ValueError(f"{path}: reserved tokens missing or out of order")
-        return cls(token_to_id, id_to_token, counts)
-
-
-def _vocabulary_fault(path, lines: Sequence[str]) -> ValueError:
-    """The error naming the first line at fault of a vocabulary file that has one."""
-    seen: set[str] = set()
-    for lineno, line in enumerate(lines, 1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            return ValueError(f"{path}: line {lineno}: expected 3 tab-separated fields")
-        token = parts[0]
-        try:
-            idx, _ = int(parts[1]), int(parts[2])
-        except ValueError:
-            return ValueError(
-                f"{path}: line {lineno}: id and count must be integers, got {parts[1]!r} and {parts[2]!r}"
-            )
-        if idx != len(seen):
-            return ValueError(f"{path}: line {lineno}: ids must be dense and in order")
-        if token in seen:
-            return ValueError(f"{path}: line {lineno}: duplicate token {token!r}")
-        seen.add(token)
-    raise AssertionError("the bulk checks and the line walk disagree")
+        return cls({token: idx for idx, token in enumerate(id_to_token)}, id_to_token, counts)
 
 
 def build_vocabulary(corpus: Iterable[Sequence[str]], min_count: int = MIN_COUNT) -> Vocabulary:

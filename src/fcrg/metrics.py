@@ -11,7 +11,6 @@ All scores live in [0, 1]; reports scale them by 100.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._stats import cosine_matrix, midranks, normal_sf, tie_groups
+from ._stats import cosine_matrix, midranks, normal_sf, rank_sum_counts, tie_groups
 from .corpus import RESERVED_TOKENS, read_lines
 from .stemmer import porter_stem
 
@@ -393,10 +392,11 @@ class SignificanceResult:
 def wilcoxon_one_sided(scores_a: Sequence[float], scores_b: Sequence[float]) -> SignificanceResult:
     """Paired signed-rank test of a > b.
 
-    Zero differences are dropped.  Exact enumeration of all sign patterns for
-    n <= 15; normal approximation with tie correction and continuity
-    correction otherwise.  All-zero differences yield p = 1 with the
-    degenerate flag set.
+    Zero differences are dropped.  For n <= 15 the p-value is exact with ties:
+    the share of the 2^n sign patterns with a positive-rank sum at least the
+    observed one, counted by ``rank_sum_counts``.  Otherwise it is the normal
+    approximation with tie and continuity corrections.  All-zero differences
+    yield p = 1 with the degenerate flag set.
     """
     if len(scores_a) != len(scores_b):
         raise ValueError(f"paired samples must have equal length: {len(scores_a)} vs {len(scores_b)}")
@@ -408,11 +408,7 @@ def wilcoxon_one_sided(scores_a: Sequence[float], scores_b: Sequence[float]) -> 
     ranks = midranks(np.abs(diffs))
     w_plus = float(ranks[diffs > 0].sum())
     if n <= 15:
-        count = 0
-        for signs in itertools.product((0, 1), repeat=n):
-            w = sum(r for r, s in zip(ranks, signs) if s)
-            if w >= w_plus - 1e-12:
-                count += 1
+        count = int(rank_sum_counts(ranks)[:, round(2 * w_plus) :].sum())
         return SignificanceResult(w_plus, count / 2.0**n)
     mean = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0

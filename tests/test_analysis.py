@@ -348,6 +348,15 @@ def mw_exact_oracle(a, b):
     return count / total
 
 
+def mw_tied_oracle(a, b):
+    """Exact one-sided p with ties: enumerate every n_a-subset of the midranks."""
+    values = a + b
+    ranks = np.array([sum(u < v for u in values) + (values.count(v) + 1) / 2 for v in values])
+    observed = ranks[: len(a)].sum()
+    sums = [ranks[list(pos)].sum() for pos in itertools.combinations(range(len(ranks)), len(a))]
+    return sum(s >= observed - 1e-12 for s in sums) / len(sums)
+
+
 def test_mw_worked_example():
     u, p = mann_whitney_u([4, 5, 6], [1, 2, 3])
     assert u == 9.0
@@ -374,10 +383,24 @@ def test_mw_matches_enumeration_oracle():
     for _ in range(20):
         a = rng.normal(0.5, 1, size=5).round(3).tolist()
         b = rng.normal(0.0, 1, size=5).round(3).tolist()
-        if len(set(a + b)) < 10:
-            continue  # ties switch to the approximation path
         _, p = mann_whitney_u(a, b)
-        assert p == pytest.approx(mw_exact_oracle(a, b), abs=1e-12)
+        if len(set(a + b)) < 10:
+            assert p == mw_tied_oracle(a, b)
+        else:
+            assert p == pytest.approx(mw_exact_oracle(a, b), abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 11).flatmap(lambda n_a: st.tuples(
+    st.lists(st.integers(0, 4).map(float), min_size=n_a, max_size=n_a),
+    st.lists(st.integers(0, 4).map(float), min_size=1, max_size=12 - n_a),
+)))
+def test_mw_with_ties_matches_the_tied_oracle(samples):
+    # Five values over up to 12 observations: nearly every draw has ties.
+    a, b = samples
+    for alternative, (first, second) in (("a_greater", (a, b)), ("b_greater", (b, a))):
+        _, p = mann_whitney_u(a, b, alternative)
+        assert p == mw_tied_oracle(first, second)
 
 
 def test_mw_normal_close_to_exact_8_plus_8():

@@ -410,6 +410,22 @@ def test_evaluate_malformed_generations(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("0\t1\tthe claim\t-1.5", "log-prob must be a number, got 'the claim'"),
+    ("0\t0\t-1.5\tthe claim", "rank must be an integer >= 1, got '0'"),
+    ("0\tfirst\t-1.5\tthe claim", "rank must be an integer >= 1, got 'first'"),
+    ("0\t1.0\t-1.5\tthe claim", "rank must be an integer >= 1, got '1.0'"),
+], ids=["swapped", "rank_zero", "rank_word", "rank_float"])
+def test_evaluate_rejects_a_bad_rank_or_log_prob(tmp_path, capsys, line, message):
+    gens = tmp_path / "gens.tsv"
+    gens.write_text(f"0\t1\t-1.0\ta b\n\n{line}\n")
+    refs = tmp_path / "refs.tsv"
+    refs.write_text("0\ta b\n")
+    code = main(["evaluate", "--generations", str(gens), "--references", str(refs), "--run-dir", str(tmp_path / "e")])
+    assert code == 1
+    assert capsys.readouterr().err == f"fcrg evaluate: error: {gens}: line 3: {message}\n"
+
+
 def test_evaluate_empty_reference_names_the_line(tmp_path, capsys):
     gens = tmp_path / "gens.tsv"
     gens.write_text("0\t1\t-1.0\ta b\n1\t1\t-1.0\tc\n")

@@ -194,6 +194,28 @@ def test_vocabulary_load_rejects_duplicate_token(tmp_path):
         Vocabulary.load(path)
 
 
+RESERVED_ROWS = "<pad>\t0\t0\n<s>\t1\t0\n</s>\t2\t0\n<unk>\t3\t0\n"
+
+
+@pytest.mark.parametrize("body, message", [
+    (RESERVED_ROWS + "\nfoo\t4\n", "line 6: expected 3 tab-separated fields"),
+    (RESERVED_ROWS + "\nfoo\t4\t1\textra\n", "line 6: expected 3 tab-separated fields"),
+    (RESERVED_ROWS + "\nfoo\tfour\t1\n", "line 6: id and count must be integers, got 'four' and '1'"),
+    (RESERVED_ROWS + "\nfoo\t4\t1.5\n", "line 6: id and count must be integers, got '4' and '1.5'"),
+    (RESERVED_ROWS + "\nfoo\t5\t1\n", "line 6: ids must be dense and in order"),
+    (RESERVED_ROWS + "\n<s>\t4\t1\n", "line 6: duplicate token '<s>'"),
+    ("<pad>\t0\t0\n\n</s>\t1\t0\n<s>\t2\t0\n<unk>\t3\t0\n", "reserved tokens missing or out of order"),
+    ("\nfoo\t0\t1\n", "reserved tokens missing or out of order"),
+], ids=["two_fields", "four_fields", "bad_id", "bad_count", "sparse_id", "duplicate", "reserved_order", "reserved_missing"])
+def test_vocabulary_load_names_the_fault_and_its_line(tmp_path, body, message):
+    # A blank line precedes each fault: line numbers count blank lines too.
+    path = tmp_path / "bad.tsv"
+    path.write_text(body)
+    with pytest.raises(ValueError) as excinfo:
+        Vocabulary.load(path)
+    assert str(excinfo.value) == f"{path}: {message}"
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), min_size=1, max_size=20))
 def test_encode_decode_roundtrip_in_vocab(tokens):

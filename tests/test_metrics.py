@@ -515,6 +515,13 @@ def test_wilcoxon_matches_enumeration_oracle():
         assert got.p_value == pytest.approx(wilcoxon_oracle(a, b), abs=1e-12)
 
 
+def test_wilcoxon_with_ties_at_fifteen_matches_the_oracle():
+    # n = 15, the largest exact case; magnitudes 1, 2 and 3 leave three tie groups.
+    diffs = [1, -1, 2, 2, -2, 3, 1, 3, -3, 2, 1, -1, 3, 2, 1]
+    a, b = np.array(diffs, dtype=np.float64), np.zeros(15)
+    assert wilcoxon_one_sided(a.tolist(), b.tolist()).p_value == wilcoxon_oracle(a, b)
+
+
 def test_wilcoxon_swap_relationship():
     a = [3.0, 5.0, 2.0, 8.0, 1.0, 9.0]
     b = [1.0, 4.0, 4.0, 2.0, 0.5, 3.0]

@@ -1,6 +1,7 @@
 """Shared statistics helpers against their definitions."""
 
 import ast
+import itertools
 import math
 from collections import Counter
 from pathlib import Path
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fcrg import _stats
-from fcrg._stats import cosine_matrix, midranks, tie_groups
+from fcrg._stats import cosine_matrix, midranks, rank_sum_counts, tie_groups
 
 # Few distinct values, so ties are common.
 VALUES = st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5, 7.0]), max_size=25)
@@ -31,6 +32,17 @@ def test_midranks_match_definition(values):
 def test_tie_groups_match_definition(values):
     counts = Counter(values)
     assert tie_groups(values) == [counts[v] for v in sorted(counts)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5, 7.0]), max_size=10))
+def test_rank_sum_counts_match_the_subsets(values):
+    ranks = midranks(values).tolist()
+    table = rank_sum_counts(ranks)
+    expected = np.zeros((len(ranks) + 1, int(2 * sum(ranks)) + 1), dtype=np.int64)
+    for subset in itertools.product((False, True), repeat=len(ranks)):
+        expected[sum(subset), int(2 * sum(r for r, chosen in zip(ranks, subset) if chosen))] += 1
+    assert table.dtype == np.int64 and table.tolist() == expected.tolist()
 
 
 @st.composite
