@@ -117,26 +117,20 @@ class CategoryStats:
     means: dict[str, float]
     variances: dict[str, float]
     sample_size: int
-    skipped_empty: int = 0
 
 
 def group_stats(documents: Sequence[Tokens], lexicon: Lexicon) -> CategoryStats:
-    scored = []
-    skipped = 0
-    for doc in documents:
-        try:
-            scored.append(category_score(doc, lexicon))
-        except ValueError:
-            skipped += 1
-    if len(scored) < 2:
-        raise ValueError("need at least 2 non-empty documents")
+    """Raises on fewer than 2 documents, and, like ``category_score``, on an empty one."""
+    if len(documents) < 2:
+        raise ValueError("need at least 2 documents")
+    scored = [category_score(doc, lexicon) for doc in documents]
     means: dict[str, float] = {}
     variances: dict[str, float] = {}
     for category in lexicon.categories:
         values = np.array([s[category] for s in scored])
         means[category] = float(values.mean())
         variances[category] = float(values.var())  # population variance
-    return CategoryStats(means, variances, len(scored), skipped)
+    return CategoryStats(means, variances, len(scored))
 
 
 # ---------------------------------------------------------------- LDA
@@ -155,16 +149,6 @@ class TopicModel:
     topic_totals: np.ndarray  # (K,)
     assignments: list[np.ndarray]
     doc_tokens: list[np.ndarray]
-
-
-def _sync_topic_model(model: TopicModel, doc_topic: list[list[int]], word_topic: list[list[int]],
-                      topic_totals: list[int], assignments: list[list[int]]) -> None:
-    """Copy the sampler's count lists into ``model``'s arrays (``word_topic`` is word-major)."""
-    model.doc_topic[...] = doc_topic
-    model.topic_word[...] = np.array(word_topic, dtype=np.int64).T
-    model.topic_totals[...] = topic_totals
-    for z, z_list in zip(model.assignments, assignments):
-        z[...] = z_list
 
 
 def lda_fit(
@@ -221,22 +205,20 @@ def lda_fit(
     doc_topic = [[0] * num_topics for _ in doc_ids]
     word_topic = [[0] * num_topics for _ in vocab]
     topic_totals = [0] * num_topics
-    assignment_arrays: list[np.ndarray] = []
-    assignments: list[list[int]] = []
-    for ids, row in zip(doc_ids, doc_topic):
-        z = rng.integers(0, num_topics, size=len(ids))
-        assignment_arrays.append(z)
-        assignments.append(z.tolist())
-        for w, k in zip(ids, assignments[-1]):
+    assignments = [rng.integers(0, num_topics, size=len(ids)).tolist() for ids in doc_ids]
+    for ids, z, row in zip(doc_ids, assignments, doc_topic):
+        for w, k in zip(ids, z):
             row[k] += 1
             word_topic[w][k] += 1
             topic_totals[k] += 1
+    doc_tokens = [np.array(ids, dtype=np.int64) for ids in doc_ids]
 
-    model = TopicModel(num_topics, alpha, beta, iterations, seed, vocab,
-                       np.zeros((len(doc_ids), num_topics), dtype=np.int64),
-                       np.zeros((num_topics, vocab_size), dtype=np.int64),
-                       np.zeros(num_topics, dtype=np.int64), assignment_arrays,
-                       [np.array(ids, dtype=np.int64) for ids in doc_ids])
+    def topic_model() -> TopicModel:
+        """The counts as arrays (``word_topic`` is word-major, ``topic_word`` topic-major)."""
+        return TopicModel(num_topics, alpha, beta, iterations, seed, vocab, np.array(doc_topic, dtype=np.int64),
+                          np.array(word_topic, dtype=np.int64).T.copy(), np.array(topic_totals, dtype=np.int64),
+                          [np.array(z, dtype=np.int64) for z in assignments], doc_tokens)
+
     for _ in range(iterations):
         draws = iter(rng.random(n_sites).tolist())
         for ids, z, row in zip(doc_ids, assignments, doc_topic):
@@ -254,10 +236,8 @@ def lda_fit(
                 col[k] += 1
                 topic_totals[k] += 1
         if on_sweep is not None:
-            _sync_topic_model(model, doc_topic, word_topic, topic_totals, assignments)
-            on_sweep(model)
-    _sync_topic_model(model, doc_topic, word_topic, topic_totals, assignments)
-    return model
+            on_sweep(topic_model())
+    return topic_model()
 
 
 def lda_top_words(model: TopicModel, m: int) -> list[list[str]]:

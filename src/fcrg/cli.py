@@ -41,10 +41,6 @@ from .model import FCRGModel, ModelConfig, train_model
 from .params import TrainConfig, finite_diff_check, load_checkpoint, save_checkpoint
 
 
-class CLIError(Exception):
-    """User-facing failure; the message is printed and the exit code is 1."""
-
-
 # ---------------------------------------------------------------- run config
 
 # Every setting default is defined once, by the code that uses it: the config
@@ -98,7 +94,7 @@ def _coerce(key: str, text: str, where: str = "") -> object:
             return float(text)
         return text
     except ValueError:
-        raise CLIError(f"{where}config key {key!r}: cannot parse {text!r} as {type(default).__name__}") from None
+        raise ValueError(f"{where}config key {key!r}: cannot parse {text!r} as {type(default).__name__}") from None
 
 
 def load_run_config(config_path: Optional[str], overrides: Sequence[str]) -> dict:
@@ -107,24 +103,24 @@ def load_run_config(config_path: Optional[str], overrides: Sequence[str]) -> dic
     if config_path is not None:
         path = Path(config_path)
         if not path.exists():
-            raise CLIError(f"config file not found: {path}")
+            raise ValueError(f"config file not found: {path}")
         for lineno, line in enumerate(read_lines(path), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise CLIError(f"{path}: line {lineno}: expected 'key=value'")
+                raise ValueError(f"{path}: line {lineno}: expected 'key=value'")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
             if key not in settings:
-                raise CLIError(f"{path}: line {lineno}: unknown config key {key!r}")
+                raise ValueError(f"{path}: line {lineno}: unknown config key {key!r}")
             settings[key] = _coerce(key, value, f"{path}: line {lineno}: ")
     for item in overrides:
         if "=" not in item:
-            raise CLIError(f"--set {item!r}: expected key=value")
+            raise ValueError(f"--set {item!r}: expected key=value")
         key, _, value = item.partition("=")
         if key not in settings:
-            raise CLIError(f"--set: unknown config key {key!r}")
+            raise ValueError(f"--set: unknown config key {key!r}")
         settings[key] = _coerce(key, value)
     return settings
 
@@ -161,10 +157,16 @@ def _model_and_vocab(args) -> tuple[FCRGModel, Vocabulary]:
     model = _model_from_checkpoint(args.checkpoint)
     vocab = Vocabulary.load(args.vocab)
     if vocab.size != model.config.vocab_size:
-        raise CLIError(
+        raise ValueError(
             f"vocabulary size {vocab.size} does not match checkpoint vocab_size {model.config.vocab_size}"
         )
     return model, vocab
+
+
+def _pair_error(path, index: int, exc: ValueError) -> ValueError:
+    """``exc`` prefixed with the line that holds ``read_dataset(path)[index]``; that reader skips only blank lines."""
+    lineno = [n for n, line in enumerate(read_lines(path), 1) if line][index]
+    return ValueError(f"{path}: line {lineno}: {exc}")
 
 
 # ---------------------------------------------------------------- subcommands
@@ -175,17 +177,15 @@ def cmd_preprocess(args, settings: dict) -> int:
     gazetteer = _load_gazetteer(args.gazetteer)
     pairs = read_dataset(args.dataset)
     if not pairs:
-        raise CLIError(f"{args.dataset}: dataset is empty")
+        raise ValueError(f"{args.dataset}: dataset is empty")
 
-    normalized = [
-        RawPair(
-            normalize(p.original_text, gazetteer),
-            normalize(p.reply_text, gazetteer),
-            p.share_count,
-            p.label,
-        )
-        for p in pairs
-    ]
+    normalized = []
+    for index, p in enumerate(pairs):
+        original, reply = normalize(p.original_text, gazetteer), normalize(p.reply_text, gazetteer)
+        try:
+            normalized.append(RawPair(original, reply, p.share_count, p.label))
+        except ValueError as exc:
+            raise _pair_error(args.dataset, index, exc) from None
     write_dataset(out / "normalized.tsv", normalized)
 
     train, validation, test = split_dataset(normalized, _build(SplitSpec, settings))
@@ -200,7 +200,7 @@ def cmd_preprocess(args, settings: dict) -> int:
     vocab = build_vocabulary(token_lists, min_count=settings["min_count"])
     vocab.save(out / "vocab.tsv")
 
-    stats = corpus_statistics(normalized, gazetteer, min_count=settings["min_count"])
+    stats = corpus_statistics(normalized, min_count=settings["min_count"])
     stats_lines = [f"{k}\t{stats[k]}" for k in sorted(stats)]
     stats_lines.append(f"pairs\t{len(pairs)}")
     stats_lines.append(f"train_pairs\t{len(train)}")
@@ -214,16 +214,15 @@ def cmd_preprocess(args, settings: dict) -> int:
 def _encode_split(path, vocab: Vocabulary, settings: dict) -> list:
     pairs = read_dataset(path)
     if not pairs:
-        raise CLIError(f"{path}: split is empty")
-    return [
-        encode_pair(
-            p,
-            vocab,
-            max_source_len=settings["max_source_len"],
-            max_target_len=settings["max_target_len"],
-        )
-        for p in pairs
-    ]
+        raise ValueError(f"{path}: split is empty")
+    lengths = {key: settings[key] for key in ("max_source_len", "max_target_len")}
+    encoded = []
+    for index, p in enumerate(pairs):
+        try:
+            encoded.append(encode_pair(p, vocab, **lengths))
+        except ValueError as exc:
+            raise _pair_error(path, index, exc) from None
+    return encoded
 
 
 def cmd_train(args, settings: dict) -> int:
@@ -263,7 +262,7 @@ def cmd_generate(args, settings: dict) -> int:
     for index, text in enumerate(sources):
         tokens = tokenize(normalize(text, gazetteer))[: model.config.max_source_len]
         if not tokens:
-            raise CLIError(f"{args.sources}: line {index + 1}: source normalizes to zero tokens")
+            raise ValueError(f"{args.sources}: line {index + 1}: source normalizes to zero tokens")
         responses = beam_search(vocab.encode(tokens), model, decode)
         for rank, response in enumerate(responses, 1):
             words = " ".join(vocab.decode(response.ids))
@@ -280,11 +279,11 @@ def _indexed_rows(path, width: int):
             continue
         parts = line.split("\t")
         if len(parts) != width:
-            raise CLIError(f"{path}: line {lineno}: expected {width} tab-separated fields")
+            raise ValueError(f"{path}: line {lineno}: expected {width} tab-separated fields")
         try:
             index = int(parts[0])
         except ValueError:
-            raise CLIError(f"{path}: line {lineno}: bad source index {parts[0]!r}") from None
+            raise ValueError(f"{path}: line {lineno}: bad source index {parts[0]!r}") from None
         yield lineno, index, parts
 
 
@@ -296,14 +295,14 @@ def _read_generations(path) -> dict[int, list[list[str]]]:
             if int(parts[1]) < 1:
                 raise ValueError
         except ValueError:
-            raise CLIError(f"{path}: line {lineno}: rank must be an integer >= 1, got {parts[1]!r}") from None
+            raise ValueError(f"{path}: line {lineno}: rank must be an integer >= 1, got {parts[1]!r}") from None
         try:
             float(parts[2])
         except ValueError:
-            raise CLIError(f"{path}: line {lineno}: log-prob must be a number, got {parts[2]!r}") from None
+            raise ValueError(f"{path}: line {lineno}: log-prob must be a number, got {parts[2]!r}") from None
         result.setdefault(index, []).append(parts[3].split())
     if not result:
-        raise CLIError(f"{path}: no generations")
+        raise ValueError(f"{path}: no generations")
     return result
 
 
@@ -312,13 +311,13 @@ def _read_references(path) -> dict[int, list[str]]:
     result: dict[int, list[str]] = {}
     for lineno, index, parts in _indexed_rows(path, 2):
         if index in result:
-            raise CLIError(f"{path}: line {lineno}: duplicate source index {index}")
+            raise ValueError(f"{path}: line {lineno}: duplicate source index {index}")
         tokens = parts[1].split()
         if not tokens:
-            raise CLIError(f"{path}: line {lineno}: reference has no tokens")
+            raise ValueError(f"{path}: line {lineno}: reference has no tokens")
         result[index] = tokens
     if not result:
-        raise CLIError(f"{path}: no references")
+        raise ValueError(f"{path}: no references")
     return result
 
 
@@ -331,14 +330,11 @@ def cmd_evaluate(args, settings: dict) -> int:
         table = metrics.load_embedding_table(args.embeddings)
     elif args.checkpoint:
         if not args.vocab:
-            raise CLIError("--checkpoint needs --vocab to name the embedding rows")
+            raise ValueError("--checkpoint needs --vocab to name the embedding rows")
         table = metrics.embedding_table_from_model(*_model_and_vocab(args))
     else:
         print("evaluate: no embeddings given; skipping greedy matching and vector extrema")
-    try:
-        report = metrics.evaluate(generations, references, table)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+    report = metrics.evaluate(generations, references, table)
     write_text(out / "metrics.tsv", report.to_tsv())
     detail = []
     for name in metrics.METRIC_NAMES:
@@ -359,28 +355,25 @@ def cmd_analyze(args, settings: dict) -> int:
     gazetteer = _load_gazetteer(args.gazetteer)
     pairs = read_dataset(args.dataset)
     if not pairs:
-        raise CLIError(f"{args.dataset}: dataset is empty")
+        raise ValueError(f"{args.dataset}: dataset is empty")
     reply_docs = [tokenize(normalize(p.reply_text, gazetteer)) for p in pairs]
 
     lines: list[str] = []
 
     lexicon_path = args.lexicon or Path(__file__).parent / "data" / "demo_lexicon.tsv"
-    try:
-        lexicon = analysis.Lexicon.load(lexicon_path)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+    lexicon = analysis.Lexicon.load(lexicon_path)
     groups: dict[str, list[list[str]]] = {}
     for p, doc in zip(pairs, reply_docs):
         groups.setdefault(p.label or "all", []).append(doc)
     lines.append("section\tgroup\tcategory\tmean\tvariance\tn")
     for group in sorted(groups):
-        docs = groups[group]
-        if sum(1 for doc in docs if doc) < 2:
+        docs = [doc for doc in groups[group] if doc]
+        if len(docs) < 2:
             print(f"analyze: {group}: skipped, fewer than 2 non-empty replies")
             continue
+        if len(docs) < len(groups[group]):
+            print(f"analyze: {group}: skipped {len(groups[group]) - len(docs)} empty repl(ies)")
         stats = analysis.group_stats(docs, lexicon)
-        if stats.skipped_empty:
-            print(f"analyze: {group}: skipped {stats.skipped_empty} empty repl(ies)")
         for category in lexicon.categories:
             lines.append(
                 f"lexicon\t{group}\t{category}\t{stats.means[category]:.6f}"
@@ -530,7 +523,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         settings = load_run_config(args.config, args.set)
         return args.func(args, settings)
-    except (CLIError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"fcrg {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

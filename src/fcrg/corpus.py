@@ -233,13 +233,12 @@ class EncodedPair:
 def encode_pair(
     raw: RawPair,
     vocab: Vocabulary,
-    gazetteer: frozenset[str] = frozenset(),
     max_source_len: int = MAX_SOURCE_LEN,
     max_target_len: int = MAX_TARGET_LEN,
 ) -> EncodedPair:
     """normalize -> tokenize -> map to ids, truncating over-length sequences."""
-    source_tokens = tokenize(normalize(raw.original_text, gazetteer))
-    target_tokens = tokenize(normalize(raw.reply_text, gazetteer))
+    source_tokens = tokenize(normalize(raw.original_text))
+    target_tokens = tokenize(normalize(raw.reply_text))
     if not source_tokens:
         raise ValueError("original tweet tokenizes to zero tokens")
     if not target_tokens:
@@ -259,7 +258,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.train, self.validation, self.test) <= 0:
+        if not all(ratio > 0 for ratio in (self.train, self.validation, self.test)):  # NaN fails too
             raise ValueError("split ratios must be positive")
         if abs(self.train + self.validation + self.test - 1.0) > 1e-9:
             raise ValueError("split ratios must sum to 1")
@@ -417,14 +416,14 @@ def read_gazetteer(path) -> frozenset[str]:
     return frozenset(line.strip() for line in read_lines(path) if line.strip())
 
 
-def corpus_statistics(pairs: Sequence[RawPair], gazetteer: frozenset[str] = frozenset(), min_count: int = MIN_COUNT) -> dict:
+def corpus_statistics(pairs: Sequence[RawPair], min_count: int = MIN_COUNT) -> dict:
     """Vocabulary size and token-count statistics of a normalized corpus."""
     source_lens: list[int] = []
     reply_lens: list[int] = []
     all_token_lists: list[list[str]] = []
     for p in pairs:
-        s = tokenize(normalize(p.original_text, gazetteer))
-        r = tokenize(normalize(p.reply_text, gazetteer))
+        s = tokenize(normalize(p.original_text))
+        r = tokenize(normalize(p.reply_text))
         source_lens.append(len(s))
         reply_lens.append(len(r))
         all_token_lists.append(s)

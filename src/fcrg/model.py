@@ -248,7 +248,6 @@ class EpochRecord:
 
 @dataclass
 class TrainResult:
-    history: list[EpochRecord]
     best_epoch: int
     best_validation_nll: float
 
@@ -276,12 +275,11 @@ def train_model(
 
     Stops once validation per-token NLL fails to improve for ``patience``
     consecutive epochs; the best-validation parameters are restored before
-    returning.
+    returning.  ``log`` (if given) is called with each epoch's ``EpochRecord``.
     """
     if not train_pairs or not val_pairs:
         raise ValueError("train and validation splits must be non-empty")
     store = model.params
-    history: list[EpochRecord] = []
     best = float("inf")
     best_epoch = 0
     best_state: Optional[dict] = None
@@ -294,7 +292,7 @@ def train_model(
             loss, n = model.sequence_nll(batch, train=True)
             value = loss.item()
             if not np.isfinite(value):
-                raise RuntimeError(f"training diverged at epoch {epoch}: loss={value}")
+                raise ValueError(f"training diverged at epoch {epoch}: loss={value}")
             backward(loss)
             store.clip_gradients(config.clip_norm)
             step += 1
@@ -302,10 +300,8 @@ def train_model(
             epoch_loss += value
             epoch_tokens += n
         val = validation_nll(model, val_pairs, config.batch_size)
-        record = EpochRecord(epoch, epoch_loss / epoch_tokens, val)
-        history.append(record)
         if log is not None:
-            log(record)
+            log(EpochRecord(epoch, epoch_loss / epoch_tokens, val))
         if val < best - 1e-12:
             best = val
             best_epoch = epoch
@@ -317,7 +313,7 @@ def train_model(
                 break
     if best_state is not None:
         store.load_state(best_state)
-    return TrainResult(history=history, best_epoch=best_epoch, best_validation_nll=best)
+    return TrainResult(best_epoch=best_epoch, best_validation_nll=best)
 
 
 def encode_single(model: FCRGModel, source_ids: Sequence[int]) -> EncoderOutput:

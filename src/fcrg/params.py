@@ -34,8 +34,14 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("learning_rate", "batch_size", "clip_norm", "beta1", "beta2", "epsilon", "max_epochs"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not getattr(self, name) > 0:  # NaN fails too
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("learning_rate", "epsilon"):  # clip_norm=inf turns clipping off
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):  # Adam's bias correction divides by 1 - beta**step
+            if not getattr(self, name) < 1:
+                raise ValueError(f"{name} must be below 1, got {getattr(self, name)}")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
 

@@ -110,9 +110,10 @@ def test_group_stats_identical_docs_zero_variance(lex):
     assert all(v == 0.0 for v in stats.variances.values())
 
 
-def test_group_stats_skips_empty_docs(lex):
-    stats = group_stats([["it"], [], ["fake"]], lex)
-    assert stats.sample_size == 2 and stats.skipped_empty == 1
+def test_group_stats_rejects_an_empty_document(lex):
+    # Dropping empty replies is the caller's job (``fcrg analyze`` does it).
+    with pytest.raises(ValueError, match="empty document"):
+        group_stats([["it"], [], ["fake"]], lex)
 
 
 def test_group_stats_matches_two_pass_oracle(lex):

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from fcrg import cli
-from fcrg.cli import DEFAULTS, load_run_config, main, CLIError
+from fcrg.cli import DEFAULTS, load_run_config, main
 from fcrg.corpus import build_vocabulary
 from fcrg.model import FCRGModel, ModelConfig
 from fcrg.params import save_checkpoint
@@ -112,16 +112,16 @@ def test_config_file_and_overrides(tmp_path):
 def test_config_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("nonsense_key=1\n")
-    with pytest.raises(CLIError, match="nonsense_key"):
+    with pytest.raises(ValueError, match="nonsense_key"):
         load_run_config(str(cfg), [])
-    with pytest.raises(CLIError, match="mystery"):
+    with pytest.raises(ValueError, match="mystery"):
         load_run_config(None, ["mystery=2"])
 
 
 def test_config_parse_error_has_line_number(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("beam_size=5\njust words\n")
-    with pytest.raises(CLIError, match="line 2"):
+    with pytest.raises(ValueError, match="line 2"):
         load_run_config(str(cfg), [])
 
 
@@ -129,19 +129,19 @@ def test_config_value_errors_name_the_file_and_line(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("beam_size=5\nmin_tokens=lots\n")
     message = f"{cfg}: line 2: config key 'min_tokens': cannot parse 'lots' as int"
-    with pytest.raises(CLIError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_run_config(str(cfg), [])
 
 
 def test_config_line_numbers_count_newlines_only(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# note\x0cmore words\nbeam_size=3\njust words\n")
-    with pytest.raises(CLIError, match=f"^{re.escape(str(cfg))}: line 3: expected 'key=value'$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(cfg))}: line 3: expected 'key=value'$"):
         load_run_config(str(cfg), [])
 
 
 def test_config_type_errors_name_the_key():
-    with pytest.raises(CLIError, match="beam_size"):
+    with pytest.raises(ValueError, match="beam_size"):
         load_run_config(None, ["beam_size=lots"])
 
 
@@ -176,6 +176,23 @@ def test_preprocess_missing_dataset_exits_nonzero(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_preprocess_names_the_line_of_a_pair_that_normalizes_to_nothing(dataset, tmp_path, capsys):
+    lines = dataset.read_text().splitlines()
+    lines[3] = lines[3].split("\t")[0] + "\t☃☃☃"
+    dataset.write_text("\n".join(["", *lines]) + "\n")  # the pair is on line 5
+    code = main(["preprocess", "--dataset", str(dataset), "--run-dir", str(tmp_path / "r")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"fcrg preprocess: error: {dataset}: line 5: both texts must be non-empty after trimming\n"
+    )
+
+
+def test_preprocess_rejects_a_nan_split_ratio_in_one_line(dataset, tmp_path, capsys):
+    code = main(["preprocess", "--dataset", str(dataset), "--run-dir", str(tmp_path / "r"), "--set", "train_ratio=nan"])
+    assert code == 1
+    assert capsys.readouterr().err == "fcrg preprocess: error: split ratios must be positive\n"
+
+
 # ---------------------------------------------------------------- pipeline
 
 
@@ -206,6 +223,55 @@ def test_train_writes_checkpoint_and_log(trained):
     log = (trained / "epochs.tsv").read_text().splitlines()
     assert log[0] == "epoch\ttrain_nll\tvalidation_nll"
     assert len(log) == 3  # header + 2 epochs
+
+
+def _train_argv(preprocessed, tmp_path, *settings):
+    return ["train", "--train", str(preprocessed / "train.tsv"), "--validation", str(preprocessed / "validation.tsv"),
+            "--vocab", str(preprocessed / "vocab.tsv"), "--run-dir", str(tmp_path / "t"), *TINY,
+            *(item for setting in settings for item in ("--set", setting))]
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("adam_beta1=1", "beta1 must be below 1, got 1.0"),
+    ("adam_beta1=1.5", "beta1 must be below 1, got 1.5"),
+    ("adam_beta2=1", "beta2 must be below 1, got 1.0"),
+    ("learning_rate=nan", "learning_rate must be positive, got nan"),
+    ("learning_rate=inf", "learning_rate must be finite, got inf"),
+    ("adam_epsilon=nan", "epsilon must be positive, got nan"),
+    ("adam_epsilon=inf", "epsilon must be finite, got inf"),
+    ("clip_norm=nan", "clip_norm must be positive, got nan"),
+])
+def test_train_rejects_a_bad_setting_in_one_line(preprocessed, tmp_path, capsys, setting, message):
+    capsys.readouterr()
+    assert main(_train_argv(preprocessed, tmp_path, setting)) == 1
+    assert capsys.readouterr().err == f"fcrg train: error: {message}\n"
+
+
+def test_train_accepts_an_infinite_clip_norm(preprocessed, tmp_path):
+    assert main(_train_argv(preprocessed, tmp_path, "clip_norm=inf", "max_epochs=1")) == 0
+
+
+def test_train_reports_divergence_in_one_line(preprocessed, tmp_path, capsys, monkeypatch):
+    class Poisoned(FCRGModel):
+        def _init_params(self):
+            super()._init_params()
+            self.params["out_vocab"].data[0, 0] = float("nan")
+
+    monkeypatch.setattr(cli, "FCRGModel", Poisoned)
+    capsys.readouterr()
+    assert main(_train_argv(preprocessed, tmp_path)) == 1
+    assert capsys.readouterr().err == "fcrg train: error: training diverged at epoch 1: loss=nan\n"
+
+
+@pytest.mark.parametrize("split", ["train", "validation"])
+def test_train_names_the_line_of_a_pair_that_normalizes_to_nothing(preprocessed, tmp_path, capsys, split):
+    path = preprocessed / f"{split}.tsv"
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1].split("\t")[0] + "\t☃☃☃"
+    path.write_text("\n".join([lines[0], "", *lines[1:]]) + "\n")  # the pair is on line 3
+    capsys.readouterr()
+    assert main(_train_argv(preprocessed, tmp_path)) == 1
+    assert capsys.readouterr().err == f"fcrg train: error: {path}: line 3: reply tokenizes to zero tokens\n"
 
 
 def test_generate_enforces_min_tokens(trained, preprocessed, tmp_path):

@@ -620,9 +620,10 @@ def test_training_reduces_loss():
     model = FCRGModel(tiny_config(dtype="float32", hidden_size=8))
     config = TrainConfig(max_epochs=30, patience=30, batch_size=4, learning_rate=0.01)
     before = validation_nll(model, pairs)
-    result = train_model(model, pairs, pairs, config)
+    history = []
+    result = train_model(model, pairs, pairs, config, log=history.append)
     assert result.best_validation_nll < before
-    assert result.history[0].train_nll_per_token > result.history[-1].train_nll_per_token
+    assert history[0].train_nll_per_token > history[-1].train_nll_per_token
 
 
 def test_training_restores_best_parameters():
@@ -638,19 +639,21 @@ def test_training_early_stops():
     model = FCRGModel(tiny_config(dtype="float32", hidden_size=8))
     # huge learning rate: validation soon stops improving
     config = TrainConfig(max_epochs=50, patience=2, batch_size=8, learning_rate=2.0)
-    result = train_model(model, pairs, pairs, config)
-    assert len(result.history) < 50
+    history = []
+    train_model(model, pairs, pairs, config, log=history.append)
+    assert len(history) < 50
 
 
 def test_training_deterministic():
     pairs = toy_dataset()
-    results = []
+    histories = []
     for _ in range(2):
         model = FCRGModel(tiny_config(dtype="float64", hidden_size=8))
         config = TrainConfig(max_epochs=3, patience=3, batch_size=4)
-        results.append(train_model(model, pairs, pairs, config, shuffle_seed=1))
-    a, b = results
-    assert [r.validation_nll_per_token for r in a.history] == [r.validation_nll_per_token for r in b.history]
+        histories.append([])
+        train_model(model, pairs, pairs, config, shuffle_seed=1, log=histories[-1].append)
+    a, b = histories
+    assert [r.validation_nll_per_token for r in a] == [r.validation_nll_per_token for r in b]
 
 
 def test_encode_single_matches_batched():

@@ -1,6 +1,8 @@
 """Packaging metadata agrees with the importable package, and its modules import and define only what they use."""
 
 import ast
+import importlib
+import pkgutil
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -70,3 +72,17 @@ def test_every_function_class_and_method_is_read():
             if reads[node.name] - _reads(node)[node.name] <= 0:
                 unread.append(f"{path.name}:{node.lineno}: {node.name}")
     assert not unread, f"defined but never read: {unread}"
+
+
+def test_no_exception_class_is_defined():
+    """``fcrg`` defines no exception type: every failure a user can cause is a
+    ``ValueError`` or an ``OSError``, which ``fcrg.cli.main`` prints as one line.
+    Module-level classes are checked."""
+    modules = [fcrg] + [importlib.import_module(info.name) for info in pkgutil.walk_packages(fcrg.__path__, "fcrg.")]
+    defined = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name, value in vars(module).items()
+        if isinstance(value, type) and issubclass(value, BaseException) and value.__module__ == module.__name__
+    ]
+    assert not defined, f"exception classes: {defined}"
