@@ -50,6 +50,7 @@ from .params import (
     ParamStore,
     TrainConfig,
     finite_diff_check,
+    finite_diff_report,
     load_checkpoint,
     save_checkpoint,
 )
@@ -69,7 +70,7 @@ __all__ = [
     "rouge_l", "vector_extrema", "wilcoxon_one_sided",
     "FCRGModel", "ModelConfig", "TrainResult", "encode_single",
     "train_model", "validation_nll",
-    "ParamStore", "TrainConfig", "finite_diff_check",
+    "ParamStore", "TrainConfig", "finite_diff_check", "finite_diff_report",
     "load_checkpoint", "save_checkpoint",
     "Tensor", "backward",
 ]

@@ -38,7 +38,7 @@ from .corpus import (
 )
 from .decoding import DecodeConfig, beam_search
 from .model import FCRGModel, ModelConfig, train_model
-from .params import TrainConfig, finite_diff_check, load_checkpoint, save_checkpoint
+from .params import GradDiff, TrainConfig, finite_diff_report, load_checkpoint, save_checkpoint
 
 
 # ---------------------------------------------------------------- run config
@@ -411,8 +411,8 @@ _GRADCHECK = dict(vocab_size=20, embed_dim=8, hidden_size=8, output_size=8, sour
 _GRADCHECK_TOLERANCE = 1e-4
 
 
-def gradcheck_report(samples_per_param: int = 25) -> dict[str, dict[str, float]]:
-    """Max relative finite-difference error per parameter, per attention kind."""
+def gradcheck_report(samples_per_param: int = 25) -> dict[str, dict[str, GradDiff]]:
+    """The finite-difference report per parameter, per attention kind."""
     from .corpus import BOS, EOS, make_batch, EncodedPair
 
     g = _GRADCHECK
@@ -432,7 +432,7 @@ def gradcheck_report(samples_per_param: int = 25) -> dict[str, dict[str, float]]
             attention=attention, dropout=0.0, seed=11, dtype="float64",
         )
         model = FCRGModel(config)
-        report[attention] = finite_diff_check(
+        report[attention] = finite_diff_report(
             lambda: model.sequence_nll(batch, train=False)[0],
             model.params,
             samples_per_param=samples_per_param,
@@ -443,13 +443,17 @@ def gradcheck_report(samples_per_param: int = 25) -> dict[str, dict[str, float]]
 
 def cmd_gradcheck(args, settings: dict) -> int:
     report = gradcheck_report()
-    lines = ["attention\tparameter\tmax_rel_error"]
-    worst = 0.0
-    for attention, errors in report.items():
-        for name in sorted(errors):
-            lines.append(f"{attention}\t{name}\t{errors[name]:.3e}")
-            worst = max(worst, errors[name])
-    text = "\n".join(lines) + f"\nworst\t-\t{worst:.3e}\n"
+    # max_rel_error counts a coordinate within the absolute floor as exact;
+    # max_abs_error and above_floor show how near the floor the differences are.
+    lines = ["attention\tparameter\tmax_rel_error\tmax_abs_error\tabove_floor"]
+    worst, worst_abs, above, sampled = 0.0, 0.0, 0, 0
+    for attention, diffs in report.items():
+        for name in sorted(diffs):
+            d = diffs[name]
+            lines.append(f"{attention}\t{name}\t{d.max_rel_error:.3e}\t{d.max_abs_error:.3e}\t{d.above_floor}/{d.sampled}")
+            worst, worst_abs = max(worst, d.max_rel_error), max(worst_abs, d.max_abs_error)
+            above, sampled = above + d.above_floor, sampled + d.sampled
+    text = "\n".join(lines) + f"\nworst\t-\t{worst:.3e}\t{worst_abs:.3e}\t{above}/{sampled}\n"
     if args.run_dir:
         out = _prepare_run_dir(args.run_dir, settings)
         write_text(out / "gradcheck.tsv", text)

@@ -27,7 +27,9 @@ MAX_SOURCE_LEN = 89
 MAX_TARGET_LEN = 64
 MIN_COUNT = 3  # vocabulary frequency threshold
 
-_URL_RE = re.compile(r"(?:https?://\S+|www\.\S+|\bt\.co/\S+)", re.IGNORECASE)
+# A t.co link may follow anything but a letter: a digit glued before it must
+# not hide it until the number rule has put "<number>" there.
+_URL_RE = re.compile(r"(?:https?://\S+|www\.\S+|(?<![a-z])t\.co/\S+)", re.IGNORECASE)
 _MENTION_RE = re.compile(r"@\w+")
 # Digit runs with internal ./, separators.  Separators must be followed by a
 # digit so sentence-final punctuation ("in 2016.") stays outside the match.

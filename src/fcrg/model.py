@@ -63,11 +63,15 @@ class EncoderOutput:
 
 @dataclass
 class DecodeStepOutput:
-    """One row per (row, step), batch-major: row j·T + t is row j's step t."""
+    """Rows per (row, step), batch-major: row j·T + t is row j's step t.
 
-    features: Tensor  # (b·T, 2H) [context; h] after dropout: the output head's input
+    ``features`` and ``logits`` hold only the rows ``decode_step`` was asked
+    for, in that order; ``hidden`` always holds all b·T.
+    """
+
+    features: Tensor  # (n, 2H) [context; h] after dropout: the output head's input
     hidden: Tensor  # (b·T, H) the state after each step
-    logits: Tensor  # (b·T, V) pre-softmax scores
+    logits: Tensor  # (n, V) pre-softmax scores
 
 
 @dataclass
@@ -194,13 +198,21 @@ class FCRGModel:
         return Tensor(T.attention_probs(encoded.states.data, self.attention_query(hidden).data, encoded.mask))
 
     def decode_step(
-        self, prev_ids, h_prev: Tensor, encoded: EncoderOutput, gru: GRUWeights, train: bool = False
+        self,
+        prev_ids,
+        h_prev: Tensor,
+        encoded: EncoderOutput,
+        gru: GRUWeights,
+        train: bool = False,
+        rows: Optional[np.ndarray] = None,
     ) -> DecodeStepOutput:
         """Decoder steps from the state ``h_prev`` (b, H) over previous tokens (b,) for one step or (b, T).
 
         ``gru`` is ``gru_weights("dec")``.  The recurrence reads only the given
-        tokens, so T steps are one ``T.gru_scan``; attention and the output
-        head then run once over all b·T rows.
+        tokens, so T steps are one ``T.gru_scan``; attention then runs once
+        over all b·T rows.  The output head runs on the distinct batch-major
+        ``rows`` only (all b·T when None), gathered after the feature dropout
+        so the dropout draws do not depend on them.
         """
         ids = np.asarray(prev_ids, dtype=np.int64).reshape(len(prev_ids), -1)
         (b, steps), n = ids.shape, self.config.hidden_size
@@ -208,6 +220,8 @@ class FCRGModel:
         h = T.reshape(gru.scan(self.embed(ids.reshape(-1), u_x), h_prev), (b * steps, n))
         context = T.attention(encoded.states, self.attention_query(h), encoded.mask)
         features = T.dropout(T.concat([context, h], axis=1), self.config.dropout, u_features)
+        if rows is not None:
+            features = T.take_rows(features, rows)
         return DecodeStepOutput(features=features, hidden=h, logits=self.output_head(features))
 
     def output_head(self, features: Tensor) -> Tensor:
@@ -225,18 +239,21 @@ class FCRGModel:
 
         Teacher forcing never feeds the output head back into the recurrence,
         so one ``decode_step`` call runs the T steps before the first all-PAD
-        gold column, and the loss runs once over all (row, step) pairs.
+        gold column.  The output head and the loss then run once, over the
+        (row, step) pairs whose gold token is real: padded pairs never reach
+        the vocabulary-wide GEMM.
         """
         target = batch.target
         token_count = int((target[:, 1:] != PAD).sum())
         if token_count == 0:
             raise ValueError("sequence_nll: batch contains no target tokens")
         steps = int(np.logical_and.accumulate((target[:, 1:] != PAD).any(axis=0)).sum())
-        encoded = self.encode(batch.source, batch.source_lengths, train=train)
-        out = self.decode_step(target[:, :steps], encoded.final, encoded, self.gru_weights("dec"), train=train)
         gold = target[:, 1 : steps + 1].reshape(-1)  # batch-major, like the decoder's rows
-        mask = (gold != PAD).astype(self._np_dtype)
-        return T.masked_nll(out.logits, gold, mask), token_count
+        rows = np.flatnonzero(gold != PAD)
+        encoded = self.encode(batch.source, batch.source_lengths, train=train)
+        gru = self.gru_weights("dec")
+        out = self.decode_step(target[:, :steps], encoded.final, encoded, gru, train=train, rows=rows)
+        return T.masked_nll(out.logits, gold[rows], np.ones(rows.size, dtype=self._np_dtype)), token_count
 
 
 @dataclass

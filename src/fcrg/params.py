@@ -3,6 +3,15 @@
 Parameters are tagged with the network partition they belong to (encoder,
 decoder or shared) so checkpoints can group them.  Adam's moment buffers
 are training-only state: the first ``adam_step`` makes them.
+
+``adam_step`` walks each parameter, its gradient and its two moments in
+blocks of ``ADAM_BLOCK`` elements, so the dozen passes of the update run
+over a block that stays in cache instead of over the whole 20k-wide
+embedding.  The update is elementwise, so the blocked result is bit-equal
+to the whole-array one.  ``grad_norm`` and ``clip_gradients`` are not
+blocked: the norm's float64 sum keeps its whole-array summation order,
+and the clip must have scaled ``.grad`` before ``adam_step`` reads it,
+because callers read ``grad_norm`` after clipping.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from .corpus import atomic_write
 from .tensor import Tensor, backward
 
 PARTITIONS = ("encoder", "decoder", "shared")
+ADAM_BLOCK = 1 << 15  # elements per block of the Adam update: 128 KB of float32 per array
 
 
 @dataclass
@@ -108,34 +118,50 @@ class ParamStore:
         return factor
 
     def adam_step(self, config: TrainConfig, step_index: int) -> None:
-        """Bias-corrected Adam update with in-place moments; gradients are zeroed afterwards."""
+        """Bias-corrected Adam update with in-place moments; gradients are zeroed afterwards.
+
+        Each parameter is updated one ``ADAM_BLOCK`` slice of its flattened
+        data at a time, with two block-sized scratch arrays per dtype and a
+        shared zero block standing in for a missing gradient.  Every step
+        of the update is an elementwise ufunc, so the blocks give the same
+        bits as whole arrays in the same operation order.
+        """
         if step_index < 1:
             raise ValueError("step_index must be >= 1")
-        b1, b2 = config.beta1, config.beta2
+        b1, b2, lr, eps = config.beta1, config.beta2, config.learning_rate, config.epsilon
         correction1 = 1.0 - b1**step_index
         correction2 = 1.0 - b2**step_index
+        scratch: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
         for name, t in self._tensors.items():
+            t.data = np.ascontiguousarray(t.data)  # the flat view below must write through
             if name not in self._moments:
                 self._moments[name] = (np.zeros_like(t.data), np.zeros_like(t.data))
-            m, v = self._moments[name]
-            g = t.grad if t.grad is not None else np.zeros_like(t.data)
-            # Two scratch arrays per step, in the operation order of
-            # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
-            # data -= lr * (m/c1) / (sqrt(v/c2) + eps).
-            step, denom = np.empty_like(t.data), np.empty_like(t.data)
-            m *= b1
-            m += np.multiply(1.0 - b1, g, out=step)
-            v *= b2
-            np.multiply(1.0 - b2, g, out=step)
-            step *= g
-            v += step
-            np.divide(m, correction1, out=step)
-            np.multiply(config.learning_rate, step, out=step)
-            np.divide(v, correction2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += config.epsilon
-            step /= denom
-            t.data -= step
+            if t.dtype not in scratch:  # the step and denominator blocks, and the zero block
+                scratch[t.dtype] = (np.empty((2, ADAM_BLOCK), t.dtype), np.zeros(ADAM_BLOCK, t.dtype))
+            (step_block, denom_block), zeros = scratch[t.dtype]
+            p = t.data.reshape(-1)
+            m, v = (moment.reshape(-1) for moment in self._moments[name])
+            g = None if t.grad is None else np.ravel(t.grad)
+            for start in range(0, p.size, ADAM_BLOCK):
+                stop = min(start + ADAM_BLOCK, p.size)
+                pb, mb, vb = p[start:stop], m[start:stop], v[start:stop]
+                gb = zeros[: stop - start] if g is None else g[start:stop]
+                step, denom = step_block[: stop - start], denom_block[: stop - start]
+                # The operation order of m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+                # data -= lr * (m/c1) / (sqrt(v/c2) + eps).
+                mb *= b1
+                mb += np.multiply(1.0 - b1, gb, out=step)
+                vb *= b2
+                np.multiply(1.0 - b2, gb, out=step)
+                step *= gb
+                vb += step
+                np.divide(mb, correction1, out=step)
+                np.multiply(lr, step, out=step)
+                np.divide(vb, correction2, out=denom)
+                np.sqrt(denom, out=denom)
+                denom += eps
+                step /= denom
+                pb -= step
         self.zero_grads()
 
     def state(self) -> dict[str, np.ndarray]:
@@ -252,7 +278,17 @@ def _parse_header(path, header: list[str]) -> tuple[dict, dict[str, tuple[str, t
     return meta, params
 
 
-def finite_diff_check(
+@dataclass(frozen=True)
+class GradDiff:
+    """One parameter's analytic gradient against central differences, over its sampled coordinates."""
+
+    max_rel_error: float  # over the coordinates above the floor; 0.0 when there are none
+    max_abs_error: float  # over every sampled coordinate
+    above_floor: int  # sampled coordinates whose absolute difference exceeds the floor
+    sampled: int
+
+
+def finite_diff_report(
     loss_fn: Callable[[], Tensor],
     store: ParamStore,
     *,
@@ -260,19 +296,19 @@ def finite_diff_check(
     samples_per_param: int = 50,
     seed: int = 0,
     abs_floor: float = 1e-8,
-) -> dict[str, float]:
+) -> dict[str, GradDiff]:
     """Compare analytic gradients with central finite differences.
 
     ``loss_fn`` must recompute the forward pass from the current parameter
-    values (dropout disabled).  Requires float64 parameters.  Returns the max
-    relative error per parameter, sampling up to
-    ``samples_per_param`` coordinates each; coordinates where both sides are
-    below ``abs_floor`` in disagreement count as exact.
+    values (dropout disabled).  Requires float64 parameters.  Samples up to
+    ``samples_per_param`` coordinates of each parameter; a coordinate whose
+    absolute difference is at most ``abs_floor`` counts as exact in the
+    relative error, but still counts in the absolute one.
     """
     rng = np.random.default_rng(seed)
     for name, tensor in store.items():
         if tensor.dtype != np.float64:
-            raise ValueError(f"finite_diff_check requires float64 parameters ({name} is {tensor.dtype})")
+            raise ValueError(f"the finite-difference check requires float64 parameters ({name} is {tensor.dtype})")
 
     store.zero_grads()
     loss = loss_fn()
@@ -281,13 +317,13 @@ def finite_diff_check(
     backward(loss)
     analytic = {name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data)) for name, t in store.items()}
 
-    report: dict[str, float] = {}
+    report: dict[str, GradDiff] = {}
     for name, tensor in store.items():
         flat = tensor.data.reshape(-1)
         grad_flat = analytic[name].reshape(-1)
         n = flat.size
         coords = np.arange(n) if n <= samples_per_param else rng.choice(n, size=samples_per_param, replace=False)
-        worst = 0.0
+        worst_rel, worst_abs, above = 0.0, 0.0, 0
         for c in coords:
             original = flat[c]
             flat[c] = original + step
@@ -299,8 +335,15 @@ def finite_diff_check(
                 raise ValueError(f"non-finite loss while perturbing {name}[{c}]")
             numeric = (f_plus - f_minus) / (2.0 * step)
             diff = abs(grad_flat[c] - numeric)
+            worst_abs = max(worst_abs, diff)
             if diff > abs_floor:
-                worst = max(worst, diff / max(abs(grad_flat[c]), abs(numeric)))
-        report[name] = worst
+                above += 1
+                worst_rel = max(worst_rel, diff / max(abs(grad_flat[c]), abs(numeric)))
+        report[name] = GradDiff(float(worst_rel), float(worst_abs), above, len(coords))
     store.zero_grads()
     return report
+
+
+def finite_diff_check(loss_fn: Callable[[], Tensor], store: ParamStore, **options) -> dict[str, float]:
+    """The max relative error per parameter of ``finite_diff_report``, which takes the same ``options``."""
+    return {name: diff.max_rel_error for name, diff in finite_diff_report(loss_fn, store, **options).items()}

@@ -1,11 +1,12 @@
 """Minimal dense tensors with reverse-mode gradients.
 
 Covers exactly the operations the recurrent generation model needs: matmul,
-tanh, concat, reshape, embedding lookup, dropout, one GRU run over a whole
-sequence (``gru_scan``), one masked dot-attention context for any number of
-query rows per source (``attention``, whose weights ``attention_probs`` gives
-as a plain array) and the masked negative log-likelihood loss.  float32 by
-default; float64 is used for gradient checking.
+tanh, concat, reshape, a row gather (``take_rows``), embedding lookup,
+dropout, one GRU run over a whole sequence (``gru_scan``), one masked
+dot-attention context for any number of query rows per source
+(``attention``, whose weights ``attention_probs`` gives as a plain array) and
+the masked negative log-likelihood loss.  float32 by default; float64 is used
+for gradient checking.
 
 Each op records one ``(parent, grad_fn)`` edge per input that wants a
 gradient; ``grad_fn`` maps the output's gradient array to that input's share
@@ -193,6 +194,22 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 def reshape(a: Tensor, shape: tuple) -> Tensor:
     old_shape = a.shape
     return _make(a.data.reshape(shape), (a, lambda g: g.reshape(old_shape)))
+
+
+def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
+    """The rows ``a.data[rows]`` of a 2-D tensor; ``rows`` must be distinct.
+
+    Backward scatters the gradient into those rows of a zero array, so rows
+    that were not taken get exact zeros.
+    """
+    shape, dtype = a.shape, a.dtype
+
+    def grad_fn(g):
+        grad = np.zeros(shape, dtype=dtype)
+        grad[rows] = g
+        return grad
+
+    return _make(a.data[rows], (a, grad_fn))
 
 
 _MASK_SCORE = 1e30  # subtracted from attention scores at padded positions

@@ -8,7 +8,7 @@ from fcrg import cli
 from fcrg.cli import DEFAULTS, load_run_config, main
 from fcrg.corpus import build_vocabulary
 from fcrg.model import FCRGModel, ModelConfig
-from fcrg.params import save_checkpoint
+from fcrg.params import GradDiff, save_checkpoint
 from test_corpus import fail_writes_midway
 
 TINY = [
@@ -96,7 +96,7 @@ def test_defaults_pinned_keys_values_and_types(tmp_path, monkeypatch):
     for key, value in PINNED_DEFAULTS.items():
         assert type(DEFAULTS[key]) is type(value), key
     # The written configuration does not depend on the check itself; skip its cost.
-    monkeypatch.setattr(cli, "gradcheck_report", lambda: {"dot": {"w": 0.0}})
+    monkeypatch.setattr(cli, "gradcheck_report", lambda: {"dot": {"w": GradDiff(0.0, 0.0, 0, 1)}})
     assert main(["gradcheck", "--run-dir", str(tmp_path / "g")]) == 0
     assert (tmp_path / "g" / "config.resolved").read_text(encoding="utf-8") == PINNED_RESOLVED
 
@@ -605,3 +605,17 @@ def test_gradcheck_passes(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "g" / "gradcheck.tsv").exists()
     assert "gradcheck: ok" in capsys.readouterr().out
+
+
+def test_gradcheck_reports_the_absolute_difference_and_the_coordinates_above_the_floor(tmp_path, monkeypatch):
+    report = {"dot": {"w": GradDiff(0.0, 3e-10, 0, 25), "u": GradDiff(2e-5, 4e-8, 2, 25)}}
+    monkeypatch.setattr(cli, "gradcheck_report", lambda: report)
+    assert main(["gradcheck", "--run-dir", str(tmp_path / "g")]) == 0
+    assert (tmp_path / "g" / "gradcheck.tsv").read_text(encoding="utf-8").splitlines() == [
+        "attention\tparameter\tmax_rel_error\tmax_abs_error\tabove_floor",
+        "dot\tu\t2.000e-05\t4.000e-08\t2/25",
+        "dot\tw\t0.000e+00\t3.000e-10\t0/25",
+        "worst\t-\t2.000e-05\t4.000e-08\t2/50",
+    ]
+    report["dot"]["u"] = GradDiff(1e-4, 4e-8, 2, 25)  # the pass rule is still max_rel_error < 1e-4
+    assert main(["gradcheck", "--run-dir", str(tmp_path / "h")]) == 1

@@ -300,6 +300,30 @@ def test_sequence_nll_runs_the_head_and_the_loss_once_per_batch(monkeypatch):
     assert calls.count("out_hidden") == calls.count("out_vocab") == calls.count("masked_nll") == 1
 
 
+@pytest.mark.parametrize("train", [True, False])
+def test_the_head_and_the_loss_see_only_the_real_rows(monkeypatch, train):
+    model = FCRGModel(tiny_config(attention="bilinear", dropout=0.2))
+    batch = ragged_batch()
+    head = {id(model.params["out_hidden"]): "out_hidden", id(model.params["out_vocab"]): "out_vocab"}
+    rows = []
+    matmul, masked_nll = T.matmul, T.masked_nll
+
+    def counted_matmul(a, b):
+        if id(b) in head:
+            rows.append((head[id(b)], a.shape[0]))
+        return matmul(a, b)
+
+    def counted_masked_nll(logits, *args):
+        rows.append(("masked_nll", logits.shape[0]))
+        return masked_nll(logits, *args)
+
+    monkeypatch.setattr(T, "matmul", counted_matmul)
+    monkeypatch.setattr(T, "masked_nll", counted_masked_nll)
+    _, token_count = model.sequence_nll(batch, train=train)
+    assert token_count < batch.target[:, 1:].size  # the batch is ragged: some (row, step) pairs are padding
+    assert rows == [("out_hidden", token_count), ("out_vocab", token_count), ("masked_nll", token_count)]
+
+
 def accumulate_grad_before_copy(self, g):
     """Tensor.accumulate_grad as it was: every first dense gradient is zeros plus ``g``."""
     if self.grad is None:

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcrg.params import (
+    ADAM_BLOCK,
     ParamStore,
     TrainConfig,
     finite_diff_check,
+    finite_diff_report,
     load_checkpoint,
     save_checkpoint,
 )
@@ -162,6 +164,41 @@ def test_adam_is_bit_equal_to_out_of_place_formulas_on_a_large_parameter():
         v = b2 * v + (1.0 - b2) * g * g
         theta = theta - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
         assert store["w"].data.tobytes() == theta.tobytes(), t
+
+
+def test_blocked_adam_is_bit_equal_to_out_of_place_formulas():
+    """Whole blocks, a ragged last block, a missing gradient, two dtypes in one store and a
+    Fortran-ordered parameter all give the bits of the whole-array formulas."""
+    rng = np.random.default_rng(6)
+    config = TrainConfig()
+    b1, b2, lr, eps = config.beta1, config.beta2, config.learning_rate, config.epsilon
+    theta = {
+        "a": rng.standard_normal(2 * ADAM_BLOCK + 7).astype(np.float32),
+        "b": rng.standard_normal((5, ADAM_BLOCK // 4 + 3)),  # float64, two blocks
+        "c": np.asfortranarray(rng.standard_normal((3, 4)).astype(np.float32)),  # its gradients are C-ordered
+    }
+    missing = {"a": (2, 4), "b": (3,), "c": (1,)}  # the steps on which no gradient reaches each
+    store = ParamStore()
+    for name, value in theta.items():
+        store.add(name, value)
+    m = {name: np.zeros_like(value) for name, value in theta.items()}
+    v = {name: np.zeros_like(value) for name, value in theta.items()}
+    for t in range(1, 6):
+        grads = {}
+        for name, value in theta.items():
+            scale = 10.0 ** rng.uniform(-6, 0, value.shape)
+            g = (rng.standard_normal(value.shape) * scale).astype(value.dtype)
+            grads[name] = None if t in missing[name] else g
+            store[name].grad = None if t in missing[name] else g.copy()
+        store.adam_step(config, t)
+        for name, g in grads.items():
+            if g is None:
+                g = np.zeros_like(theta[name])
+            m[name] = b1 * m[name] + (1.0 - b1) * g
+            v[name] = b2 * v[name] + (1.0 - b2) * g * g
+            theta[name] = theta[name] - lr * (m[name] / (1.0 - b1**t)) / (np.sqrt(v[name] / (1.0 - b2**t)) + eps)
+            assert store[name].dtype == theta[name].dtype
+            assert store[name].data.tobytes() == np.ascontiguousarray(theta[name]).tobytes(), (name, t)
 
 
 def test_adam_state_is_made_by_the_first_step(tmp_path):
@@ -455,6 +492,24 @@ def test_finite_diff_check_flags_wrong_gradient():
 
     report = finite_diff_check(broken_loss, store, samples_per_param=3)
     assert report["w"] > 0.1
+
+
+def test_finite_diff_report_counts_the_coordinates_above_the_floor():
+    store = ParamStore()
+    w = store.add("w", np.array([0.3, -0.2, 0.5]))
+
+    def broken_loss():
+        out = reduce_sum(w)  # a gradient of ones against the true 2w
+        out.data = (w.data**2).sum()
+        return out
+
+    # The differences are |1 - 2w|: 0.4, 1.4 and 0 (at w = 0.5, under the floor).
+    report = finite_diff_report(broken_loss, store, samples_per_param=3)["w"]
+    assert (report.sampled, report.above_floor) == (3, 2)
+    assert report.max_abs_error == pytest.approx(1.4, rel=1e-6)
+    assert report.max_rel_error == pytest.approx(1.4, rel=1e-6)  # 1.4 / max(|1|, |-0.4|)
+    exact = finite_diff_report(lambda: reduce_sum(mul(w, w)), store, samples_per_param=3)["w"]
+    assert (exact.above_floor, exact.max_rel_error) == (0, 0.0) and exact.max_abs_error < 1e-8
 
 
 def test_finite_diff_check_requires_float64():

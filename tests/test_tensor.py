@@ -267,6 +267,17 @@ def test_attention_probs_rejects_one_all_masked_row_of_a_batch():
         T.attention_probs(np.ones((2, 2, 3)), np.ones((2, 3)), mask)
 
 
+def test_take_rows_grad_is_exactly_zero_on_rows_not_taken():
+    rows = np.array([4, 0, 2])  # out of order; rows 1, 3 and 5 are not taken
+    check_op(lambda a: T.tanh(T.take_rows(a, rows)), leaf((6, 3)))
+    x = leaf((6, 3))
+    taken = T.take_rows(x, rows)
+    assert np.array_equal(taken.data, x.data[rows])
+    backward(reduce_sum(T.tanh(taken)))
+    assert np.array_equal(x.grad[[1, 3, 5]], np.zeros((3, 3)))
+    assert np.array_equal(x.grad[rows], 1.0 - np.tanh(x.data[rows]) ** 2)
+
+
 def test_masked_nll_grad():
     # Row 2 is masked out, and gold id 1 repeats across rows.
     gold = np.array([1, 4, 1, 1])
