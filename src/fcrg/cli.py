@@ -257,6 +257,8 @@ def cmd_generate(args, settings: dict) -> int:
     gazetteer = _load_gazetteer(args.gazetteer)
     decode = _build(DecodeConfig, settings)
     sources = list(read_lines(args.sources))
+    if not sources:
+        raise ValueError(f"{args.sources}: no source lines")
 
     lines = []
     for index, text in enumerate(sources):
@@ -502,8 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("evaluate", help="score generations against references")
     p.add_argument("--generations", required=True)
     p.add_argument("--references", required=True)
-    p.add_argument("--embeddings", help="token-vector file for the embedding metrics")
-    p.add_argument("--checkpoint", help="use a checkpoint's embedding instead")
+    embeddings = p.add_mutually_exclusive_group()
+    embeddings.add_argument("--embeddings", help="token-vector file for the embedding metrics")
+    embeddings.add_argument("--checkpoint", help="use a checkpoint's embedding instead")
     p.add_argument("--vocab")
     _add_common(p)
     p.set_defaults(func=cmd_evaluate)

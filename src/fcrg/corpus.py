@@ -424,8 +424,8 @@ def corpus_statistics(pairs: Sequence[RawPair], min_count: int = MIN_COUNT) -> d
     reply_lens: list[int] = []
     all_token_lists: list[list[str]] = []
     for p in pairs:
-        s = tokenize(normalize(p.original_text))
-        r = tokenize(normalize(p.reply_text))
+        s = tokenize(p.original_text)
+        r = tokenize(p.reply_text)
         source_lens.append(len(s))
         reply_lens.append(len(r))
         all_token_lists.append(s)

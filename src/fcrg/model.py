@@ -126,7 +126,7 @@ class FCRGModel:
         bound = 1.0 / np.sqrt(self.config.hidden_size)
         for name, shape, partition in param_layout(self.config):
             value = rng.standard_normal(shape) if name == "embedding" else rng.uniform(-bound, bound, size=shape)
-            self.params._adopt(name, value.astype(self._np_dtype), partition)  # astype made a fresh array
+            self.params.add(name, value.astype(self._np_dtype), partition)  # astype made a fresh array
 
     def _check_layout(self) -> None:
         dtype = np.dtype(self._np_dtype).name
@@ -168,7 +168,8 @@ class FCRGModel:
         """Run the encoder GRU over every position; ``mask`` marks the real tokens.
 
         Past a row's length the GRU runs on over padding, and those states are
-        masked out of attention; ``final`` is the state at the last real token.
+        masked out of attention; ``final`` gathers the state at each row's last
+        real token, so only that state gets ``final``'s gradient.
         """
         source = np.atleast_2d(np.asarray(source, dtype=np.int64))
         lengths = np.asarray(lengths, dtype=np.int64)
@@ -178,13 +179,9 @@ class FCRGModel:
         (uniforms,) = self._dropout_draws(b, max_len, [self.config.embed_dim], train)
         h0 = Tensor(np.zeros((b, self.config.hidden_size), dtype=self._np_dtype))
         stacked = self.gru_weights("enc").scan(self.embed(source.reshape(-1), uniforms), h0)
-        positions = np.arange(max_len)[None, :]
-        mask = (positions < lengths[:, None]).astype(self._np_dtype)
-        # Attention that sees only the last real position picks that state
-        # exactly: its weight is 1 and every other is exp(-1e30) == 0, and in
-        # backward the scores' gradient a * (da - sum(da * a)) is 0, so the
-        # gradient reaches that position alone.  The zero query is h0.
-        final = T.attention(stacked, h0, (positions == lengths[:, None] - 1).astype(self._np_dtype))
+        mask = (np.arange(max_len)[None, :] < lengths[:, None]).astype(self._np_dtype)
+        last = np.arange(b) * max_len + lengths - 1  # each row's last real (row, step) in batch-major order
+        final = T.take_rows(T.reshape(stacked, (b * max_len, self.config.hidden_size)), last)
         return EncoderOutput(states=stacked, mask=mask, final=final, lengths=lengths)
 
     def attention_query(self, hidden: Tensor) -> Tensor:
@@ -234,26 +231,25 @@ class FCRGModel:
         """Teacher-forced negative log-likelihood, summed over the batch.
 
         <s> is input-only; every gold token after it (including </s>) is a
-        prediction target.  Pad positions contribute zero loss and gradients.
-        Returns (scalar loss, number of scored tokens).
+        prediction target, up to the first all-PAD gold column.  Returns
+        (scalar loss, number of scored tokens).
 
         Teacher forcing never feeds the output head back into the recurrence,
         so one ``decode_step`` call runs the T steps before the first all-PAD
-        gold column.  The output head and the loss then run once, over the
-        (row, step) pairs whose gold token is real: padded pairs never reach
-        the vocabulary-wide GEMM.
+        gold column.  The output head and the loss then run once, over
+        ``rows``, the (row, step) pairs whose gold token is real: padded pairs
+        never reach the vocabulary-wide GEMM, and ``rows`` alone is counted.
         """
         target = batch.target
-        token_count = int((target[:, 1:] != PAD).sum())
-        if token_count == 0:
-            raise ValueError("sequence_nll: batch contains no target tokens")
         steps = int(np.logical_and.accumulate((target[:, 1:] != PAD).any(axis=0)).sum())
         gold = target[:, 1 : steps + 1].reshape(-1)  # batch-major, like the decoder's rows
         rows = np.flatnonzero(gold != PAD)
+        if rows.size == 0:
+            raise ValueError("sequence_nll: batch contains no target tokens")
         encoded = self.encode(batch.source, batch.source_lengths, train=train)
         gru = self.gru_weights("dec")
         out = self.decode_step(target[:, :steps], encoded.final, encoded, gru, train=train, rows=rows)
-        return T.masked_nll(out.logits, gold[rows], np.ones(rows.size, dtype=self._np_dtype)), token_count
+        return T.nll(out.logits, gold[rows]), int(rows.size)
 
 
 @dataclass

@@ -65,10 +65,7 @@ class ParamStore:
         self._moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def add(self, name: str, value: np.ndarray, partition: str = "shared") -> Tensor:
-        return self._adopt(name, np.array(value), partition)
-
-    def _adopt(self, name: str, value: np.ndarray, partition: str) -> Tensor:
-        """``add`` without the copy: the store keeps ``value`` itself, so nothing else may hold it."""
+        """Add a parameter that keeps ``value`` itself, not a copy, so nothing else may hold it."""
         if name in self._tensors:
             raise ValueError(f"duplicate parameter name {name!r}")
         if partition not in PARTITIONS:
@@ -235,7 +232,7 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
             value = np.empty(shape, dtype=stored)
             if fh.readinto(value.reshape(-1).view(np.uint8)) != value.nbytes:
                 raise ValueError(f"{path}: truncated payload for parameter {name!r}")
-            store._adopt(name, value.astype(dtype, copy=False), partition)
+            store.add(name, value.astype(dtype, copy=False), partition)
     return store, meta
 
 

@@ -5,7 +5,7 @@ tanh, concat, reshape, a row gather (``take_rows``), embedding lookup,
 dropout, one GRU run over a whole sequence (``gru_scan``), one masked
 dot-attention context for any number of query rows per source
 (``attention``, whose weights ``attention_probs`` gives as a plain array) and
-the masked negative log-likelihood loss.  float32 by default; float64 is used
+the negative log-likelihood loss (``nll``).  float32 by default; float64 is used
 for gradient checking.
 
 Each op records one ``(parent, grad_fn)`` edge per input that wants a
@@ -36,11 +36,9 @@ DEFAULT_DTYPE = np.float32
 class Tensor:
     __slots__ = ("data", "grad", "_edges", "_wants")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.grad: Optional[np.ndarray] = None
@@ -92,10 +90,6 @@ class ColumnGrad:
         return self.cols.nbytes + self.sums.nbytes
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
-
-
 def _make(data: np.ndarray, *edges) -> Tensor:
     out = Tensor(data)
     out._edges = tuple(edge for edge in edges if edge[0]._wants)
@@ -104,7 +98,6 @@ def _make(data: np.ndarray, *edges) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     x, y = a.data, b.data
@@ -179,7 +172,6 @@ def gru_scan(xw: Tensor, h0: Tensor, u_zr: Tensor, u_c: Tensor) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
 
     def part(start: int, stop: int):
@@ -257,8 +249,8 @@ def attention(states: Tensor, query: Tensor, mask: np.ndarray) -> Tensor:
     return _make(context, (states, partial(grad_fn, 0)), (query, partial(grad_fn, 1)))
 
 
-def masked_nll(logits: Tensor, gold: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Scalar ``-sum_i mask[i] * log_softmax(logits)[i, gold[i]]`` of (n, V) logits.
+def nll(logits: Tensor, gold: np.ndarray) -> Tensor:
+    """Scalar ``-sum_i log_softmax(logits)[i, gold[i]]`` of (n, V) logits.
 
     The row log-softmax is ``(x - max) - log(sum(exp(x - max)))``, but the
     forward pass keeps only each row's shift and log-normaliser: the full
@@ -272,16 +264,15 @@ def masked_nll(logits: Tensor, gold: np.ndarray, mask: np.ndarray) -> Tensor:
     log_z = np.log(np.exp(e, out=e).sum(axis=1, keepdims=True))
 
     def grad_fn(g):
-        c = g * mask
         grad = x - shift
         grad -= log_z
         np.exp(grad, out=grad)
-        grad *= c[:, None]
-        grad[rows, gold] -= c
+        grad *= g
+        grad[rows, gold] -= g
         return grad
 
     picked = (x[rows, gold] - shift[:, 0]) - log_z[:, 0]
-    return _make(-(picked * mask).sum(), (logits, grad_fn))
+    return _make(-picked.sum(), (logits, grad_fn))
 
 
 def embedding_lookup(weight: Tensor, ids) -> Tensor:

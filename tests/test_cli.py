@@ -386,6 +386,24 @@ def test_vocabulary_size_must_match_the_checkpoint(tmp_path, capsys, command, ex
     )
 
 
+def test_generate_rejects_an_empty_sources_file(tmp_path, capsys):
+    vocab = build_vocabulary([["that", "is", "fake", "news"]], min_count=1)
+    vocab.save(tmp_path / "vocab.tsv")
+    model = FCRGModel(ModelConfig(vocab_size=vocab.size, embed_dim=4, hidden_size=5, output_size=6))
+    save_checkpoint(tmp_path / "model.ckpt", model.params, model.config.to_dict())
+    sources = tmp_path / "sources.txt"
+    sources.write_text("")
+    code = main([
+        "generate", "--sources", str(sources),
+        "--checkpoint", str(tmp_path / "model.ckpt"),
+        "--vocab", str(tmp_path / "vocab.tsv"),
+        "--run-dir", str(tmp_path / "run"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"fcrg generate: error: {sources}: no source lines\n"
+    assert not (tmp_path / "run" / "generations.tsv").exists()
+
+
 def test_generate_truncates_with_checkpoint_source_len(preprocessed, tmp_path):
     train_run = tmp_path / "short"
     assert main([
@@ -445,6 +463,23 @@ def test_evaluate_with_embedding_file(tmp_path):
     scores = dict(zip(table[0].split("\t"), table[1].split("\t")))
     assert scores["greedy_matching"] == "100.000"
     assert scores["vector_extrema"] == "100.000"
+
+
+def test_evaluate_rejects_both_embedding_sources(tmp_path, capsys):
+    refs = tmp_path / "refs.tsv"
+    refs.write_text("0\ta b\n")
+    gens = tmp_path / "gens.tsv"
+    gens.write_text("0\t1\t-1.0\ta b\n")
+    vectors = tmp_path / "vec.txt"
+    vectors.write_text("a 1.0 0.0\nb 0.0 1.0\n")
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "evaluate", "--generations", str(gens), "--references", str(refs),
+            "--embeddings", str(vectors), "--checkpoint", str(tmp_path / "model.ckpt"),
+            "--vocab", str(tmp_path / "vocab.tsv"), "--run-dir", str(tmp_path / "eval"),
+        ])
+    assert exc.value.code == 2
+    assert "argument --checkpoint: not allowed with argument --embeddings" in capsys.readouterr().err
 
 
 def test_evaluate_reports_clamped_negative_extrema(tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fcrg import tensor as T
-from fcrg.corpus import BOS, EOS, PAD, EncodedPair, make_batch
+from fcrg.corpus import BOS, EOS, PAD, Batch, EncodedPair, make_batch
 from fcrg.model import (
     FCRGModel,
     ModelConfig,
@@ -19,7 +19,9 @@ from fcrg.model import (
 )
 from fcrg.params import ParamStore, TrainConfig
 from fcrg.tensor import ColumnGrad, Tensor, backward, reshape
-from test_tensor import add, assert_bit_equal, mul, one_minus, reduce_sum, sigmoid as sigmoid_op, softmax, stack
+from test_tensor import (
+    add, assert_bit_equal, masked_nll, mul, one_minus, reduce_sum, sigmoid as sigmoid_op, softmax, stack,
+)
 
 
 def tiny_config(**overrides):
@@ -118,7 +120,7 @@ def per_step_head_nll(model, batch, train):
         out = model.decode_step(target[:, j], h, encoded, gru, train=train)
         h = out.hidden
         logits = T.matmul(T.tanh(T.matmul(out.features, model.params["out_hidden"])), model.params["out_vocab"])
-        pieces.append(T.masked_nll(logits, gold, step_mask))
+        pieces.append(masked_nll(logits, gold, step_mask))
     return reduce_sum(stack(pieces, axis=0))
 
 
@@ -293,11 +295,11 @@ def test_sequence_nll_runs_the_head_and_the_loss_once_per_batch(monkeypatch):
     model = FCRGModel(tiny_config(attention="bilinear"))
     head = {id(model.params["out_hidden"]): "out_hidden", id(model.params["out_vocab"]): "out_vocab"}
     calls = []
-    matmul, masked_nll = T.matmul, T.masked_nll
+    matmul, nll = T.matmul, T.nll
     monkeypatch.setattr(T, "matmul", lambda a, b: calls.append(head.get(id(b), "other")) or matmul(a, b))
-    monkeypatch.setattr(T, "masked_nll", lambda *args: calls.append("masked_nll") or masked_nll(*args))
+    monkeypatch.setattr(T, "nll", lambda *args: calls.append("nll") or nll(*args))
     model.sequence_nll(ragged_batch(), train=True)
-    assert calls.count("out_hidden") == calls.count("out_vocab") == calls.count("masked_nll") == 1
+    assert calls.count("out_hidden") == calls.count("out_vocab") == calls.count("nll") == 1
 
 
 @pytest.mark.parametrize("train", [True, False])
@@ -306,22 +308,22 @@ def test_the_head_and_the_loss_see_only_the_real_rows(monkeypatch, train):
     batch = ragged_batch()
     head = {id(model.params["out_hidden"]): "out_hidden", id(model.params["out_vocab"]): "out_vocab"}
     rows = []
-    matmul, masked_nll = T.matmul, T.masked_nll
+    matmul, nll = T.matmul, T.nll
 
     def counted_matmul(a, b):
         if id(b) in head:
             rows.append((head[id(b)], a.shape[0]))
         return matmul(a, b)
 
-    def counted_masked_nll(logits, *args):
-        rows.append(("masked_nll", logits.shape[0]))
-        return masked_nll(logits, *args)
+    def counted_nll(logits, *args):
+        rows.append(("nll", logits.shape[0]))
+        return nll(logits, *args)
 
     monkeypatch.setattr(T, "matmul", counted_matmul)
-    monkeypatch.setattr(T, "masked_nll", counted_masked_nll)
+    monkeypatch.setattr(T, "nll", counted_nll)
     _, token_count = model.sequence_nll(batch, train=train)
     assert token_count < batch.target[:, 1:].size  # the batch is ragged: some (row, step) pairs are padding
-    assert rows == [("out_hidden", token_count), ("out_vocab", token_count), ("masked_nll", token_count)]
+    assert rows == [("out_hidden", token_count), ("out_vocab", token_count), ("nll", token_count)]
 
 
 def accumulate_grad_before_copy(self, g):
@@ -599,6 +601,16 @@ def test_loss_invariant_to_batch_padding():
     solo2, n2 = model.sequence_nll(make_batch([p2]))
     assert n_joint == n1 + n2
     assert joint.item() == pytest.approx(solo1.item() + solo2.item(), rel=1e-12)
+
+
+def test_token_count_is_the_number_of_scored_rows():
+    # Gold tokens after an all-PAD gold column are never scored, so they are not counted.
+    model = FCRGModel(tiny_config())
+    source, lengths = np.array([[4, 5]]), np.array([2])
+    holed, n_holed = model.sequence_nll(Batch(source, np.array([[BOS, 5, PAD, 6, EOS]]), lengths))
+    short, n_short = model.sequence_nll(Batch(source, np.array([[BOS, 5]]), lengths))
+    assert n_holed == n_short == 1
+    assert holed.item() == short.item()
 
 
 def test_training_step_graph_is_freed_without_the_cycle_collector():

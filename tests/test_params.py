@@ -125,7 +125,7 @@ def test_adam_in_place_is_bit_equal_to_out_of_place_formulas():
     theta = {name: rng.standard_normal(shape).astype(np.float32) for name, shape in (("a", (3, 4)), ("b", (5,)))}
     store = ParamStore()
     for name, value in theta.items():
-        store.add(name, value)
+        store.add(name, value.copy())
     m = {name: np.zeros_like(value) for name, value in theta.items()}
     v = {name: np.zeros_like(value) for name, value in theta.items()}
     for t in range(1, 6):
@@ -154,7 +154,7 @@ def test_adam_is_bit_equal_to_out_of_place_formulas_on_a_large_parameter():
     b1, b2, lr, eps = config.beta1, config.beta2, config.learning_rate, config.epsilon
     theta = rng.standard_normal((200, 300)).astype(np.float32)
     store = ParamStore()
-    store.add("w", theta)
+    store.add("w", theta.copy())
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     for t in range(1, 4):
         g = (rng.standard_normal(theta.shape) * 10.0 ** rng.uniform(-6, 0, theta.shape)).astype(np.float32)
@@ -180,7 +180,7 @@ def test_blocked_adam_is_bit_equal_to_out_of_place_formulas():
     missing = {"a": (2, 4), "b": (3,), "c": (1,)}  # the steps on which no gradient reaches each
     store = ParamStore()
     for name, value in theta.items():
-        store.add(name, value)
+        store.add(name, value.copy(order="K"))  # "K" keeps "c" Fortran-ordered
     m = {name: np.zeros_like(value) for name, value in theta.items()}
     v = {name: np.zeros_like(value) for name, value in theta.items()}
     for t in range(1, 6):
