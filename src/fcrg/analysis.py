@@ -66,6 +66,8 @@ class Lexicon:
                 cat_id, name = parts
                 if cat_id in id_to_index:
                     raise ValueError(f"{origin}: line {lineno}: duplicate category id {cat_id!r}")
+                if name in categories:
+                    raise ValueError(f"{origin}: line {lineno}: duplicate category name {name!r}")
                 id_to_index[cat_id] = len(categories)
                 categories.append(name)
             else:

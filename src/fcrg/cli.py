@@ -4,7 +4,9 @@ gradcheck.
 Every subcommand reads flat ``key=value`` settings (``--config`` file plus
 ``--set`` overrides), writes its outputs under ``--run-dir``, and drops the
 fully resolved configuration beside them.  All randomness flows from seeds in
-the configuration, so reruns with identical inputs are byte-identical.
+the configuration, so reruns with identical inputs are byte-identical for a
+fixed numpy/BLAS build and BLAS thread count (the thread count can change the
+low bits of a GEMM).
 """
 
 from __future__ import annotations
@@ -324,6 +326,10 @@ def _read_references(path) -> dict[int, list[str]]:
 
 
 def cmd_evaluate(args, settings: dict) -> int:
+    if args.checkpoint and not args.vocab:
+        raise ValueError("--checkpoint needs --vocab to name the embedding rows")
+    if args.vocab and not args.checkpoint:
+        raise ValueError("--vocab names a checkpoint's embedding rows, so it needs --checkpoint")
     out = _prepare_run_dir(args.run_dir, settings)
     generations = _read_generations(args.generations)
     references = _read_references(args.references)
@@ -331,8 +337,6 @@ def cmd_evaluate(args, settings: dict) -> int:
     if args.embeddings:
         table = metrics.load_embedding_table(args.embeddings)
     elif args.checkpoint:
-        if not args.vocab:
-            raise ValueError("--checkpoint needs --vocab to name the embedding rows")
         table = metrics.embedding_table_from_model(*_model_and_vocab(args))
     else:
         print("evaluate: no embeddings given; skipping greedy matching and vector extrema")

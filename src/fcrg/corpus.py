@@ -275,6 +275,9 @@ def split_dataset(pairs: Sequence, spec: SplitSpec) -> tuple[list, list, list]:
     n = len(pairs)
     n_train = int(spec.train * n)
     n_val = int(spec.validation * n)
+    for part, size in (("train", n_train), ("validation", n_val), ("test", n - n_train - n_val)):
+        if size == 0:
+            raise ValueError(f"split ratios leave the {part} split empty for {n} pairs")
     train = [pairs[i] for i in order[:n_train]]
     val = [pairs[i] for i in order[n_train : n_train + n_val]]
     test = [pairs[i] for i in order[n_train + n_val :]]

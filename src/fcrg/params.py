@@ -70,7 +70,7 @@ class ParamStore:
             raise ValueError(f"duplicate parameter name {name!r}")
         if partition not in PARTITIONS:
             raise ValueError(f"unknown partition {partition!r}")
-        t = Tensor(value, requires_grad=True)
+        t = Tensor(value)
         self._tensors[name] = t
         self._partitions[name] = partition
         return t

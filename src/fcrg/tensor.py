@@ -8,14 +8,15 @@ dot-attention context for any number of query rows per source
 the negative log-likelihood loss (``nll``).  float32 by default; float64 is used
 for gradient checking.
 
-Each op records one ``(parent, grad_fn)`` edge per input that wants a
-gradient; ``grad_fn`` maps the output's gradient array to that input's share
-and closes over arrays only, never over a ``Tensor``, so a recorded graph
-holds no reference cycles and is freed as soon as its output is dropped.
-``backward`` passes each gradient down the edges and then clears it: only
-leaves (tensors made with ``requires_grad=True``) keep ``.grad``.
+Each op records its inputs as the output's parents and one ``grad_fn`` that
+maps the output's gradient array to one gradient per parent, in parent order.
+A ``grad_fn`` closes over arrays only, never over a ``Tensor``, so a recorded
+graph holds no reference cycles and is freed as soon as its output is
+dropped.  ``backward`` passes each parent its gradient and then clears the
+output's: only leaves (tensors with no parents, parameters and constants
+alike) keep ``.grad``.
 
-A ``grad_fn`` returns an array shaped like its parent, or, for
+Each parent's gradient is an array shaped like it, or, for
 ``embedding_lookup``, a ``ColumnGrad``: the few columns of the (dim, vocab)
 weight that the lookup touched and their summed gradients, so backward never
 builds a dense (dim, vocab) array per lookup.  Only ``Tensor.accumulate_grad``
@@ -24,8 +25,6 @@ reads a ``ColumnGrad``; ``.grad`` is always a dense array.
 
 from __future__ import annotations
 
-from functools import partial
-from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,16 +33,16 @@ DEFAULT_DTYPE = np.float32
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "_edges", "_wants")
+    __slots__ = ("data", "grad", "_parents", "grad_fn")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data, parents: tuple = (), grad_fn=None):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.grad: Optional[np.ndarray] = None
-        self._edges: tuple = ()  # (parent, grad_fn) for each parent that wants a gradient
-        self._wants = requires_grad  # participates in some gradient path
+        self._parents = parents
+        self.grad_fn = grad_fn  # output gradient -> one share per parent
 
     @property
     def shape(self):
@@ -63,7 +62,7 @@ class Tensor:
             self.grad[:, g.cols] += g.sums.T
         elif self.grad is None:
             # Always a copy: a ``grad_fn`` may return a view (``concat`` hands
-            # each parent a slice of its gradient), and ``+=`` needs an owned array.
+            # each parent a view of its gradient), and ``+=`` needs an owned array.
             self.grad = np.array(g, dtype=self.data.dtype, copy=True)
         else:
             self.grad += g
@@ -90,18 +89,11 @@ class ColumnGrad:
         return self.cols.nbytes + self.sums.nbytes
 
 
-def _make(data: np.ndarray, *edges) -> Tensor:
-    out = Tensor(data)
-    out._edges = tuple(edge for edge in edges if edge[0]._wants)
-    out._wants = bool(out._edges)
-    return out
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     x, y = a.data, b.data
-    return _make(x @ y, (a, lambda g: g @ y.T), (b, lambda g: x.T @ g))
+    return Tensor(x @ y, (a, b), lambda g: (g @ y.T, x.T @ g))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -112,7 +104,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
-    return _make(y, (a, lambda g: g * (1.0 - y * y)))
+    return Tensor(y, (a,), lambda g: (g * (1.0 - y * y),))
 
 
 def gru_scan(xw: Tensor, h0: Tensor, u_zr: Tensor, u_c: Tensor) -> Tensor:
@@ -127,7 +119,7 @@ def gru_scan(xw: Tensor, h0: Tensor, u_zr: Tensor, u_c: Tensor) -> Tensor:
         h'    = (1 - z) * c + z * h
 
     Backward is one written-out pass back through time, then one GEMM per
-    recurrent weight.  The first wanted parent's edge computes every share.
+    recurrent weight.
     """
     w_zr, w_c = u_zr.data, u_c.data
     b, n = h0.shape
@@ -141,51 +133,39 @@ def gru_scan(xw: Tensor, h0: Tensor, u_zr: Tensor, u_c: Tensor) -> Tensor:
         hs.append((1.0 - z) * c + z * h)
         gates.append(zr)
         cands.append(c)
-    wants = (xw._wants, h0._wants, u_zr._wants, u_c._wants)
-    shares: dict[int, np.ndarray] = {}
 
-    def grad_fn(i: int, g: np.ndarray) -> np.ndarray:
-        if i not in shares:
-            dx = np.empty_like(x)  # at the pre-activations: the gates', then the candidate's
-            dh = 0.0  # the gradient that step t + 1 passes back to its previous state
-            for t in reversed(range(x.shape[1])):
-                gt, hp, zr, c = g[:, t] + dh, hs[t], gates[t], cands[t]
-                z, r = zr[:, :n], zr[:, n:]
-                dc = gt * (1.0 - z) * (1.0 - c * c)
-                drh = dc @ w_c.T
-                dzr = np.concatenate([gt * (hp - c), drh * hp], axis=1) * zr * (1.0 - zr)
-                dx[:, t] = np.concatenate([dzr, dc], axis=1)
-                dh = gt * z + drh * r + dzr @ w_zr.T
-            prev = np.stack(hs[:-1], axis=1)
-            if wants[0]:
-                shares[0] = dx.reshape(xw.shape)
-            if wants[1]:
-                shares[1] = dh
-            if wants[2]:
-                shares[2] = prev.reshape(-1, n).T @ dx[:, :, : 2 * n].reshape(-1, 2 * n)
-            if wants[3]:
-                rh = np.stack(gates, axis=1)[:, :, n:] * prev
-                shares[3] = rh.reshape(-1, n).T @ dx[:, :, 2 * n :].reshape(-1, n)
-        return shares.pop(i)
+    def grad_fn(g: np.ndarray) -> tuple:
+        dx = np.empty_like(x)  # at the pre-activations: the gates', then the candidate's
+        dh = 0.0  # the gradient that step t + 1 passes back to its previous state
+        for t in reversed(range(x.shape[1])):
+            gt, hp, zr, c = g[:, t] + dh, hs[t], gates[t], cands[t]
+            z, r = zr[:, :n], zr[:, n:]
+            dc = gt * (1.0 - z) * (1.0 - c * c)
+            drh = dc @ w_c.T
+            dzr = np.concatenate([gt * (hp - c), drh * hp], axis=1) * zr * (1.0 - zr)
+            dx[:, t] = np.concatenate([dzr, dc], axis=1)
+            dh = gt * z + drh * r + dzr @ w_zr.T
+        prev = np.stack(hs[:-1], axis=1)
+        rh = np.stack(gates, axis=1)[:, :, n:] * prev
+        return (
+            dx.reshape(-1, 3 * n),
+            dh,
+            prev.reshape(-1, n).T @ dx[:, :, : 2 * n].reshape(-1, 2 * n),
+            rh.reshape(-1, n).T @ dx[:, :, 2 * n :].reshape(-1, n),
+        )
 
-    return _make(np.stack(hs[1:], axis=1), *((t, partial(grad_fn, i)) for i, t in enumerate((xw, h0, u_zr, u_c))))
+    return Tensor(np.stack(hs[1:], axis=1), (xw, h0, u_zr, u_c), grad_fn)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-
-    def part(start: int, stop: int):
-        index = [slice(None)] * out_data.ndim
-        index[axis] = slice(start, stop)
-        return itemgetter(tuple(index))
-
-    ends = np.cumsum([t.shape[axis] for t in tensors]).tolist()
-    return _make(out_data, *((t, part(stop - t.shape[axis], stop)) for t, stop in zip(tensors, ends)))
+    out = np.concatenate([t.data for t in tensors], axis=axis)
+    ends = np.cumsum([t.shape[axis] for t in tensors[:-1]]).tolist()
+    return Tensor(out, tuple(tensors), lambda g: np.split(g, ends, axis=axis))
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
     old_shape = a.shape
-    return _make(a.data.reshape(shape), (a, lambda g: g.reshape(old_shape)))
+    return Tensor(a.data.reshape(shape), (a,), lambda g: (g.reshape(old_shape),))
 
 
 def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
@@ -199,9 +179,9 @@ def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
     def grad_fn(g):
         grad = np.zeros(shape, dtype=dtype)
         grad[rows] = g
-        return grad
+        return (grad,)
 
-    return _make(a.data[rows], (a, grad_fn))
+    return Tensor(a.data[rows], (a,), grad_fn)
 
 
 _MASK_SCORE = 1e30  # subtracted from attention scores at padded positions
@@ -231,22 +211,18 @@ def attention(states: Tensor, query: Tensor, mask: np.ndarray) -> Tensor:
     s, q = states.data, query.data
     b, length, n = s.shape
     a = attention_probs(s, q, mask).reshape(b, -1, length)  # (b, T, L)
-    wants = (states._wants, query._wants)
-    shares: dict[int, np.ndarray] = {}
 
-    def grad_fn(i: int, g: np.ndarray) -> np.ndarray:
-        if i not in shares:
-            g = g.reshape(b, -1, n)
-            da = np.matmul(g, s.swapaxes(1, 2))
-            ds = a * (da - (da * a).sum(axis=2, keepdims=True))
-            if wants[0]:
-                shares[0] = np.matmul(a.swapaxes(1, 2), g) + np.matmul(ds.swapaxes(1, 2), q.reshape(b, -1, n))
-            if wants[1]:
-                shares[1] = np.matmul(ds, s).reshape(q.shape)
-        return shares.pop(i)
+    def grad_fn(g: np.ndarray) -> tuple:
+        g = g.reshape(b, -1, n)
+        da = np.matmul(g, s.swapaxes(1, 2))
+        ds = a * (da - (da * a).sum(axis=2, keepdims=True))
+        return (
+            np.matmul(a.swapaxes(1, 2), g) + np.matmul(ds.swapaxes(1, 2), q.reshape(b, -1, n)),
+            np.matmul(ds, s).reshape(q.shape),
+        )
 
     context = np.stack([(sj * aj[:, :, None]).sum(1) for sj, aj in zip(s, a)]).reshape(-1, n)  # source by source
-    return _make(context, (states, partial(grad_fn, 0)), (query, partial(grad_fn, 1)))
+    return Tensor(context, (states, query), grad_fn)
 
 
 def nll(logits: Tensor, gold: np.ndarray) -> Tensor:
@@ -269,10 +245,10 @@ def nll(logits: Tensor, gold: np.ndarray) -> Tensor:
         np.exp(grad, out=grad)
         grad *= g
         grad[rows, gold] -= g
-        return grad
+        return (grad,)
 
     picked = (x[rows, gold] - shift[:, 0]) - log_z[:, 0]
-    return _make(-picked.sum(), (logits, grad_fn))
+    return Tensor(-picked.sum(), (logits,), grad_fn)
 
 
 def embedding_lookup(weight: Tensor, ids) -> Tensor:
@@ -289,9 +265,9 @@ def embedding_lookup(weight: Tensor, ids) -> Tensor:
         cols, inverse = np.unique(ids, return_inverse=True)
         sums = np.zeros((cols.size, g.shape[1]), dtype=dtype)
         np.add.at(sums, inverse, g)
-        return ColumnGrad(cols, sums)
+        return (ColumnGrad(cols, sums),)
 
-    return _make(weight.data[:, ids].T.copy(), (weight, grad_fn))
+    return Tensor(weight.data[:, ids].T.copy(), (weight,), grad_fn)
 
 
 def dropout(a: Tensor, rate: float, uniforms: Optional[np.ndarray]) -> Tensor:
@@ -305,17 +281,19 @@ def dropout(a: Tensor, rate: float, uniforms: Optional[np.ndarray]) -> Tensor:
     if uniforms is None:
         return a
     mask = (uniforms >= rate).astype(a.dtype) / (1.0 - rate)
-    return _make(a.data * mask, (a, lambda g: g * mask))
+    return Tensor(a.data * mask, (a,), lambda g: (g * mask,))
 
 
 def backward(loss: Tensor) -> None:
     """Reverse-accumulate gradients of a recorded scalar into its leaves.
 
     Interior gradients are dropped once passed on; only leaves keep ``.grad``.
+    A ``grad_fn`` that returns more or fewer gradients than its op has parents
+    raises ``ValueError``.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward() requires a scalar loss, got shape {loss.shape}")
-    if not loss._edges:
+    if not loss._parents:
         raise RuntimeError("backward() called on a tensor with no recorded forward computation")
     order: list[Tensor] = []
     visited: set[int] = set()
@@ -329,10 +307,10 @@ def backward(loss: Tensor) -> None:
             continue
         visited.add(id(node))
         stack.append((node, True))
-        stack.extend((parent, False) for parent, _ in node._edges if id(parent) not in visited)
+        stack.extend((parent, False) for parent in node._parents if id(parent) not in visited)
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
-        if node._edges:
-            for parent, grad_fn in node._edges:
-                parent.accumulate_grad(grad_fn(node.grad))
+        if node._parents:
+            for parent, share in zip(node._parents, node.grad_fn(node.grad), strict=True):
+                parent.accumulate_grad(share)
             node.grad = None

@@ -63,6 +63,12 @@ def test_parse_rejects_undeclared_category():
         Lexicon.parse("1\ta\n%\nword\t9\n")
 
 
+def test_parse_rejects_a_duplicate_category_name():
+    # Two ids for one name would make analyze write the same category's rows twice.
+    with pytest.raises(ValueError, match="^<lexicon>: line 2: duplicate category name 'negation'$"):
+        Lexicon.parse("1\tnegation\n2\tnegation\n%\nnot\t1,2\n")
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(ValueError, match="line 2"):
         Lexicon.parse("1\ta\nbadline\n%\n")

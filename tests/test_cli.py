@@ -193,6 +193,17 @@ def test_preprocess_rejects_a_nan_split_ratio_in_one_line(dataset, tmp_path, cap
     assert capsys.readouterr().err == "fcrg preprocess: error: split ratios must be positive\n"
 
 
+def test_preprocess_rejects_ratios_that_leave_a_split_empty(dataset, tmp_path, capsys):
+    dataset.write_text("".join(dataset.read_text().splitlines(keepends=True)[:10]))
+    code = main([
+        "preprocess", "--dataset", str(dataset), "--run-dir", str(tmp_path / "r"),
+        "--set", "train_ratio=0.85", "--set", "validation_ratio=0.05",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "fcrg preprocess: error: split ratios leave the validation split empty for 10 pairs\n"
+    assert not (tmp_path / "r" / "validation.tsv").exists()
+
+
 # ---------------------------------------------------------------- pipeline
 
 
@@ -480,6 +491,26 @@ def test_evaluate_rejects_both_embedding_sources(tmp_path, capsys):
         ])
     assert exc.value.code == 2
     assert "argument --checkpoint: not allowed with argument --embeddings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("embeddings", [False, True])
+def test_evaluate_rejects_a_vocabulary_without_a_checkpoint(tmp_path, capsys, embeddings):
+    refs = tmp_path / "refs.tsv"
+    refs.write_text("0\ta b\n")
+    gens = tmp_path / "gens.tsv"
+    gens.write_text("0\t1\t-1.0\ta b\n")
+    vectors = tmp_path / "vec.txt"
+    vectors.write_text("a 1.0 0.0\nb 0.0 1.0\n")
+    code = main([
+        "evaluate", "--generations", str(gens), "--references", str(refs),
+        *(["--embeddings", str(vectors)] if embeddings else []),
+        "--vocab", str(tmp_path / "nonexistent.tsv"), "--run-dir", str(tmp_path / "eval"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "fcrg evaluate: error: --vocab names a checkpoint's embedding rows, so it needs --checkpoint\n"
+    )
+    assert not (tmp_path / "eval").exists()
 
 
 def test_evaluate_reports_clamped_negative_extrema(tmp_path, capsys):

@@ -290,6 +290,12 @@ def test_split_matches_stdlib_shuffle():
     assert train == order[:16] and val == order[16:18] and test == order[18:]
 
 
+def test_split_rejects_ratios_that_leave_a_part_empty():
+    # 0.05 of 10 pairs rounds down to an empty validation split.
+    with pytest.raises(ValueError, match="^split ratios leave the validation split empty for 10 pairs$"):
+        split_dataset(list(range(10)), SplitSpec(train=0.85, validation=0.05, test=0.1))
+
+
 def test_split_ratio_validation():
     with pytest.raises(ValueError):
         SplitSpec(train=0.9, validation=0.2, test=0.1)

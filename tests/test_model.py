@@ -138,17 +138,15 @@ def assert_close_to_scale(actual, expected, rel):
 )
 def test_gru_scan_matches_the_composed_cell_over_time(b, steps, d, n, scale, constant_h0, seed):
     # scale 30 and 1e3 saturate the gates (sigmoid and tanh at 0 or +-1).
-    # constant_h0: the state before the first step wants no gradient, as in the encoder.
+    # constant_h0: the state before the first step is all zeros, as in the encoder; it gets its gradient too.
     rng = np.random.default_rng(seed)
     x, w = rng.standard_normal((b * steps, d)), rng.standard_normal((d, 3 * n))
     xw = (x @ w) * scale  # batch-major: row j * steps + t is row j's step t
-    h0 = rng.standard_normal((b, n)) * scale
+    h0 = np.zeros((b, n)) if constant_h0 else rng.standard_normal((b, n)) * scale
     u_zr, u_c = rng.standard_normal((n, 2 * n)), rng.standard_normal((n, n))
     coeff = Tensor(rng.standard_normal((b, steps, n)))
 
-    fused = [Tensor(a.copy(), requires_grad=True) for a in (xw, h0, u_zr, u_c)]
-    if constant_h0:
-        fused[1] = Tensor(h0.copy())
+    fused = [Tensor(a.copy()) for a in (xw, h0, u_zr, u_c)]
     out = T.gru_scan(*fused)
     backward(reduce_sum(mul(out, coeff)))
 
@@ -156,9 +154,9 @@ def test_gru_scan_matches_the_composed_cell_over_time(b, steps, d, n, scale, con
     # out of each step's rows of xw through 0/1 selector weights.
     pick = np.eye(3 * n)
     by_step = xw.reshape(b, steps, 3 * n)
-    c_xws = [Tensor(by_step[:, t].copy(), requires_grad=True) for t in range(steps)]
-    c_h0 = Tensor(h0.copy(), requires_grad=not constant_h0)
-    c_uz, c_ur, c_uc = (Tensor(a.copy(), requires_grad=True) for a in (u_zr[:, :n], u_zr[:, n:], u_c))
+    c_xws = [Tensor(by_step[:, t].copy()) for t in range(steps)]
+    c_h0 = Tensor(h0.copy())
+    c_uz, c_ur, c_uc = (Tensor(a.copy()) for a in (u_zr[:, :n], u_zr[:, n:], u_c))
     h, states = c_h0, []
     for c_xw in c_xws:
         h = gru_cell(c_xw, h, Tensor(pick[:, :n]), c_uz, Tensor(pick[:, n : 2 * n]), c_ur, Tensor(pick[:, 2 * n :]), c_uc)
@@ -168,10 +166,7 @@ def test_gru_scan_matches_the_composed_cell_over_time(b, steps, d, n, scale, con
 
     assert_close_to_scale(out.data, expected.data, 1e-12)
     assert_close_to_scale(fused[0].grad, np.stack([c.grad for c in c_xws], axis=1).reshape(xw.shape), 1e-12)
-    if constant_h0:
-        assert fused[1].grad is None and c_h0.grad is None and len(out._edges) == 3
-    else:
-        assert_close_to_scale(fused[1].grad, c_h0.grad, 1e-12)
+    assert_close_to_scale(fused[1].grad, c_h0.grad, 1e-12)
     assert_close_to_scale(fused[2].grad, np.concatenate([c_uz.grad, c_ur.grad], axis=1), 1e-12)
     assert_close_to_scale(fused[3].grad, c_uc.grad, 1e-12)
 
@@ -217,7 +212,7 @@ def test_attention_matches_the_composed_chain(k, steps, length, n, shared, bilin
     coeff = rng.standard_normal((k * steps, n)).astype(dtype)
 
     def run(context, run_dtype):
-        leaves = [Tensor(a.astype(run_dtype), requires_grad=True) for a in arrays]
+        leaves = [Tensor(a.astype(run_dtype)) for a in arrays]
         queries = leaves[1 : 1 + steps]
         if bilinear:
             queries = [T.matmul(q, leaves[-1]) for q in queries]
@@ -274,7 +269,7 @@ def graph_size(loss) -> int:
     """Number of distinct tensors recorded under ``loss``, leaves included."""
     seen, todo = {id(loss)}, [loss]
     while todo:
-        for parent, _ in todo.pop()._edges:
+        for parent in todo.pop()._parents:
             if id(parent) not in seen:
                 seen.add(id(parent))
                 todo.append(parent)

@@ -3,7 +3,6 @@
 import ast
 import gc
 import shutil
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +33,7 @@ def fd_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
 
 
 def leaf(shape):
-    return Tensor(RNG.standard_normal(shape), requires_grad=True)  # float64
+    return Tensor(RNG.standard_normal(shape))  # float64
 
 
 def check_op(build, *leaves, tol=1e-7):
@@ -61,11 +60,11 @@ def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     e = np.exp(-np.abs(x))
     y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype, copy=False)
-    return T._make(y, (a, lambda g: g * y * (1.0 - y)))
+    return Tensor(y, (a,), lambda g: (g * y * (1.0 - y),))
 
 
 def one_minus(a: Tensor) -> Tensor:
-    return T._make(1.0 - a.data, (a, np.negative))
+    return Tensor(1.0 - a.data, (a,), lambda g: (np.negative(g),))
 
 
 # Two generic ops the composed attention chain was built from.  They left
@@ -80,9 +79,9 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def grad_fn(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, shape)
+        return (np.broadcast_to(g, shape),)
 
-    return T._make(a.data.sum(axis=axis, keepdims=keepdims), (a, grad_fn))
+    return Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,), grad_fn)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -90,7 +89,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-    return T._make(y, (a, lambda g: y * (g - (g * y).sum(axis=axis, keepdims=True))))
+    return Tensor(y, (a,), lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),))
 
 
 # The two broadcasting element-wise ops.  They left fcrg.tensor when the
@@ -130,17 +129,14 @@ def _operands(a, b, op: str) -> tuple[Tensor, Tensor]:
 
 def add(a, b) -> Tensor:
     a, b = _operands(a, b, "add")
-    return T._make(
-        a.data + b.data, (a, partial(_unbroadcast, shape=a.shape)), (b, partial(_unbroadcast, shape=b.shape))
-    )
+    a_shape, b_shape = a.shape, b.shape
+    return Tensor(a.data + b.data, (a, b), lambda g: (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape)))
 
 
 def mul(a, b) -> Tensor:
     a, b = _operands(a, b, "mul")
     x, y = a.data, b.data
-    return T._make(
-        x * y, (a, lambda g: _unbroadcast(g * y, x.shape)), (b, lambda g: _unbroadcast(g * x, y.shape))
-    )
+    return Tensor(x * y, (a, b), lambda g: (_unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)))
 
 
 # The op that stacked per-step tensors.  It left fcrg.tensor when the encoder
@@ -151,7 +147,8 @@ def mul(a, b) -> Tensor:
 def stack(tensors, axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     out_data = np.stack([t.data for t in tensors], axis=axis)
-    return T._make(out_data, *((t, partial(np.take, indices=i, axis=axis)) for i, t in enumerate(tensors)))
+    count = len(tensors)
+    return Tensor(out_data, tuple(tensors), lambda g: tuple(np.take(g, i, axis=axis) for i in range(count)))
 
 
 def row_probs(x: np.ndarray) -> np.ndarray:
@@ -203,12 +200,11 @@ def test_gru_scan_grad(steps):
 
 
 def test_gru_scan_grad_with_a_constant_state():
-    # The encoder: the zero state wants no gradient, the weights do.
-    h = Tensor(RNG.standard_normal((2, 3)))
+    # The encoder's all-zero state is a constant leaf: it gets its gradient as the weights do.
+    h = Tensor(np.zeros((2, 3)))
     states = T.gru_scan(leaf((8, 9)), h, leaf((3, 6)), leaf((3, 3)))
-    assert states.shape == (2, 4, 3) and len(states._edges) == 3
-    check_op(lambda xw, u_zr, u_c: T.gru_scan(xw, h, u_zr, u_c), leaf((8, 9)), leaf((3, 6)), leaf((3, 3)))
-    assert h.grad is None
+    assert states.shape == (2, 4, 3) and states._parents[1] is h
+    check_op(T.gru_scan, leaf((8, 9)), h, leaf((3, 6)), leaf((3, 3)))
 
 
 def test_concat_grad():
@@ -308,10 +304,10 @@ def masked_nll(logits: Tensor, gold: np.ndarray, mask: np.ndarray) -> Tensor:
         np.exp(grad, out=grad)
         grad *= c[:, None]
         grad[rows, gold] -= c
-        return grad
+        return (grad,)
 
     picked = (x[rows, gold] - shift[:, 0]) - log_z[:, 0]
-    return T._make(-(picked * mask).sum(), (logits, grad_fn))
+    return Tensor(-(picked * mask).sum(), (logits,), grad_fn)
 
 
 def test_masked_nll_grad():
@@ -328,7 +324,7 @@ def test_nll_is_bit_equal_to_the_masked_loss_with_every_row_kept(dtype):
     gold = rng.integers(0, 4, size=9)  # gold ids repeat
     results = []
     for loss_fn in (lambda x: T.nll(x, gold), lambda x: masked_nll(x, gold, np.ones(9, dtype=dtype))):
-        x = Tensor(logits.copy(), requires_grad=True)
+        x = Tensor(logits.copy())
         loss = loss_fn(x)
         backward(loss)
         results.append((np.asarray(loss.data), x.grad))
@@ -374,7 +370,7 @@ def test_masked_nll_bit_equal_to_five_op_chain(dtype):
     masks = [(rng.random(batch) < 0.7).astype(dtype) for _ in range(steps)]
     masks[0][:] = 1.0
     masks[-1][:] = 0.0
-    leaves = [Tensor(x.copy(), requires_grad=True) for x in logits]
+    leaves = [Tensor(x.copy()) for x in logits]
     loss = reduce_sum(stack([masked_nll(x, g, m) for x, g, m in zip(leaves, golds, masks)], axis=0))
     backward(loss)
     expected_loss, expected_grads = five_op_chain(logits, golds, masks)
@@ -411,16 +407,16 @@ def dense_embedding_lookup(weight, ids):
     def grad_fn(g):
         gw_t = np.zeros((vocab, dim), dtype=weight.dtype)
         np.add.at(gw_t, ids, g)
-        return gw_t.T
+        return (gw_t.T,)
 
-    return T._make(weight.data[:, ids].T.copy(), (weight, grad_fn))
+    return Tensor(weight.data[:, ids].T.copy(), (weight,), grad_fn)
 
 
 def column_and_dense_grads(build, weight_data, **kwargs):
     """``build(w, lookup)`` -> scalar loss; the weight's .grad under each lookup."""
     grads = []
     for lookup in (T.embedding_lookup, dense_embedding_lookup):
-        w = Tensor(weight_data.copy(), requires_grad=True)
+        w = Tensor(weight_data.copy())
         backward(build(w, lookup, **kwargs))
         grads.append(w.grad)
     return grads
@@ -440,8 +436,8 @@ EMB = np.random.default_rng(7).standard_normal((6, 40)).astype(np.float32)  # (d
 
 
 def test_embedding_grad_is_column_sums():
-    w = Tensor(EMB.copy(), requires_grad=True)
-    grad = T.embedding_lookup(w, np.array([3, 1, 3]))._edges[0][1](np.ones((3, 6), dtype=np.float32))
+    w = Tensor(EMB.copy())
+    (grad,) = T.embedding_lookup(w, np.array([3, 1, 3])).grad_fn(np.ones((3, 6), dtype=np.float32))
     assert isinstance(grad, T.ColumnGrad)
     assert grad.cols.tolist() == [1, 3]
     assert np.array_equal(grad.sums, np.array([[1.0] * 6, [2.0] * 6], dtype=np.float32))
@@ -486,7 +482,7 @@ def test_embedding_grad_first_and_later_accumulation_bit_equal_to_dense():
     # A second backward adds onto the gradient the first one left.
     grads = []
     for lookup in (T.embedding_lookup, dense_embedding_lookup):
-        w = Tensor(EMB.copy(), requires_grad=True)
+        w = Tensor(EMB.copy())
         w.grad = first.copy()
         backward(weighted_sum(lookup(w, ids), 7))
         backward(weighted_sum(lookup(w, ids[::-1]), 8))
@@ -548,7 +544,16 @@ def test_backward_requires_scalar():
 
 def test_backward_requires_recorded_graph():
     with pytest.raises(RuntimeError):
-        backward(Tensor(np.array(1.0), requires_grad=True))
+        backward(Tensor(np.array(1.0)))
+
+
+def test_backward_rejects_a_grad_fn_with_one_gradient_too_few():
+    # Without the check, b would silently get no gradient.
+    a, b = leaf((3,)), leaf((3,))
+    short = Tensor(a.data + b.data, (a, b), lambda g: (g,))
+    with pytest.raises(ValueError, match="shorter"):
+        backward(reduce_sum(short))
+    assert b.grad is None
 
 
 def test_grad_accumulates_over_reuse():
@@ -586,7 +591,8 @@ def test_backward_keeps_grad_on_leaves_only():
     backward(loss)
     assert x.grad is not None and w.grad is not None
     assert hidden.grad is None and loss.grad is None
-    assert constant.grad is None
+    # A constant is a leaf too: it keeps the gradient add broadcast it to.
+    assert np.array_equal(constant.grad, x.grad.sum(axis=0))
 
 
 def test_recorded_graph_leaves_no_cyclic_garbage():
@@ -680,7 +686,7 @@ def test_caller_guard_flags_an_op_whose_name_only_methods_call(tmp_path):
     package = tmp_path / "fcrg"
     shutil.copytree(Path(T.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
     with (package / "tensor.py").open("a", encoding="utf-8") as f:
-        f.write("\n\ndef add(a, b):\n    return _make(a.data + b.data)\n")
+        f.write("\n\ndef add(a, b):\n    return Tensor(a.data + b.data)\n")
     assert uncalled_tensor_ops(package) == ["add"]
     (package / "caller.py").write_text("from . import tensor as T\n\nT.add(1, 2)\n", encoding="utf-8")
     assert uncalled_tensor_ops(package) == []
