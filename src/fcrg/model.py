@@ -272,6 +272,7 @@ def validation_nll(model: FCRGModel, pairs: Sequence[EncodedPair], batch_size: i
         loss, n = model.sequence_nll(batch, train=False)
         total += loss.item()
         tokens += n
+        del loss  # its tape must not live through the next batch's forward pass
     return total / tokens
 
 

@@ -8,10 +8,12 @@ are training-only state: the first ``adam_step`` makes them.
 blocks of ``ADAM_BLOCK`` elements, so the dozen passes of the update run
 over a block that stays in cache instead of over the whole 20k-wide
 embedding.  The update is elementwise, so the blocked result is bit-equal
-to the whole-array one.  ``grad_norm`` and ``clip_gradients`` are not
-blocked: the norm's float64 sum keeps its whole-array summation order,
-and the clip must have scaled ``.grad`` before ``adam_step`` reads it,
-because callers read ``grad_norm`` after clipping.
+to the whole-array one.  ``grad_norm`` sums float64 squares over leaves of
+at most ``ADAM_BLOCK`` elements, split as numpy's pairwise summation splits
+a whole array, so it gives the whole-array sum's bits without a float64
+copy of each gradient.  ``clip_gradients`` is still not folded into Adam:
+the clip must have scaled ``.grad`` before ``adam_step`` reads it, because
+callers read ``grad_norm`` after clipping.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ class ParamStore:
         total = 0.0
         for t in self._tensors.values():
             if t.grad is not None:
-                total += float(np.square(t.grad, dtype=np.float64).sum())
+                total += float(_square_sum(t.grad.reshape(-1)))
         return float(np.sqrt(total))
 
     def clip_gradients(self, clip_norm: float) -> float:
@@ -165,11 +167,27 @@ class ParamStore:
         return {name: t.data.copy() for name, t in self._tensors.items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Set parameters from ``state``; like ``add``, each keeps its array itself when the dtype matches."""
         for name, value in state.items():
             t = self._tensors[name]
             if t.shape != value.shape:
                 raise ValueError(f"state shape mismatch for {name!r}: {t.shape} vs {value.shape}")
-            t.data = value.astype(t.dtype, copy=True)
+            t.data = value.astype(t.dtype, copy=False)
+
+
+def _square_sum(flat: np.ndarray) -> np.float64:
+    """``np.square(flat, dtype=float64).sum()`` of a 1-D array, in the same bits.
+
+    numpy sums a contiguous array pairwise: it halves the length, rounds the
+    first half down to a multiple of 8 and adds the two halves' sums.  The
+    split is replayed here down to leaves of at most ``ADAM_BLOCK`` elements,
+    so the float64 squares exist one leaf at a time.
+    """
+    if flat.size <= ADAM_BLOCK:
+        return np.square(flat, dtype=np.float64).sum()
+    half = flat.size // 2
+    half -= half % 8
+    return _square_sum(flat[:half]) + _square_sum(flat[half:])
 
 
 CHECKPOINT_MAGIC = "fcrg-checkpoint 1"

@@ -13,8 +13,11 @@ maps the output's gradient array to one gradient per parent, in parent order.
 A ``grad_fn`` closes over arrays only, never over a ``Tensor``, so a recorded
 graph holds no reference cycles and is freed as soon as its output is
 dropped.  ``backward`` passes each parent its gradient and then clears the
-output's: only leaves (tensors with no parents, parameters and constants
-alike) keep ``.grad``.
+output's gradient, parents and ``grad_fn``: it frees the graph as it walks
+it, so a graph is differentiated once, and only leaves (tensors with no
+parents, parameters and constants alike) keep ``.grad``.  A leaf's first
+gradient is kept without a copy when it is a fresh array of the leaf's
+dtype, and copied when it is a view or of another dtype.
 
 Each parent's gradient is an array shaped like it, or, for
 ``embedding_lookup``, a ``ColumnGrad``: the few columns of the (dim, vocab)
@@ -41,7 +44,7 @@ class Tensor:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.grad: Optional[np.ndarray] = None
-        self._parents = parents
+        self._parents = parents  # None once backward has passed this node's gradient on
         self.grad_fn = grad_fn  # output gradient -> one share per parent
 
     @property
@@ -60,12 +63,16 @@ class Tensor:
             if self.grad is None:
                 self.grad = np.zeros_like(self.data)
             self.grad[:, g.cols] += g.sums.T
-        elif self.grad is None:
-            # Always a copy: a ``grad_fn`` may return a view (``concat`` hands
-            # each parent a view of its gradient), and ``+=`` needs an owned array.
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
-        else:
+        elif self.grad is not None:
             self.grad += g
+        elif isinstance(g, np.ndarray) and g.base is None and g.dtype == self.data.dtype:
+            # A fresh array that owns its memory: ``backward`` hands each array
+            # object to one parent only, so it can be kept as it is.
+            self.grad = g
+        else:
+            # A view (``concat`` hands each parent a view of its gradient) or
+            # another dtype: ``+=`` needs an owned array of the parent's dtype.
+            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
@@ -225,25 +232,41 @@ def attention(states: Tensor, query: Tensor, mask: np.ndarray) -> Tensor:
     return Tensor(context, (states, query), grad_fn)
 
 
+NLL_BLOCK = 16  # rows per block of the loss's elementwise passes: 1.3 MB of float32 at V = 20k
+
+
 def nll(logits: Tensor, gold: np.ndarray) -> Tensor:
     """Scalar ``-sum_i log_softmax(logits)[i, gold[i]]`` of (n, V) logits.
 
     The row log-softmax is ``(x - max) - log(sum(exp(x - max)))``, but the
     forward pass keeps only each row's shift and log-normaliser: the full
     (n, V) log-probabilities are built in backward, in the array that is
-    returned.
+    returned.  Both passes run over ``NLL_BLOCK`` rows at a time, which stay
+    in cache, and the forward pass builds no (n, V) temporary.  Each row's
+    sums and every elementwise step are those of the whole-array passes, so
+    the blocks give the same bits.
     """
     x = logits.data
-    rows = np.arange(x.shape[0])
+    n = x.shape[0]
+    rows = np.arange(n)
     shift = x.max(axis=1, keepdims=True)
-    e = x - shift
-    log_z = np.log(np.exp(e, out=e).sum(axis=1, keepdims=True))
+    log_z = np.empty_like(shift)
+    e = np.empty((min(n, NLL_BLOCK), x.shape[1]), dtype=x.dtype)
+    for start in range(0, n, NLL_BLOCK):
+        block = slice(start, start + NLL_BLOCK)
+        eb = np.subtract(x[block], shift[block], out=e[: min(NLL_BLOCK, n - start)])
+        np.exp(eb, out=eb)
+        eb.sum(axis=1, keepdims=True, out=log_z[block])
+    np.log(log_z, out=log_z)
 
     def grad_fn(g):
-        grad = x - shift
-        grad -= log_z
-        np.exp(grad, out=grad)
-        grad *= g
+        grad = np.empty_like(x)
+        for start in range(0, n, NLL_BLOCK):
+            block = slice(start, start + NLL_BLOCK)
+            gb = np.subtract(x[block], shift[block], out=grad[block])
+            gb -= log_z[block]
+            np.exp(gb, out=gb)
+            gb *= g
         grad[rows, gold] -= g
         return (grad,)
 
@@ -288,12 +311,17 @@ def backward(loss: Tensor) -> None:
     """Reverse-accumulate gradients of a recorded scalar into its leaves.
 
     Interior gradients are dropped once passed on; only leaves keep ``.grad``.
-    A ``grad_fn`` that returns more or fewer gradients than its op has parents
-    raises ``ValueError``.
+    Once a node's gradient is passed on, its parents and ``grad_fn`` are
+    cleared, so the arrays its ``grad_fn`` closed over are freed during the
+    walk.  A graph can therefore be differentiated once: ``backward`` through
+    a node it has already walked raises ``RuntimeError``.  An array object
+    that one ``grad_fn`` hands to several parents reaches all but the first
+    as a view, which ``accumulate_grad`` copies.  A ``grad_fn`` that returns
+    more or fewer gradients than its op has parents raises ``ValueError``.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward() requires a scalar loss, got shape {loss.shape}")
-    if not loss._parents:
+    if loss._parents == ():
         raise RuntimeError("backward() called on a tensor with no recorded forward computation")
     order: list[Tensor] = []
     visited: set[int] = set()
@@ -305,12 +333,21 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in visited:
             continue
+        if node._parents is None:
+            raise RuntimeError("backward() through a graph that was already differentiated")
         visited.add(id(node))
         stack.append((node, True))
         stack.extend((parent, False) for parent in node._parents if id(parent) not in visited)
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         if node._parents:
-            for parent, share in zip(node._parents, node.grad_fn(node.grad), strict=True):
+            shares = node.grad_fn(node.grad)
+            handed: set[int] = set()
+            for parent, share in zip(node._parents, shares, strict=True):
+                if id(share) in handed:
+                    share = share[...]
+                else:
+                    handed.add(id(share))
                 parent.accumulate_grad(share)
-            node.grad = None
+            node.grad, node._parents, node.grad_fn = None, None, None

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -673,6 +674,35 @@ def test_training_early_stops():
     history = []
     train_model(model, pairs, pairs, config, log=history.append)
     assert len(history) < 50
+
+
+def test_training_peak_memory_is_one_tape_over_the_parameters():
+    # Two float32 steps with V = 2000 and 16-wide layers, so the (n, V) logits
+    # dominate the tape.  Step 2's backward must hold no more than the
+    # parameters, their gradients and Adam's two moments (4 P), the logits and
+    # their gradient (2 L), and the rest of one narrow tape (well under L / 4).
+    # A tape kept from the previous step or an extra (n, V) copy breaks it.
+    vocab = 2000
+    rng = np.random.default_rng(5)
+
+    def split(count):
+        return [
+            EncodedPair(rng.integers(4, vocab, size=rng.integers(3, 12)).tolist(),
+                        [BOS] + rng.integers(4, vocab, size=10).tolist() + [EOS])
+            for _ in range(count)
+        ]
+
+    train, val = split(64), split(32)
+    model = FCRGModel(ModelConfig(vocab_size=vocab, embed_dim=16, hidden_size=16, output_size=16, dropout=0.2, seed=1))
+    param_bytes = sum(t.data.nbytes for _, t in model.params.items())
+    logit_bytes = 32 * 11 * vocab * 4  # every batch scores 32 rows x 11 steps
+    tracemalloc.start()
+    try:
+        train_model(model, train, val, TrainConfig(max_epochs=1, batch_size=32))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * param_bytes + 2.25 * logit_bytes, (peak - 4 * param_bytes) / logit_bytes
 
 
 def test_training_deterministic():

@@ -78,6 +78,17 @@ def test_grad_norm_bit_equal_to_two_temporary_formula(shape):
         assert store_with({"g": g}).grad_norm() == expected
 
 
+@pytest.mark.parametrize("size", [ADAM_BLOCK, ADAM_BLOCK + 1, 2 * ADAM_BLOCK + 8, 12_345_679])
+def test_blocked_grad_norm_is_bit_equal_at_the_leaf_boundaries(size):
+    # One leaf, the first split, a split whose halves are leaves, and a deep odd split.
+    g = np.random.default_rng(size).standard_normal(size, dtype=np.float32) * 3
+    store = ParamStore()
+    store.add("g", np.zeros(1, dtype=np.float32)).grad = g
+    store.add("h", np.zeros(1, dtype=np.float32)).grad = g[:ADAM_BLOCK // 3]
+    expected = float(np.square(g, dtype=np.float64).sum()) + float(np.square(g[:ADAM_BLOCK // 3], dtype=np.float64).sum())
+    assert store.grad_norm() == float(np.sqrt(expected))
+
+
 # ---------------------------------------------------------------- adam
 
 
@@ -247,6 +258,20 @@ def test_state_roundtrip():
     w.data += 10.0
     store.load_state(snapshot)
     assert np.allclose(w.data, np.arange(4.0))
+
+
+def test_load_state_keeps_the_given_array_and_still_checks_its_shape():
+    store = ParamStore()
+    w = store.add("w", np.zeros((2, 3), dtype=np.float32))
+    value = np.ones((2, 3), dtype=np.float32)
+    store.load_state({"w": value})
+    assert w.data is value
+    other_dtype = np.full((2, 3), 2.0)
+    store.load_state({"w": other_dtype})
+    assert w.data.dtype == np.float32 and not np.shares_memory(w.data, other_dtype)
+    with pytest.raises(ValueError, match=r"state shape mismatch for 'w': \(2, 3\) vs \(3, 2\)"):
+        store.load_state({"w": np.ones((3, 2), dtype=np.float32)})
+    assert np.array_equal(w.data, np.full((2, 3), 2.0, dtype=np.float32))
 
 
 # ---------------------------------------------------------------- checkpoints

@@ -3,6 +3,7 @@
 import ast
 import gc
 import shutil
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +335,46 @@ def test_nll_is_bit_equal_to_the_masked_loss_with_every_row_kept(dtype):
     assert_bit_equal(grad, expected_grad)
 
 
+# T.nll as it was before its elementwise passes ran in row blocks: one pass
+# over the whole (n, V) logits each.  It is the blocked loss's oracle.
+def whole_array_nll(logits: Tensor, gold: np.ndarray) -> Tensor:
+    x = logits.data
+    rows = np.arange(x.shape[0])
+    shift = x.max(axis=1, keepdims=True)
+    e = x - shift
+    log_z = np.log(np.exp(e, out=e).sum(axis=1, keepdims=True))
+
+    def grad_fn(g):
+        grad = x - shift
+        grad -= log_z
+        np.exp(grad, out=grad)
+        grad *= g
+        grad[rows, gold] -= g
+        return (grad,)
+
+    picked = (x[rows, gold] - shift[:, 0]) - log_z[:, 0]
+    return Tensor(-picked.sum(), (logits,), grad_fn)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 481])  # around and over NLL_BLOCK = 16 rows
+def test_blocked_nll_is_bit_equal_to_the_whole_array_loss(n, dtype):
+    assert T.NLL_BLOCK == 16
+    rng = np.random.default_rng(n)
+    logits = (rng.standard_normal((n, 300)) * 4).astype(dtype)  # rows longer than numpy's 128-element pairwise leaf
+    gold = rng.integers(0, 40, size=n)  # gold ids repeat
+    upstream = np.asarray(-1.7, dtype=dtype)
+    results = []
+    for loss_fn in (T.nll, whole_array_nll):
+        loss = loss_fn(Tensor(logits), gold)
+        (grad,) = loss.grad_fn(upstream)
+        results.append((np.asarray(loss.data), grad))
+    (loss, grad), (expected_loss, expected_grad) = results
+    assert loss.dtype == dtype
+    assert_bit_equal(loss, expected_loss)
+    assert_bit_equal(grad, expected_grad)
+
+
 # The loss chain masked_nll replaced, written out in numpy: per step
 # log_softmax -> pick -> mul(mask) -> reduce_sum, the steps stacked and summed,
 # then scaled by -1.  Each interior gradient starts at zero and has its share
@@ -593,6 +634,71 @@ def test_backward_keeps_grad_on_leaves_only():
     assert hidden.grad is None and loss.grad is None
     # A constant is a leaf too: it keeps the gradient add broadcast it to.
     assert np.array_equal(constant.grad, x.grad.sum(axis=0))
+
+
+def test_backward_frees_the_graph_while_the_loss_is_held():
+    x, w = leaf((4, 3)), leaf((3, 2))
+    product = T.matmul(x, w)
+    hidden = T.tanh(product)
+    interior = [weakref.ref(product.data), weakref.ref(hidden.data)]
+    loss = reduce_sum(hidden)
+    del product, hidden
+    assert all(ref() is not None for ref in interior)  # the recorded graph holds them
+    backward(loss)
+    assert all(ref() is None for ref in interior)
+    assert np.array_equal(w.grad, x.data.T @ (1.0 - np.tanh(x.data @ w.data) ** 2))
+    with pytest.raises(RuntimeError, match="already differentiated"):
+        backward(loss)
+
+
+def test_backward_rejects_a_second_loss_through_a_walked_graph():
+    # The walk freed hidden's parents: the second loss would silently miss x's gradient.
+    x = leaf((2, 3))
+    hidden = T.tanh(x)
+    backward(reduce_sum(hidden))
+    with pytest.raises(RuntimeError, match="already differentiated"):
+        backward(reduce_sum(mul(hidden, hidden)))
+
+
+def test_a_fresh_first_gradient_is_kept_without_a_copy():
+    x = leaf((2, 3))
+    handed = []
+
+    def grad_fn(g):
+        handed.append(g * 2.0)
+        return (handed[-1],)
+
+    backward(reduce_sum(Tensor(2.0 * x.data, (x,), grad_fn)))
+    assert x.grad is handed[0]
+    g = np.ones((2, 3))
+    y = leaf((2, 3))
+    y.accumulate_grad(g)
+    assert y.grad is g
+
+
+@pytest.mark.parametrize("share", [
+    np.ones((2, 6))[:, :3],  # a view: it does not own its memory
+    np.ones((2, 3), dtype=np.float32),  # another dtype than the float64 leaf's
+])
+def test_a_view_or_another_dtype_is_copied_into_the_first_gradient(share):
+    x = leaf((2, 3))
+    x.accumulate_grad(share)
+    assert x.grad.dtype == np.float64 and x.grad.base is None
+    assert not np.shares_memory(x.grad, share)
+    assert np.array_equal(x.grad, np.ones((2, 3)))
+
+
+def test_concat_views_and_a_twice_handed_share_do_not_alias():
+    a, b, c, d = leaf((2, 3)), leaf((2, 2)), leaf((2, 3)), leaf((2, 3))
+    w = Tensor(RNG.standard_normal((2, 5)))
+    backward(reduce_sum(mul(T.concat([a, b], axis=1), w)))  # concat hands each parent a view
+    assert a.grad.base is None and b.grad.base is None
+    assert not np.shares_memory(a.grad, b.grad)
+    assert np.array_equal(np.concatenate([a.grad, b.grad], axis=1), w.data)
+    backward(reduce_sum(mul(add(c, d), Tensor(w.data[:, :3]))))  # add hands one array to both parents
+    assert not np.shares_memory(c.grad, d.grad)
+    c.grad += 1.0
+    assert np.array_equal(d.grad, w.data[:, :3])
 
 
 def test_recorded_graph_leaves_no_cyclic_garbage():
