@@ -100,12 +100,13 @@ def _coerce(key: str, text: str, where: str = "") -> object:
 
 
 def load_run_config(config_path: Optional[str], overrides: Sequence[str]) -> dict:
-    """Defaults, then the config file, then --set overrides; unknown keys rejected."""
+    """Defaults, then the config file, then --set overrides; unknown and repeated file keys rejected."""
     settings = dict(DEFAULTS)
     if config_path is not None:
         path = Path(config_path)
         if not path.exists():
             raise ValueError(f"config file not found: {path}")
+        first_line: dict[str, int] = {}
         for lineno, line in enumerate(read_lines(path), 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -116,6 +117,11 @@ def load_run_config(config_path: Optional[str], overrides: Sequence[str]) -> dic
             key, value = key.strip(), value.strip()
             if key not in settings:
                 raise ValueError(f"{path}: line {lineno}: unknown config key {key!r}")
+            if key in first_line:
+                raise ValueError(
+                    f"{path}: line {lineno}: duplicate config key {key!r} (first set on line {first_line[key]})"
+                )
+            first_line[key] = lineno
             settings[key] = _coerce(key, value, f"{path}: line {lineno}: ")
     for item in overrides:
         if "=" not in item:

@@ -40,7 +40,7 @@ class DecodedResponse:
 
 
 def _best_extensions(
-    logits: np.ndarray, scores: np.ndarray, ban_eos: bool, beam_size: int
+    logits: np.ndarray, scores: np.ndarray, ban_eos: bool, beam_size: int, work: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Parent rows, tokens and scores of the ``beam_size`` best extensions of a beam.
 
@@ -51,28 +51,41 @@ def _best_extensions(
     NaN or +inf, or are -inf at every token not banned, scores NaN throughout
     and takes no part.
 
-    The (k, V) block is built in place, one operation at a time in the order
-    ``(x - max) - log(sum(exp(x - max)))`` then ``+ score``, and one
-    ``np.partition`` of it finds the K-th best score: only the entries at or
-    above it are sorted.
+    The (k, V) block is built in ``work[0]``, with ``exp`` in ``work[1]``
+    (float64, at least k rows each), one operation at a time in the order
+    ``(x - max) - log(sum(exp(x - max)))`` then ``+ score``.  A row's best
+    extension scores exactly ``(0 - log_z) + score``, so with K finite rows
+    the K-th best of those row bests bounds the K-th best score from below:
+    only the entries at or above it are partitioned, and only those at or
+    above the K-th best are sorted.
     """
-    x = logits.astype(np.float64)
+    k, vocab = logits.shape
+    x, e = work[0, :k], work[1, :k]
+    x[...] = logits
     x[:, [PAD, BOS]] = -np.inf
     if ban_eos:
         x[:, EOS] = -np.inf
     row_max = x.max(axis=1, keepdims=True)
     x -= row_max
-    x -= np.log(np.exp(x).sum(axis=1, keepdims=True))
+    log_z = np.log(np.exp(x, out=e).sum(axis=1, keepdims=True))
+    x -= log_z
     x += scores[:, None]
     # A row is NaN exactly when its max is not finite; as -inf it drops out
-    # of the partition too, so the K-th value is the K-th best finite score.
-    x[~np.isfinite(row_max[:, 0])] = -np.inf
+    # of the partitions too, so the K-th value is the K-th best finite score.
+    dead = ~np.isfinite(row_max[:, 0])
+    x[dead] = -np.inf
+    best = (0.0 - log_z[:, 0]) + scores
+    best[dead] = -np.inf
     flat = x.ravel()
-    cut = max(len(flat) - beam_size, 0)
-    # With fewer than K finite scores the K-th value is -inf; the lowest finite
-    # threshold then keeps every finite score.
-    index = np.flatnonzero(flat >= max(np.partition(flat, cut)[cut], -np.finfo(np.float64).max))
-    parent, token = np.divmod(index, x.shape[1])
+    # With fewer than K finite rows there is no K-th row best (or it is -inf);
+    # the lowest finite bound then keeps every finite score.
+    cut = k - beam_size
+    bound = np.partition(best, cut)[cut] if cut >= 0 else -np.inf
+    index = np.flatnonzero(flat >= max(bound, -np.finfo(np.float64).max))
+    if index.size > beam_size:
+        cut = index.size - beam_size
+        index = index[flat[index] >= np.partition(flat[index], cut)[cut]]
+    parent, token = np.divmod(index, vocab)
     order = np.lexsort((parent, token, -flat[index]))[:beam_size]
     return parent[order], token[order], flat[index[order]]
 
@@ -94,10 +107,13 @@ def beam_search(source_ids: Sequence[int], model: FCRGModel, config: DecodeConfi
     ids = np.full((1, 1), BOS, dtype=np.int64)
     scores = np.zeros(1)
     hidden = encoded.final.data
+    work = np.empty((2, 0, model.config.vocab_size))  # grown to the most live rows seen, at most K
     completed: list[DecodedResponse] = []
     for t in range(config.max_len):
         out = model.decode_step(ids[:, -1], Tensor(hidden), encoded, gru, train=False)
-        parent, token, scores = _best_extensions(out.logits.data, scores, t < config.min_tokens, config.beam_size)
+        if work.shape[1] < len(ids):
+            work = np.empty((2, len(ids), work.shape[2]))
+        parent, token, scores = _best_extensions(out.logits.data, scores, t < config.min_tokens, config.beam_size, work)
         ends = token == EOS
         completed += [DecodedResponse(ids[p, 1:].tolist(), s) for p, s in zip(parent[ends], scores[ends])]
         parent, token, scores = parent[~ends], token[~ends], scores[~ends]

@@ -19,6 +19,15 @@ parents, parameters and constants alike) keep ``.grad``.  A leaf's first
 gradient is kept without a copy when it is a fresh array of the leaf's
 dtype, and copied when it is a view or of another dtype.
 
+Ops never write their inputs, with one exception: ``nll`` consumes interior
+logits.  Its backward writes the (n, V) softmax gradient over the logits
+array when that array belongs to an op's output (it has parents and owns its
+memory); the gradient then reaches the op that made them, and is freed with
+them, without a second (n, V) array.  So the logits may feed nothing but the
+loss, and the op that made them must not read its output in backward
+(``matmul`` does not; ``tanh`` does).  A leaf's array or a view is never
+written.
+
 Each parent's gradient is an array shaped like it, or, for
 ``embedding_lookup``, a ``ColumnGrad``: the few columns of the (dim, vocab)
 weight that the lookup touched and their summed gradients, so backward never
@@ -245,8 +254,17 @@ def nll(logits: Tensor, gold: np.ndarray) -> Tensor:
     in cache, and the forward pass builds no (n, V) temporary.  Each row's
     sums and every elementwise step are those of the whole-array passes, so
     the blocks give the same bits.
+
+    The loss consumes interior logits: when ``logits`` has parents and its
+    array owns its memory, backward writes the gradient over that array
+    instead of a new one.  So nothing may read such logits after the loss:
+    no other op, and not the backward of the op that made them (``matmul``
+    reads only its inputs, as in ``sequence_nll``; ``tanh`` reads its output
+    and must not feed the loss).  A leaf's array (the caller's) and a view
+    (its base may be another node's data) are never written.
     """
     x = logits.data
+    overwrite = bool(logits._parents) and x.base is None
     n = x.shape[0]
     rows = np.arange(n)
     shift = x.max(axis=1, keepdims=True)
@@ -260,7 +278,7 @@ def nll(logits: Tensor, gold: np.ndarray) -> Tensor:
     np.log(log_z, out=log_z)
 
     def grad_fn(g):
-        grad = np.empty_like(x)
+        grad = x if overwrite else np.empty_like(x)
         for start in range(0, n, NLL_BLOCK):
             block = slice(start, start + NLL_BLOCK)
             gb = np.subtract(x[block], shift[block], out=grad[block])

@@ -145,6 +145,16 @@ def test_config_line_numbers_count_newlines_only(tmp_path):
         load_run_config(str(cfg), [])
 
 
+def test_config_rejects_a_repeated_key(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("beam_size=15\n# again\nbeam_size = 3\n")
+    message = f"{cfg}: line 3: duplicate config key 'beam_size' (first set on line 1)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_run_config(str(cfg), [])
+    cfg.write_text("beam_size=15\n")
+    assert load_run_config(str(cfg), ["beam_size=3", "beam_size=4"])["beam_size"] == 4  # --set: the last wins
+
+
 def test_config_type_errors_name_the_key():
     with pytest.raises(ValueError, match="beam_size"):
         load_run_config(None, ["beam_size=lots"])

@@ -189,7 +189,7 @@ def test_best_extensions_bit_equal_to_two_pass_selection(case):
     with np.errstate(invalid="ignore"):
         candidates = scores[:, None] + _two_pass_log_probs(logits, ban_eos)
         parent, token = _two_pass_select(candidates, beam_size)
-        got = _best_extensions(logits, scores, ban_eos, beam_size)
+        got = _best_extensions(logits, scores, ban_eos, beam_size, np.full((2, len(logits) + 2, logits.shape[1]), np.nan))
     for fused, oracle in zip(got, (parent, token, candidates[parent, token])):
         assert fused.dtype == oracle.dtype
         assert fused.tobytes() == oracle.tobytes()

@@ -375,6 +375,37 @@ def test_blocked_nll_is_bit_equal_to_the_whole_array_loss(n, dtype):
     assert_bit_equal(grad, expected_grad)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 17, 481])
+def test_nll_writes_its_gradient_over_interior_logits(n, dtype):
+    rng = np.random.default_rng(n)
+    a = Tensor((rng.standard_normal((n, 8)) * 2).astype(dtype))
+    b = Tensor(rng.standard_normal((8, 300)).astype(dtype))
+    gold = rng.integers(0, 40, size=n)
+    upstream = np.asarray(-1.7, dtype=dtype)
+    logits = T.matmul(a, b)
+    oracle = whole_array_nll(Tensor(logits.data.copy()), gold)
+    loss = T.nll(logits, gold)
+    (grad,) = loss.grad_fn(upstream)
+    (expected,) = oracle.grad_fn(upstream)
+    assert np.shares_memory(grad, logits.data)
+    assert_bit_equal(grad, expected)
+
+
+def test_nll_leaves_a_leaf_and_a_views_base_unwritten():
+    rng = np.random.default_rng(4)
+    gold = rng.integers(0, 300, size=20)
+    logits = Tensor(rng.standard_normal((20, 300)))
+    before = logits.data.copy()
+    backward(T.nll(logits, gold))
+    assert_bit_equal(logits.data, before)
+
+    wide = T.matmul(Tensor(rng.standard_normal((10, 8))), Tensor(rng.standard_normal((8, 600))))
+    before = wide.data.copy()
+    backward(T.nll(T.reshape(wide, (20, 300)), gold))
+    assert_bit_equal(wide.data, before)
+
+
 # The loss chain masked_nll replaced, written out in numpy: per step
 # log_softmax -> pick -> mul(mask) -> reduce_sum, the steps stacked and summed,
 # then scaled by -1.  Each interior gradient starts at zero and has its share
