@@ -16,6 +16,7 @@ from fcrg.analysis import (
     lda_top_words,
     length_share_test,
     mann_whitney_u,
+    reply_tokens,
 )
 from fcrg.corpus import RawPair, normalize, tokenize
 
@@ -46,7 +47,7 @@ for k, words in enumerate(lda_top_words(model, 4)):
 # Do longer replies spread more?  (Mann-Whitney, long bucket greater.)
 pairs = [RawPair("claim", " ".join(["w"] * n), shares)
          for n, shares in [(4, 3), (5, 1), (6, 4), (12, 30), (14, 22), (15, 41)]]
-u, p = length_share_test(pairs)
+u, p = length_share_test(pairs, reply_tokens(pairs))
 print(f"shares of long vs short replies: U={u}, p={p:.4f}")
 
 u, p = mann_whitney_u([4, 5, 6], [1, 2, 3])

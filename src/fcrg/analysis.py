@@ -298,16 +298,22 @@ SHORT_BUCKET = (0, 9)
 LONG_BUCKET = (10, 20)
 
 
-def length_share_test(pairs: Sequence[RawPair], gazetteer: frozenset[str] = frozenset()) -> tuple[float, float]:
+def reply_tokens(pairs: Sequence[RawPair], gazetteer: frozenset[str] = frozenset()) -> list[list[str]]:
+    """Each pair's reply, normalized and tokenized: the documents the reply analyses read."""
+    return [tokenize(normalize(pair.reply_text, gazetteer)) for pair in pairs]
+
+
+def length_share_test(pairs: Sequence[RawPair], replies: Sequence[Sequence[str]]) -> tuple[float, float]:
     """Mann-Whitney test that longer replies (10-20 tokens) get more shares
-    than short ones (0-9 tokens).  Bucket bounds are inclusive; pairs without
-    a share count or beyond 20 tokens are ignored."""
+    than short ones (0-9 tokens).  ``replies`` holds each pair's reply tokens,
+    as ``reply_tokens`` gives them.  Bucket bounds are inclusive; pairs
+    without a share count or beyond 20 tokens are ignored."""
     short_shares: list[float] = []
     long_shares: list[float] = []
-    for pair in pairs:
+    for pair, reply in zip(pairs, replies, strict=True):
         if pair.share_count is None:
             continue
-        length = len(tokenize(normalize(pair.reply_text, gazetteer)))
+        length = len(reply)
         if SHORT_BUCKET[0] <= length <= SHORT_BUCKET[1]:
             short_shares.append(pair.share_count)
         elif LONG_BUCKET[0] <= length <= LONG_BUCKET[1]:

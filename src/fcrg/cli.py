@@ -368,7 +368,7 @@ def cmd_analyze(args, settings: dict) -> int:
     pairs = read_dataset(args.dataset)
     if not pairs:
         raise ValueError(f"{args.dataset}: dataset is empty")
-    reply_docs = [tokenize(normalize(p.reply_text, gazetteer)) for p in pairs]
+    reply_docs = analysis.reply_tokens(pairs, gazetteer)
 
     lines: list[str] = []
 
@@ -408,7 +408,7 @@ def cmd_analyze(args, settings: dict) -> int:
 
     if any(p.share_count is not None for p in pairs):
         try:
-            statistic, p_value = analysis.length_share_test(pairs, gazetteer)
+            statistic, p_value = analysis.length_share_test(pairs, reply_docs)
             lines.append(f"length_share_test\tU={statistic:.1f}\tp={p_value:.6f}")
         except ValueError as exc:
             lines.append(f"length_share_test\tskipped\t{exc}")

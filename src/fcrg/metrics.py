@@ -249,12 +249,20 @@ class EmbeddingTable:
 
 
 def load_embedding_table(path) -> EmbeddingTable:
-    """One ``token v1 v2 ... vd`` line per token: d finite decimals, the same d on every line."""
+    """One ``token v1 v2 ... vd`` line per token: d finite decimals, the same d on every line.
+
+    A token may have one line only: a repeated token raises ``ValueError``.
+    """
     vectors: dict[str, list[float]] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(read_lines(path), 1):
         parts = line.split(" ")
         if len(parts) < 2:
             raise ValueError(f"{path}: line {lineno}: expected a token and at least one value")
+        token = parts[0]
+        if token in first_line:
+            raise ValueError(f"{path}: line {lineno}: duplicate token {token!r} (first on line {first_line[token]})")
+        first_line[token] = lineno
         try:
             vector = [float(x) for x in parts[1:]]
         except ValueError:
@@ -262,7 +270,7 @@ def load_embedding_table(path) -> EmbeddingTable:
         dim = len(vector) if lineno == 1 else dim
         if len(vector) != dim or not all(map(math.isfinite, vector)):
             raise ValueError(f"{path}: line {lineno}: expected {dim} finite values")
-        vectors[parts[0]] = vector
+        vectors[token] = vector
     if not vectors:
         raise ValueError(f"{path}: embedding table is empty")
     return EmbeddingTable(vectors)

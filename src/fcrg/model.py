@@ -55,7 +55,7 @@ class ModelConfig:
 class EncoderOutput:
     """Stacked encoder hidden states with a validity mask per position."""
 
-    states: Tensor  # (b, L, H)
+    states: Tensor  # (b·L, H) rows, batch-major
     mask: np.ndarray  # (b, L) float, 1 at real tokens
     final: Tensor  # (b, H), hidden state at each row's last real token
     lengths: np.ndarray
@@ -83,7 +83,7 @@ class GRUWeights:
     u_c: Tensor  # (H, H)
 
     def scan(self, x: Tensor, h0: Tensor) -> Tensor:
-        """The (b, T, H) states from h0 (b, H) over inputs x (b·T, D): one input GEMM, then ``T.gru_scan``."""
+        """The (b·T, H) states from h0 (b, H) over inputs x (b·T, D): one input GEMM, then ``T.gru_scan``."""
         return T.gru_scan(T.matmul(x, self.w_x), h0, self.u_zr, self.u_c)
 
 
@@ -159,8 +159,8 @@ class FCRGModel:
         """The ``side`` ("enc" or "dec") GRU's per-gate parameters, concatenated for ``T.gru_scan``."""
         p = self.params
         return GRUWeights(
-            w_x=T.concat([p[f"{side}_{gate}_x"] for gate in _GATES], axis=1),
-            u_zr=T.concat([p[f"{side}_update_h"], p[f"{side}_reset_h"]], axis=1),
+            w_x=T.concat([p[f"{side}_{gate}_x"] for gate in _GATES]),
+            u_zr=T.concat([p[f"{side}_update_h"], p[f"{side}_reset_h"]]),
             u_c=p[f"{side}_candidate_h"],
         )
 
@@ -178,11 +178,10 @@ class FCRGModel:
             raise ValueError(f"encode: source lengths must be in [1, {max_len}], got {lengths.tolist()}")
         (uniforms,) = self._dropout_draws(b, max_len, [self.config.embed_dim], train)
         h0 = Tensor(np.zeros((b, self.config.hidden_size), dtype=self._np_dtype))
-        stacked = self.gru_weights("enc").scan(self.embed(source.reshape(-1), uniforms), h0)
+        states = self.gru_weights("enc").scan(self.embed(source.reshape(-1), uniforms), h0)
         mask = (np.arange(max_len)[None, :] < lengths[:, None]).astype(self._np_dtype)
         last = np.arange(b) * max_len + lengths - 1  # each row's last real (row, step) in batch-major order
-        final = T.take_rows(T.reshape(stacked, (b * max_len, self.config.hidden_size)), last)
-        return EncoderOutput(states=stacked, mask=mask, final=final, lengths=lengths)
+        return EncoderOutput(states=states, mask=mask, final=T.take_rows(states, last), lengths=lengths)
 
     def attention_query(self, hidden: Tensor) -> Tensor:
         """The attention query: ``hidden``, or ``hidden @ attn_bilinear``."""
@@ -214,9 +213,9 @@ class FCRGModel:
         ids = np.asarray(prev_ids, dtype=np.int64).reshape(len(prev_ids), -1)
         (b, steps), n = ids.shape, self.config.hidden_size
         u_x, u_features = self._dropout_draws(b, steps, [self.config.embed_dim, 2 * n], train)
-        h = T.reshape(gru.scan(self.embed(ids.reshape(-1), u_x), h_prev), (b * steps, n))
+        h = gru.scan(self.embed(ids.reshape(-1), u_x), h_prev)
         context = T.attention(encoded.states, self.attention_query(h), encoded.mask)
-        features = T.dropout(T.concat([context, h], axis=1), self.config.dropout, u_features)
+        features = T.dropout(T.concat([context, h]), self.config.dropout, u_features)
         if rows is not None:
             features = T.take_rows(features, rows)
         return DecodeStepOutput(features=features, hidden=h, logits=self.output_head(features))

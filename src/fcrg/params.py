@@ -194,12 +194,19 @@ CHECKPOINT_MAGIC = "fcrg-checkpoint 1"
 
 
 def save_checkpoint(path, store: ParamStore, config: dict, *, seed: int = 0, epoch: int = 0) -> None:
-    """Text header (version, config, parameter table) + raw little-endian payload."""
+    """Text header (version, config, parameter table) + raw little-endian payload.
+
+    The header names one dtype for every parameter, so a store whose
+    parameters differ in dtype raises ``ValueError`` and nothing is written.
+    """
     names = store.names()
-    dtype = store[names[0]].dtype if names else np.float32
+    dtypes = sorted({store[name].dtype.name for name in names}) or ["float32"]
+    if len(dtypes) > 1:
+        raise ValueError(f"save_checkpoint: parameters must share one dtype, got {' and '.join(dtypes)}")
+    dtype = np.dtype(dtypes[0])
     header_lines = [
         CHECKPOINT_MAGIC,
-        f"dtype {np.dtype(dtype).name}",
+        f"dtype {dtype.name}",
         f"seed {seed}",
         f"epoch {epoch}",
         "config " + json.dumps(config, sort_keys=True),
@@ -211,7 +218,7 @@ def save_checkpoint(path, store: ParamStore, config: dict, *, seed: int = 0, epo
     with atomic_write(path) as fh:
         fh.write(("\n".join(header_lines) + "\n").encode("utf-8"))
         for name in names:
-            fh.write(np.ascontiguousarray(store[name].data, dtype=f"<{np.dtype(dtype).kind}{np.dtype(dtype).itemsize}").tobytes())
+            fh.write(np.ascontiguousarray(store[name].data, dtype=f"<{dtype.kind}{dtype.itemsize}").tobytes())
 
 
 def load_checkpoint(path) -> tuple[ParamStore, dict]:

@@ -1,32 +1,36 @@
 """Minimal dense tensors with reverse-mode gradients.
 
 Covers exactly the operations the recurrent generation model needs: matmul,
-tanh, concat, reshape, a row gather (``take_rows``), embedding lookup,
+tanh, column concat, a row gather (``take_rows``), embedding lookup,
 dropout, one GRU run over a whole sequence (``gru_scan``), one masked
 dot-attention context for any number of query rows per source
 (``attention``, whose weights ``attention_probs`` gives as a plain array) and
 the negative log-likelihood loss (``nll``).  float32 by default; float64 is used
 for gradient checking.
 
+Every op takes and returns 2-D tensors (``nll`` returns a scalar).  A
+sequence is held as batch-major rows: row j·T + t is row j's step t, so
+``gru_scan``'s states feed ``take_rows``, ``concat``, ``matmul`` and
+``attention`` as they are.
+
 Each op records its inputs as the output's parents and one ``grad_fn`` that
 maps the output's gradient array to one gradient per parent, in parent order.
 A ``grad_fn`` closes over arrays only, never over a ``Tensor``, so a recorded
 graph holds no reference cycles and is freed as soon as its output is
-dropped.  ``backward`` passes each parent its gradient and then clears the
-output's gradient, parents and ``grad_fn``: it frees the graph as it walks
-it, so a graph is differentiated once, and only leaves (tensors with no
-parents, parameters and constants alike) keep ``.grad``.  A leaf's first
-gradient is kept without a copy when it is a fresh array of the leaf's
-dtype, and copied when it is a view or of another dtype.
+dropped.  It reads the op's inputs and the arrays the op made in forward,
+never the op's output.  ``backward`` passes each parent its gradient and
+then clears the output's gradient, parents and ``grad_fn``: it frees the
+graph as it walks it, so a graph is differentiated once, and only leaves
+(tensors with no parents, parameters and constants alike) keep ``.grad``.  A
+leaf's first gradient is kept without a copy when it is a fresh array of the
+leaf's dtype, and copied when it is a view or of another dtype.
 
 Ops never write their inputs, with one exception: ``nll`` consumes interior
 logits.  Its backward writes the (n, V) softmax gradient over the logits
 array when that array belongs to an op's output (it has parents and owns its
 memory); the gradient then reaches the op that made them, and is freed with
 them, without a second (n, V) array.  So the logits may feed nothing but the
-loss, and the op that made them must not read its output in backward
-(``matmul`` does not; ``tanh`` does).  A leaf's array or a view is never
-written.
+loss.  A leaf's array or a view is never written.
 
 Each parent's gradient is an array shaped like it, or, for
 ``embedding_lookup``, a ``ColumnGrad``: the few columns of the (dim, vocab)
@@ -119,16 +123,17 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-    return Tensor(y, (a,), lambda g: (g * (1.0 - y * y),))
+    x = a.data
+    return Tensor(np.tanh(x), (a,), lambda g: (g * (1.0 - np.tanh(x) ** 2),))
 
 
 def gru_scan(xw: Tensor, h0: Tensor, u_zr: Tensor, u_c: Tensor) -> Tensor:
-    """A GRU run over T steps in row convention; returns the (b, T, H) states.
+    """A GRU run over T steps in row convention; returns the (b·T, H) states, batch-major.
 
-    ``xw`` (b·T, 3H) is the input times ``[W_z|W_r|W_c]``, batch-major (row
-    j·T + t is row j's step t), ``h0`` (b, H) the state before step 0, and
-    ``u_zr`` = ``[U_z|U_r]`` (H, 2H) and ``u_c`` (H, H) the recurrent weights:
+    ``xw`` (b·T, 3H) is the input times ``[W_z|W_r|W_c]``, batch-major like
+    the states (row j·T + t is row j's step t), ``h0`` (b, H) the state before
+    step 0, and ``u_zr`` = ``[U_z|U_r]`` (H, 2H) and ``u_c`` (H, H) the
+    recurrent weights:
 
         [z|r] = sigmoid(xw_t[:, :2H] + h @ u_zr)
         c     = tanh(xw_t[:, 2H:] + (r * h) @ u_c)
@@ -139,6 +144,7 @@ def gru_scan(xw: Tensor, h0: Tensor, u_zr: Tensor, u_c: Tensor) -> Tensor:
     """
     w_zr, w_c = u_zr.data, u_c.data
     b, n = h0.shape
+    xw_shape = xw.shape
     x = xw.data.reshape(b, -1, 3 * n)
     hs, gates, cands = [h0.data], [], []  # per step: the state before it, [z|r] and c
     for t in range(x.shape[1]):
@@ -151,7 +157,9 @@ def gru_scan(xw: Tensor, h0: Tensor, u_zr: Tensor, u_c: Tensor) -> Tensor:
         cands.append(c)
 
     def grad_fn(g: np.ndarray) -> tuple:
-        dx = np.empty_like(x)  # at the pre-activations: the gates', then the candidate's
+        g = g.reshape(b, -1, n)
+        grad = np.empty(xw_shape, dtype=x.dtype)  # at the pre-activations: the gates', then the candidate's
+        dx = grad.reshape(x.shape)  # the same array by step
         dh = 0.0  # the gradient that step t + 1 passes back to its previous state
         for t in reversed(range(x.shape[1])):
             gt, hp, zr, c = g[:, t] + dh, hs[t], gates[t], cands[t]
@@ -164,24 +172,20 @@ def gru_scan(xw: Tensor, h0: Tensor, u_zr: Tensor, u_c: Tensor) -> Tensor:
         prev = np.stack(hs[:-1], axis=1)
         rh = np.stack(gates, axis=1)[:, :, n:] * prev
         return (
-            dx.reshape(-1, 3 * n),
+            grad,
             dh,
             prev.reshape(-1, n).T @ dx[:, :, : 2 * n].reshape(-1, 2 * n),
             rh.reshape(-1, n).T @ dx[:, :, 2 * n :].reshape(-1, n),
         )
 
-    return Tensor(np.stack(hs[1:], axis=1), (xw, h0, u_zr, u_c), grad_fn)
+    return Tensor(np.stack(hs[1:], axis=1).reshape(-1, n), (xw, h0, u_zr, u_c), grad_fn)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    ends = np.cumsum([t.shape[axis] for t in tensors[:-1]]).tolist()
-    return Tensor(out, tuple(tensors), lambda g: np.split(g, ends, axis=axis))
-
-
-def reshape(a: Tensor, shape: tuple) -> Tensor:
-    old_shape = a.shape
-    return Tensor(a.data.reshape(shape), (a,), lambda g: (g.reshape(old_shape),))
+def concat(tensors: Sequence[Tensor]) -> Tensor:
+    """The columns of tensors with the same rows, side by side."""
+    out = np.concatenate([t.data for t in tensors], axis=1)
+    ends = np.cumsum([t.shape[1] for t in tensors[:-1]]).tolist()
+    return Tensor(out, tuple(tensors), lambda g: np.split(g, ends, axis=1))
 
 
 def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
@@ -206,11 +210,13 @@ _MASK_SCORE = 1e30  # subtracted from attention scores at padded positions
 def attention_probs(states: np.ndarray, query: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """(n, L) softmax of ``states · query`` over the positions where ``mask`` is 1.
 
-    ``states`` (b, L, H) and ``mask`` (b, L) hold b sources; row j·T + t of
-    ``query`` (n = b·T, H) reads source j.  Beam search's k queries are T = k.
+    ``states`` (b·L, H) holds the rows of b sources, batch-major, and ``mask``
+    (b, L) their real positions; row j·T + t of ``query`` (n = b·T, H) reads
+    source j.  Beam search's k queries are T = k.
     """
     if not mask.any(axis=1).all():
         raise ValueError("attention: all source positions are masked in a source row")
+    states = states.reshape(*mask.shape, -1)
     b, length, n = states.shape
     products = (s * q[:, None, :] for s, q in zip(states, query.reshape(b, -1, n)))  # one source's (T, L, H) at a time
     scores = np.stack([p.sum(2) for p in products]) + ((mask - 1.0) * _MASK_SCORE)[:, None]
@@ -224,7 +230,8 @@ def attention(states: Tensor, query: Tensor, mask: np.ndarray) -> Tensor:
     The backward pass is written out as in ``gru_scan``, in batched products;
     with weights ``a``, the scores' gradient is ``a * (da - sum(da * a))``, ``da = states · g``.
     """
-    s, q = states.data, query.data
+    states_shape, q = states.shape, query.data
+    s = states.data.reshape(*mask.shape, -1)  # (b, L, H)
     b, length, n = s.shape
     a = attention_probs(s, q, mask).reshape(b, -1, length)  # (b, T, L)
 
@@ -232,10 +239,11 @@ def attention(states: Tensor, query: Tensor, mask: np.ndarray) -> Tensor:
         g = g.reshape(b, -1, n)
         da = np.matmul(g, s.swapaxes(1, 2))
         ds = a * (da - (da * a).sum(axis=2, keepdims=True))
-        return (
-            np.matmul(a.swapaxes(1, 2), g) + np.matmul(ds.swapaxes(1, 2), q.reshape(b, -1, n)),
-            np.matmul(ds, s).reshape(q.shape),
+        grad = np.empty(states_shape, dtype=s.dtype)  # in the states' own shape, and not a view
+        np.add(
+            np.matmul(a.swapaxes(1, 2), g), np.matmul(ds.swapaxes(1, 2), q.reshape(b, -1, n)), out=grad.reshape(s.shape)
         )
+        return grad, np.matmul(ds, s).reshape(q.shape)
 
     context = np.stack([(sj * aj[:, :, None]).sum(1) for sj, aj in zip(s, a)]).reshape(-1, n)  # source by source
     return Tensor(context, (states, query), grad_fn)
@@ -257,11 +265,10 @@ def nll(logits: Tensor, gold: np.ndarray) -> Tensor:
 
     The loss consumes interior logits: when ``logits`` has parents and its
     array owns its memory, backward writes the gradient over that array
-    instead of a new one.  So nothing may read such logits after the loss:
-    no other op, and not the backward of the op that made them (``matmul``
-    reads only its inputs, as in ``sequence_nll``; ``tanh`` reads its output
-    and must not feed the loss).  A leaf's array (the caller's) and a view
-    (its base may be another node's data) are never written.
+    instead of a new one.  So such logits may feed no other op.  The op that
+    made them may be any op, since no op's backward reads its own output.  A
+    leaf's array (the caller's) and a view (its base may be another node's
+    data) are never written.
     """
     x = logits.data
     overwrite = bool(logits._parents) and x.base is None

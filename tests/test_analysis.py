@@ -19,6 +19,7 @@ from fcrg.analysis import (
     lda_top_words,
     length_share_test,
     mann_whitney_u,
+    reply_tokens,
 )
 from fcrg.corpus import RawPair
 
@@ -456,13 +457,13 @@ def make_share_pairs(short_shares, long_shares):
 
 def test_length_share_test_long_bucket_dominates():
     pairs = make_share_pairs([1, 2, 3], [10, 11, 12])
-    u, p = length_share_test(pairs)
+    u, p = length_share_test(pairs, reply_tokens(pairs))
     assert p == pytest.approx(0.05, abs=1e-12)
 
 
 def test_length_share_test_identical_distributions():
     pairs = make_share_pairs([5, 6, 7], [5, 6, 7])
-    _, p = length_share_test(pairs)
+    _, p = length_share_test(pairs, reply_tokens(pairs))
     assert p >= 0.5
 
 
@@ -470,20 +471,22 @@ def test_length_share_test_ignores_unbucketed_and_unshared():
     pairs = make_share_pairs([1], [9])
     pairs.append(RawPair("claim", " ".join(["w"] * 30), 1000))  # 30 tokens: outside buckets
     pairs.append(RawPair("claim", "no share count"))
-    u, p = length_share_test(pairs)
+    u, p = length_share_test(pairs, reply_tokens(pairs))
     assert u == 1.0  # only the 1-vs-1 comparison remains
 
 
 def test_length_share_test_names_empty_bucket():
+    pairs = make_share_pairs([], [5])
     with pytest.raises(ValueError, match="short bucket"):
-        length_share_test(make_share_pairs([], [5]))
+        length_share_test(pairs, reply_tokens(pairs))
+    pairs = make_share_pairs([5], [])
     with pytest.raises(ValueError, match="long bucket"):
-        length_share_test(make_share_pairs([5], []))
+        length_share_test(pairs, reply_tokens(pairs))
 
 
 def test_length_share_bucket_bounds_inclusive():
     # 9-token reply is short; 10-token reply is long
     nine = RawPair("c", " ".join(["w"] * 9), 1)
     ten = RawPair("c", " ".join(["w"] * 10), 2)
-    u, _ = length_share_test([nine, ten])
+    u, _ = length_share_test([nine, ten], reply_tokens([nine, ten]))
     assert u == 1.0

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fcrg import cli
+from fcrg import analysis, cli
 from fcrg.cli import DEFAULTS, load_run_config, main
 from fcrg.corpus import build_vocabulary
 from fcrg.model import FCRGModel, ModelConfig
@@ -648,6 +648,22 @@ def test_analyze_outputs(dataset, tmp_path):
     assert "lexicon\ttrue\t" in text
     assert "topic\t0\t" in text
     assert "length_share_test" in text
+
+
+def test_analyze_normalizes_and_tokenizes_each_reply_once(dataset, tmp_path, monkeypatch):
+    # Every pair has a share count, so the length-share test reads all 20 replies too.
+    calls = {"normalize": 0, "tokenize": 0}
+    for module in (cli, analysis):
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(module, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+    argv = ["analyze", "--dataset", str(dataset), "--run-dir", str(tmp_path / "a"), "--set", "lda_iterations=5"]
+    assert main(argv) == 0
+    assert "length_share_test" in (tmp_path / "a" / "analysis.tsv").read_text()
+    assert calls == {"normalize": 20, "tokenize": 20}
 
 
 def test_analyze_reports_skipped_empty_replies(dataset, tmp_path, capsys):

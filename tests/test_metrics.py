@@ -367,6 +367,15 @@ def test_embedding_file_dimension_mismatch_names_the_line(tmp_path):
         load_embedding_table(path)
 
 
+def test_embedding_file_rejects_a_repeated_token(tmp_path):
+    # A second line for 'a' would silently replace its first vector.
+    path = tmp_path / "vec.txt"
+    path.write_text("a 1 0\nb 0 1\na 0.5 0.5\n")
+    message = f"{path}: line 3: duplicate token 'a' (first on line 1)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_embedding_table(path)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
 def test_embedding_file_non_finite_value_names_the_line(tmp_path, value):
     path = tmp_path / "vec.txt"

@@ -19,9 +19,9 @@ from fcrg.model import (
     validation_nll,
 )
 from fcrg.params import ParamStore, TrainConfig
-from fcrg.tensor import ColumnGrad, Tensor, backward, reshape
+from fcrg.tensor import ColumnGrad, Tensor, backward
 from test_tensor import (
-    add, assert_bit_equal, masked_nll, mul, one_minus, reduce_sum, sigmoid as sigmoid_op, softmax, stack,
+    add, assert_bit_equal, masked_nll, mul, one_minus, reduce_sum, reshape, sigmoid as sigmoid_op, softmax, stack,
 )
 
 
@@ -148,7 +148,7 @@ def test_gru_scan_matches_the_composed_cell_over_time(b, steps, d, n, scale, con
     coeff = Tensor(rng.standard_normal((b, steps, n)))
 
     fused = [Tensor(a.copy()) for a in (xw, h0, u_zr, u_c)]
-    out = T.gru_scan(*fused)
+    out = reshape(T.gru_scan(*fused), (b, steps, n))  # the op's rows by step
     backward(reduce_sum(mul(out, coeff)))
 
     # The composed cell, looped over the steps, reads the three pre-activations
@@ -266,15 +266,30 @@ def test_batched_head_matches_the_per_step_head(attention, train):
         assert_close_to_scale(grad, expected_grads[name], 1e-12)
 
 
-def graph_size(loss) -> int:
-    """Number of distinct tensors recorded under ``loss``, leaves included."""
-    seen, todo = {id(loss)}, [loss]
+def recorded_tensors(loss) -> list[Tensor]:
+    """The distinct tensors recorded under ``loss``, leaves and ``loss`` included."""
+    seen, todo = {id(loss): loss}, [loss]
     while todo:
         for parent in todo.pop()._parents:
             if id(parent) not in seen:
-                seen.add(id(parent))
+                seen[id(parent)] = parent
                 todo.append(parent)
-    return len(seen)
+    return list(seen.values())
+
+
+def graph_size(loss) -> int:
+    """Number of distinct tensors recorded under ``loss``, leaves included."""
+    return len(recorded_tensors(loss))
+
+
+@pytest.mark.parametrize("attention", ["dot", "bilinear"])
+@pytest.mark.parametrize("train", [True, False])
+def test_sequence_nll_records_2d_rows_only_but_the_scalar_loss(attention, train):
+    model = FCRGModel(tiny_config(attention=attention, dropout=0.2))
+    loss, _ = model.sequence_nll(ragged_batch(), train=train)
+    shapes = [t.shape for t in recorded_tensors(loss) if t is not loss]
+    assert loss.shape == () and len(shapes) > 20
+    assert [shape for shape in shapes if len(shape) != 2] == []
 
 
 @pytest.mark.parametrize("train", [True, False])
@@ -496,12 +511,17 @@ def test_config_validation():
 # ---------------------------------------------------------------- encoder and attention
 
 
+def by_position(encoded) -> np.ndarray:
+    """The encoder's (b·L, H) state rows viewed as (b, L, H)."""
+    return encoded.states.data.reshape(*encoded.mask.shape, -1)
+
+
 def test_encoder_padding_invariance():
     model = FCRGModel(tiny_config())
     short = model.encode(np.array([[4, 5, 6]]), np.array([3]))
     padded = model.encode(np.array([[4, 5, 6, PAD, PAD]]), np.array([3]))
     assert np.allclose(short.final.data, padded.final.data, atol=0)
-    assert np.allclose(short.states.data, padded.states.data[:, :3], atol=0)
+    assert np.allclose(by_position(short), by_position(padded)[:, :3], atol=0)
     assert padded.mask[0].tolist() == [1, 1, 1, 0, 0]
 
 
@@ -520,7 +540,7 @@ def test_encoder_final_is_the_last_real_state_and_takes_only_its_gradient(dtype,
     source = np.where(positions < lengths[:, None], rng.integers(4, 12, size=(lengths.size, length)), PAD)
     encoded = model.encode(source, lengths, train=train)
     rows, last = np.arange(lengths.size), lengths - 1
-    assert np.array_equal(encoded.final.data, encoded.states.data[rows, last])
+    assert np.array_equal(encoded.final.data, by_position(encoded)[rows, last])
 
     coeff = rng.standard_normal(encoded.final.shape).astype(dtype)
     arrived = []
@@ -535,7 +555,7 @@ def test_encoder_final_is_the_last_real_state_and_takes_only_its_gradient(dtype,
         patch.setattr(Tensor, "accumulate_grad", record)
         backward(reduce_sum(mul(encoded.final, Tensor(coeff))))
     expected = np.zeros(encoded.states.shape, dtype=dtype)
-    expected[rows, last] = coeff
+    expected.reshape(*encoded.mask.shape, -1)[rows, last] = coeff
     assert len(arrived) == 1
     assert np.array_equal(arrived[0], expected)
 
@@ -569,7 +589,7 @@ def test_attention_dot_matches_hand_softmax():
     encoded = model.encode(np.array([[4, 5, 6]]), np.array([3]))
     h = Tensor(np.random.default_rng(1).standard_normal((1, model.config.hidden_size)))
     attn = model.attention_weights(encoded, h).data[0]
-    scores = encoded.states.data[0] @ h.data[0]
+    scores = by_position(encoded)[0] @ h.data[0]
     expected = np.exp(scores - scores.max())
     expected /= expected.sum()
     assert np.allclose(attn, expected, atol=1e-12)

@@ -317,6 +317,17 @@ def test_checkpoint_bytes_layout(tmp_path):
     assert path.read_bytes() == header.encode("utf-8") + payload
 
 
+def test_checkpoint_rejects_parameters_of_two_dtypes(tmp_path):
+    # The header holds one dtype: b would be cast to float32 and reload as 0.33333334.
+    store = ParamStore()
+    store.add("a", np.ones(2, dtype=np.float32))
+    store.add("b", np.array([1 / 3]))
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ValueError, match=r"^save_checkpoint: parameters must share one dtype, got float32 and float64$"):
+        save_checkpoint(path, store, {})
+    assert not path.exists()
+
+
 def test_checkpoint_failed_write_keeps_previous_file(tmp_path, monkeypatch):
     store = ParamStore()
     store.add("w", np.ones((4, 5), dtype=np.float32))

@@ -71,7 +71,7 @@ def one_minus(a: Tensor) -> Tensor:
 # Two generic ops the composed attention chain was built from.  They left
 # fcrg.tensor when T.attention replaced that chain and are kept here, as they
 # were, for the tests' losses and for the chain that is now attention's oracle
-# (which reshapes with T.reshape).
+# (which also uses reshape, below).
 
 
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -152,6 +152,16 @@ def stack(tensors, axis: int = 0) -> Tensor:
     return Tensor(out_data, tuple(tensors), lambda g: tuple(np.take(g, i, axis=axis) for i in range(count)))
 
 
+# The layout adapter that turned gru_scan's (b, T, H) states into rows.  It
+# left fcrg.tensor when every op began to take and return 2-D rows, and is
+# kept here, as it was, for the composed attention oracles and for views.
+
+
+def reshape(a: Tensor, shape: tuple) -> Tensor:
+    old_shape = a.shape
+    return Tensor(a.data.reshape(shape), (a,), lambda g: (g.reshape(old_shape),))
+
+
 def row_probs(x: np.ndarray) -> np.ndarray:
     """``T.attention_probs`` of scores ``x`` (k, L) with no position masked: the row softmax."""
     return T.attention_probs(x[:, :, None], np.ones((x.shape[0], 1), dtype=x.dtype), np.ones_like(x))
@@ -195,7 +205,7 @@ def test_tanh_grad():
 @pytest.mark.parametrize("steps", [1, 3])
 def test_gru_scan_grad(steps):
     # Weighted so that no output unit's gradient is the plain sum.
-    w = Tensor(RNG.standard_normal((3, steps, 4)))
+    w = Tensor(RNG.standard_normal((3 * steps, 4)))
     check_op(lambda xw, h, u_zr, u_c: mul(T.gru_scan(xw, h, u_zr, u_c), w),
              leaf((3 * steps, 12)), leaf((3, 4)), leaf((4, 8)), leaf((4, 4)))
 
@@ -204,12 +214,12 @@ def test_gru_scan_grad_with_a_constant_state():
     # The encoder's all-zero state is a constant leaf: it gets its gradient as the weights do.
     h = Tensor(np.zeros((2, 3)))
     states = T.gru_scan(leaf((8, 9)), h, leaf((3, 6)), leaf((3, 3)))
-    assert states.shape == (2, 4, 3) and states._parents[1] is h
+    assert states.shape == (8, 3) and states._parents[1] is h
     check_op(T.gru_scan, leaf((8, 9)), h, leaf((3, 6)), leaf((3, 3)))
 
 
 def test_concat_grad():
-    check_op(lambda a, b: T.concat([a, b], axis=1), leaf((2, 3)), leaf((2, 2)))
+    check_op(lambda a, b: T.concat([a, b]), leaf((2, 3)), leaf((2, 2)))
 
 
 def test_stack_grad():
@@ -217,9 +227,9 @@ def test_stack_grad():
 
 
 def test_reshape_grad():
-    check_op(lambda a: T.reshape(a, (6,)), leaf((2, 3)))
+    check_op(lambda a: reshape(a, (6,)), leaf((2, 3)))
     w = Tensor(RNG.standard_normal((6, 2)))
-    check_op(lambda a: mul(T.reshape(a, (6, 2)), w), leaf((2, 3, 2)))
+    check_op(lambda a: mul(reshape(a, (6, 2)), w), leaf((2, 3, 2)))
 
 
 def test_reduce_sum_axis_grad():
@@ -392,6 +402,12 @@ def test_nll_writes_its_gradient_over_interior_logits(n, dtype):
     assert_bit_equal(grad, expected)
 
 
+def test_nll_over_a_tanh_output_has_its_true_gradient():
+    # nll writes its gradient over the tanh output; tanh's backward must not read it.
+    gold = np.array([1, 4, 1, 0])
+    check_op(lambda a, w: T.nll(T.tanh(T.matmul(a, w)), gold), leaf((4, 3)), leaf((3, 5)))
+
+
 def test_nll_leaves_a_leaf_and_a_views_base_unwritten():
     rng = np.random.default_rng(4)
     gold = rng.integers(0, 300, size=20)
@@ -402,7 +418,7 @@ def test_nll_leaves_a_leaf_and_a_views_base_unwritten():
 
     wide = T.matmul(Tensor(rng.standard_normal((10, 8))), Tensor(rng.standard_normal((8, 600))))
     before = wide.data.copy()
-    backward(T.nll(T.reshape(wide, (20, 300)), gold))
+    backward(T.nll(reshape(wide, (20, 300)), gold))
     assert_bit_equal(wide.data, before)
 
 
@@ -722,7 +738,7 @@ def test_a_view_or_another_dtype_is_copied_into_the_first_gradient(share):
 def test_concat_views_and_a_twice_handed_share_do_not_alias():
     a, b, c, d = leaf((2, 3)), leaf((2, 2)), leaf((2, 3)), leaf((2, 3))
     w = Tensor(RNG.standard_normal((2, 5)))
-    backward(reduce_sum(mul(T.concat([a, b], axis=1), w)))  # concat hands each parent a view
+    backward(reduce_sum(mul(T.concat([a, b]), w)))  # concat hands each parent a view
     assert a.grad.base is None and b.grad.base is None
     assert not np.shares_memory(a.grad, b.grad)
     assert np.array_equal(np.concatenate([a.grad, b.grad], axis=1), w.data)
@@ -796,15 +812,16 @@ def _tensor_calls(tree: ast.AST, in_tensor_module: bool, skip_def: str = "") -> 
     return names
 
 
+def public_functions(tree: ast.Module) -> list[str]:
+    """Names of the module's top-level functions that do not start with an underscore."""
+    return [node.name for node in tree.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
 def uncalled_tensor_ops(package: Path) -> list[str]:
     """Public functions of ``package``/tensor.py that no module of ``package`` calls."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
-    public = [
-        node.name for node in trees["tensor.py"].body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-    ]
     return [
-        name for name in public
+        name for name in public_functions(trees["tensor.py"])
         if not any(
             name in _tensor_calls(tree, file == "tensor.py", name if file == "tensor.py" else "")
             for file, tree in trees.items()
@@ -827,3 +844,56 @@ def test_caller_guard_flags_an_op_whose_name_only_methods_call(tmp_path):
     assert uncalled_tensor_ops(package) == ["add"]
     (package / "caller.py").write_text("from . import tensor as T\n\nT.add(1, 2)\n", encoding="utf-8")
     assert uncalled_tensor_ops(package) == []
+
+
+# The tape's contract, for every public op of fcrg.tensor: 2-D tensors in, a
+# 2-D tensor out (the loss is a scalar), and a backward that reads the op's
+# inputs and its own forward arrays, never its output.  ``backward`` walks the
+# graph and ``attention_probs`` returns a plain array: neither records an op.
+CONTRACT_EXEMPT = {"backward", "attention_probs"}
+
+
+def op_samples(rng) -> dict:
+    """Sample arguments of each op, its tensors 2-D; a new op must add its own."""
+    def t(*shape):
+        return Tensor(rng.standard_normal(shape))
+
+    return {
+        "matmul": (t(3, 4), t(4, 2)),
+        "tanh": (t(3, 4),),
+        "gru_scan": (t(6, 12), t(2, 4), t(4, 8), t(4, 4)),  # 2 rows of 3 steps, H = 4
+        "concat": ([t(3, 2), t(3, 4)],),
+        "take_rows": (t(5, 3), np.array([4, 0, 2])),
+        "attention": (t(12, 5), t(6, 5), ATTENTION_MASK),  # 3 sources of 4 positions, 2 queries each
+        "nll": (t(4, 6), np.array([1, 5, 1, 0])),
+        "embedding_lookup": (t(4, 9), np.array([2, 0, 2])),
+        "dropout": (t(3, 4), 0.5, rng.random((3, 4))),
+    }
+
+
+def shares_as_arrays(shares) -> list[np.ndarray]:
+    return [a for share in shares for a in ((share.cols, share.sums) if isinstance(share, T.ColumnGrad) else (share,))]
+
+
+CONTRACT_OPS = [
+    name for name in public_functions(ast.parse(Path(T.__file__).read_text(encoding="utf-8")))
+    if name not in CONTRACT_EXEMPT
+]
+
+
+@pytest.mark.parametrize("name", CONTRACT_OPS)
+def test_op_maps_2d_rows_to_2d_rows_and_differentiates_from_its_inputs_alone(name):
+    assert name in op_samples(np.random.default_rng(0)), f"fcrg.tensor.{name} has no sample input in op_samples"
+    runs = []
+    for poison in (False, True):
+        out = getattr(T, name)(*op_samples(np.random.default_rng(5))[name])
+        assert all(parent.data.ndim == 2 for parent in out._parents)
+        assert out.data.ndim == (0 if name == "nll" else 2), out.shape
+        if poison:
+            out.data[...] = np.nan  # a backward that reads its output gives other gradients
+        upstream = np.asarray(np.random.default_rng(6).standard_normal(out.shape))
+        runs.append(shares_as_arrays(out.grad_fn(upstream)))
+    clean, poisoned = runs
+    for expected, got in zip(clean, poisoned, strict=True):
+        assert np.isfinite(expected).all()
+        assert_bit_equal(got, expected)
