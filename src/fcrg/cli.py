@@ -39,8 +39,8 @@ from .corpus import (
     write_text,
 )
 from .decoding import DecodeConfig, beam_search
-from .model import FCRGModel, ModelConfig, train_model
-from .params import GradDiff, TrainConfig, finite_diff_report, load_checkpoint, save_checkpoint
+from .model import FCRGModel, ModelConfig, check_layout, train_model
+from .params import GradDiff, ParamStore, TrainConfig, finite_diff_report, load_checkpoint, save_checkpoint
 
 
 # ---------------------------------------------------------------- run config
@@ -152,17 +152,34 @@ def _load_gazetteer(path: Optional[str]) -> frozenset[str]:
     return read_gazetteer(path) if path else frozenset()
 
 
-def _model_from_checkpoint(path: str) -> FCRGModel:
-    store, meta = load_checkpoint(path)
+@dataclasses.dataclass
+class _Embedding:
+    """A checkpoint's config and a store holding only its ``embedding``, as an ``FCRGModel`` holds them."""
+
+    config: ModelConfig
+    params: ParamStore
+
+
+def _model_from_checkpoint(path: str, embedding_only: bool = False) -> FCRGModel | _Embedding:
+    """The checkpoint's model; with ``embedding_only``, its config and embedding, the rest of the payload unread.
+
+    Either way the whole header, the payload's length and the parameter layout
+    are checked against the config, with the same messages.
+    """
+    store, meta = load_checkpoint(path, names=("embedding",) if embedding_only else None)
     try:
-        return FCRGModel(ModelConfig(**meta["config"]), params=store)
+        config = ModelConfig(**meta["config"])
+        if not embedding_only:
+            return FCRGModel(config, params=store)
+        check_layout(config, {(name, shape, part, meta["dtype"]) for name, (part, shape) in meta["layout"].items()})
+        return _Embedding(config, store)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _model_and_vocab(args) -> tuple[FCRGModel, Vocabulary]:
+def _model_and_vocab(args, embedding_only: bool = False) -> tuple[FCRGModel | _Embedding, Vocabulary]:
     """The model in ``--checkpoint`` and the ``--vocab`` that names its rows; their sizes must agree."""
-    model = _model_from_checkpoint(args.checkpoint)
+    model = _model_from_checkpoint(args.checkpoint, embedding_only)
     vocab = Vocabulary.load(args.vocab)
     if vocab.size != model.config.vocab_size:
         raise ValueError(
@@ -343,7 +360,7 @@ def cmd_evaluate(args, settings: dict) -> int:
     if args.embeddings:
         table = metrics.load_embedding_table(args.embeddings)
     elif args.checkpoint:
-        table = metrics.embedding_table_from_model(*_model_and_vocab(args))
+        table = metrics.embedding_table_from_model(*_model_and_vocab(args, embedding_only=True))
     else:
         print("evaluate: no embeddings given; skipping greedy matching and vector extrema")
     report = metrics.evaluate(generations, references, table)

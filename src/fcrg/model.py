@@ -21,6 +21,7 @@ from .params import ParamStore, TrainConfig
 from .tensor import Tensor, backward
 
 ATTENTION_KINDS = ("dot", "bilinear")
+INIT_BLOCK = 1 << 15  # float64 elements per block of initial draws (at least one row): 256 KB
 
 
 @dataclass
@@ -105,6 +106,16 @@ def param_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
     return layout
 
 
+def check_layout(config: ModelConfig, found: set[tuple[str, tuple[int, ...], str, str]]) -> None:
+    """Raise ``ValueError`` unless ``found``, (name, shape, partition, dtype) per parameter, is ``config``'s layout."""
+    expected = {(name, shape, partition, config.dtype) for name, shape, partition in param_layout(config)}
+    if found != expected:
+        raise ValueError(
+            "parameters do not match the config: "
+            f"expected {sorted(expected - found)}, found {sorted(found - expected)}"
+        )
+
+
 class FCRGModel:
     """Fact-checking response generator network."""
 
@@ -122,21 +133,30 @@ class FCRGModel:
     # -- construction -------------------------------------------------
 
     def _init_params(self) -> None:
+        """Embedding ~ N(0, 1), every other weight ~ U(-1/sqrt(H), 1/sqrt(H)), drawn in float64.
+
+        Each parameter is drawn in blocks of whole rows, about ``INIT_BLOCK``
+        elements each, cast into its final array.  The generator yields the
+        same stream whatever the block size, so the values and its state equal
+        those of one whole-array draw per parameter, without the float64
+        temporary.
+        """
         rng = np.random.default_rng(self.config.seed)
         bound = 1.0 / np.sqrt(self.config.hidden_size)
-        for name, shape, partition in param_layout(self.config):
-            value = rng.standard_normal(shape) if name == "embedding" else rng.uniform(-bound, bound, size=shape)
-            self.params.add(name, value.astype(self._np_dtype), partition)  # astype made a fresh array
+        for name, (rows, cols), partition in param_layout(self.config):
+            value = np.empty((rows, cols), dtype=self._np_dtype)
+            step = max(1, INIT_BLOCK // cols)
+            for start in range(0, rows, step):
+                block = (min(step, rows - start), cols)
+                value[start : start + step] = (
+                    rng.standard_normal(block) if name == "embedding" else rng.uniform(-bound, bound, size=block)
+                )
+            self.params.add(name, value, partition)
 
     def _check_layout(self) -> None:
-        dtype = np.dtype(self._np_dtype).name
-        expected = {(name, shape, partition, dtype) for name, shape, partition in param_layout(self.config)}
-        found = {(name, t.shape, self.params.partition(name), t.dtype.name) for name, t in self.params.items()}
-        if found != expected:
-            raise ValueError(
-                "parameters do not match the config: "
-                f"expected {sorted(expected - found)}, found {sorted(found - expected)}"
-            )
+        check_layout(
+            self.config, {(name, t.shape, self.params.partition(name), t.dtype.name) for name, t in self.params.items()}
+        )
 
     # -- forward pieces ------------------------------------------------
 
@@ -289,6 +309,8 @@ def train_model(
     Stops once validation per-token NLL fails to improve for ``patience``
     consecutive epochs; the best-validation parameters are restored before
     returning.  ``log`` (if given) is called with each epoch's ``EpochRecord``.
+    The best parameters are copied only when an epoch is about to move them,
+    and restored only when the best epoch is not the last one run.
     """
     if not train_pairs or not val_pairs:
         raise ValueError("train and validation splits must be non-empty")
@@ -299,6 +321,8 @@ def train_model(
     stale = 0
     step = 0
     for epoch in range(1, config.max_epochs + 1):
+        if best_epoch and best_epoch == epoch - 1:  # this epoch's steps move the best parameters
+            best_state = store.state()
         epoch_loss, epoch_tokens = 0.0, 0
         for batch in batches(train_pairs, config.batch_size, shuffle_seed=shuffle_seed + epoch):
             store.zero_grads()
@@ -318,13 +342,12 @@ def train_model(
         if val < best - 1e-12:
             best = val
             best_epoch = epoch
-            best_state = store.state()
             stale = 0
         else:
             stale += 1
             if stale >= config.patience:
                 break
-    if best_state is not None:
+    if best_epoch not in (0, epoch):
         store.load_state(best_state)
     return TrainResult(best_epoch=best_epoch, best_validation_nll=best)
 

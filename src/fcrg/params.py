@@ -22,7 +22,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Collection, Iterator, Optional
 
 import numpy as np
 
@@ -191,13 +191,17 @@ def _square_sum(flat: np.ndarray) -> np.float64:
 
 
 CHECKPOINT_MAGIC = "fcrg-checkpoint 1"
+HEADER_LINE_LIMIT = 1 << 16  # bytes a checkpoint header line may take, newline included
 
 
 def save_checkpoint(path, store: ParamStore, config: dict, *, seed: int = 0, epoch: int = 0) -> None:
     """Text header (version, config, parameter table) + raw little-endian payload.
 
     The header names one dtype for every parameter, so a store whose
-    parameters differ in dtype raises ``ValueError`` and nothing is written.
+    parameters differ in dtype raises ``ValueError`` and nothing is written;
+    so does a header line as long as ``HEADER_LINE_LIMIT``, which the reader
+    would refuse.  Each parameter is written from its own buffer when it is
+    already contiguous and little-endian, as the store's arrays are.
     """
     names = store.names()
     dtypes = sorted({store[name].dtype.name for name in names}) or ["float32"]
@@ -215,33 +219,30 @@ def save_checkpoint(path, store: ParamStore, config: dict, *, seed: int = 0, epo
         shape = ",".join(str(d) for d in store[name].shape)
         header_lines.append(f"param {name} {store.partition(name)} {shape}")
     header_lines.append("payload")
+    header = ("\n".join(header_lines) + "\n").encode("utf-8")
+    if max(len(line) for line in header.split(b"\n")) >= HEADER_LINE_LIMIT:
+        raise ValueError(f"save_checkpoint: a header line exceeds {HEADER_LINE_LIMIT - 1} bytes")
     with atomic_write(path) as fh:
-        fh.write(("\n".join(header_lines) + "\n").encode("utf-8"))
+        fh.write(header)
         for name in names:
-            fh.write(np.ascontiguousarray(store[name].data, dtype=f"<{dtype.kind}{dtype.itemsize}").tobytes())
+            fh.write(np.ascontiguousarray(store[name].data, dtype=dtype.newbyteorder("<")).reshape(-1).data)
 
 
-def load_checkpoint(path) -> tuple[ParamStore, dict]:
-    """Returns (parameter store, metadata with config/seed/epoch/dtype).
+def load_checkpoint(path, names: Optional[Collection[str]] = None) -> tuple[ParamStore, dict]:
+    """Returns (parameter store, metadata with config/seed/epoch/dtype/layout).
 
-    The header is read line by line up to its ``payload`` line.  Once the
-    header is valid and the payload's length matches the parameter table,
-    each parameter is read straight into its own array, which the store
-    keeps: every payload byte is copied once.
+    ``layout`` maps every parameter the header lists to its (partition,
+    shape).  The header is read and parsed one bounded line at a time up to
+    its ``payload`` line, the format's line first, so a file that is not a
+    checkpoint is never read whole.  Once the header is valid and the
+    payload's length matches the parameter table, each parameter is read
+    straight into its own array, which the store keeps: every payload byte
+    is copied once.  Given ``names``, only those parameters are read and the
+    store holds only them; the file is sought past the others.
     """
     with open(path, "rb") as fh:
-        lines: list[bytes] = []
-        for line in iter(fh.readline, b""):
-            if line == b"payload\n" and lines:
-                break
-            lines.append(line)
-        else:
-            raise ValueError(f"{path}: not a checkpoint file (missing payload marker)")
-        try:
-            header = b"".join(lines)[:-1].decode("utf-8").split("\n")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: checkpoint header is not UTF-8: {exc}") from None
-        meta, params = _parse_header(path, header)
+        meta = _parse_header(path, _header_lines(path, fh))
+        params = meta["layout"]
         dtype = np.dtype(meta["dtype"])
         stored = dtype.newbyteorder("<")
         payload = os.fstat(fh.fileno()).st_size - fh.tell()
@@ -254,6 +255,9 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
             raise ValueError(f"{path}: {payload - offset} trailing payload bytes after the last parameter")
         store = ParamStore()
         for name, (partition, shape) in params.items():
+            if names is not None and name not in names:
+                fh.seek(math.prod(shape) * dtype.itemsize, os.SEEK_CUR)
+                continue
             value = np.empty(shape, dtype=stored)
             if fh.readinto(value.reshape(-1).view(np.uint8)) != value.nbytes:
                 raise ValueError(f"{path}: truncated payload for parameter {name!r}")
@@ -261,13 +265,25 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
     return store, meta
 
 
-def _parse_header(path, header: list[str]) -> tuple[dict, dict[str, tuple[str, tuple[int, ...]]]]:
-    """(metadata, parameter table of name -> (partition, shape)) from a checkpoint's header lines."""
-    if header[0] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: unsupported checkpoint format {header[0]!r}")
-    meta: dict = {}
+def _header_lines(path, fh) -> Iterator[str]:
+    """The header's lines, each read with a bounded ``readline``, up to ``payload``."""
+    while (line := fh.readline(HEADER_LINE_LIMIT)) != b"payload\n":
+        if not line.endswith(b"\n"):  # the end of the file, or a line longer than any header line
+            raise ValueError(f"{path}: not a checkpoint file (missing payload marker)")
+        try:
+            yield line[:-1].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: checkpoint header is not UTF-8: {exc}") from None
+
+
+def _parse_header(path, lines: Iterator[str]) -> dict:
+    """The metadata in a checkpoint's header lines; ``layout`` is the parameter table."""
+    first = next(lines, "payload")  # a first line of "payload" ends the lines
+    if first != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: unsupported checkpoint format {first!r}")
     params: dict[str, tuple[str, tuple[int, ...]]] = {}
-    for line in header[1:]:
+    meta: dict = {"layout": params}
+    for line in lines:
         key, _, rest = line.partition(" ")
         if key not in ("config", "dtype", "seed", "epoch", "param"):
             raise ValueError(f"{path}: unknown header line {line!r}")
@@ -297,7 +313,7 @@ def _parse_header(path, header: list[str]) -> tuple[dict, dict[str, tuple[str, t
     missing = [key for key in ("dtype", "seed", "epoch", "config") if key not in meta]
     if missing:
         raise ValueError(f"{path}: missing header line(s) {', '.join(missing)}")
-    return meta, params
+    return meta
 
 
 @dataclass(frozen=True)

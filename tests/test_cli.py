@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -420,6 +421,71 @@ def test_checkpoint_whose_parameters_do_not_match_its_config_fails(tmp_path):
         cli._model_from_checkpoint(str(path))
     assert str(info.value).startswith(f"{path}: ")
     assert "('embedding', (4, 60), 'shared', 'float32')" in str(info.value)
+
+
+def _checkpoint_argv(tmp_path, command, vocab_size, checkpoint):
+    """``command`` on a small vocabulary of ``vocab_size`` rows with ``checkpoint``."""
+    words = [f"w{i}" for i in range(vocab_size - 4)]
+    build_vocabulary([words], min_count=1).save(tmp_path / "vocab.tsv")
+    (tmp_path / "lines.txt").write_text("w0 w1 w2\n")
+    (tmp_path / "gens.tsv").write_text("0\t1\t-1.0\tw1 w2 w3\n")
+    (tmp_path / "refs.tsv").write_text("0\tw0 w1 w2 w3\n")
+    inputs = {
+        "generate": ["--sources", str(tmp_path / "lines.txt")],
+        "evaluate": ["--generations", str(tmp_path / "gens.tsv"), "--references", str(tmp_path / "refs.tsv")],
+    }[command]
+    return [command, *inputs, "--checkpoint", str(checkpoint), "--vocab", str(tmp_path / "vocab.tsv"),
+            "--run-dir", str(tmp_path / command)]
+
+
+CHECKPOINT_FAULTS = {
+    # The config's vocab_size is 60, as the vocabulary's, but the parameters were made for 50.
+    "layout": lambda raw: raw.replace(b'"vocab_size": 50', b'"vocab_size": 60'),
+    "attention": lambda raw: raw.replace(b'"attention": "dot"', b'"attention": "bilinear"'),
+    "dtype": lambda raw: raw.replace(b"dtype float32", b"dtype float64"),
+    "truncated": lambda raw: raw[:-1],
+    "trailing": lambda raw: raw + b"\0" * 4,
+    "config-key": lambda raw: raw.replace(b"\nconfig {", b'\nconfig {"layers": 2, ', 1),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CHECKPOINT_FAULTS))
+def test_evaluate_rejects_a_checkpoint_as_generate_does(tmp_path, capsys, fault):
+    model = FCRGModel(ModelConfig(vocab_size=50, embed_dim=4, hidden_size=5, output_size=6))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model.params, model.config.to_dict())
+    path.write_bytes(CHECKPOINT_FAULTS[fault](path.read_bytes()))
+    vocab_size = 60 if fault == "layout" else 50
+    errors = {}
+    for command in ("generate", "evaluate"):
+        assert main(_checkpoint_argv(tmp_path, command, vocab_size, path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"fcrg {command}: error: {path}: ") and err.count("\n") == 1, err
+        errors[command] = err.removeprefix(f"fcrg {command}: error: ")
+    assert errors["generate"] == errors["evaluate"]
+
+
+def test_evaluate_reads_only_the_checkpoint_embedding(tmp_path):
+    # The embedding E and out_vocab are the same size, and the table is a
+    # second copy of E.  Beside those, the vocabulary and the table's index
+    # take about 400 bytes per token.  Reading only the embedding peaks at
+    # 2 E plus those (2.33 E here); reading every parameter at 3.35 E.
+    model = FCRGModel(ModelConfig(vocab_size=3000, embed_dim=300, hidden_size=8, output_size=300, seed=2))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model.params, model.config.to_dict())
+    embedding_bytes = model.params["embedding"].data.nbytes
+    argv = _checkpoint_argv(tmp_path, "evaluate", 3000, path)
+    del model
+    assert main(argv) == 0  # the first run allocates once per process
+    written = (tmp_path / "evaluate" / "metrics.tsv").read_bytes()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "evaluate" / "metrics.tsv").read_bytes() == written
+    assert peak <= 2 * embedding_bytes + 640 * 3000, peak / embedding_bytes
 
 
 @pytest.mark.parametrize("command", ["generate", "evaluate"])

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 
 from fcrg import tensor as T
 from fcrg.corpus import BOS, EOS, PAD, Batch, EncodedPair, make_batch
+from fcrg import model as model_module
 from fcrg.model import (
     FCRGModel,
     ModelConfig,
     encode_single,
+    param_layout,
     train_model,
     validation_nll,
 )
@@ -492,6 +495,48 @@ def test_init_other_weights_bounded():
             assert np.abs(t.data).max() <= bound
 
 
+def whole_array_init(config):
+    """The oracle: each parameter drawn whole in float64, then cast."""
+    rng = np.random.default_rng(config.seed)
+    bound = 1.0 / np.sqrt(config.hidden_size)
+    values = {}
+    for name, shape, _ in param_layout(config):
+        value = rng.standard_normal(shape) if name == "embedding" else rng.uniform(-bound, bound, size=shape)
+        values[name] = value.astype(config.dtype)
+    return values
+
+
+@pytest.mark.parametrize("block", [1, 7, 40, model_module.INIT_BLOCK])
+@pytest.mark.parametrize("attention", ["dot", "bilinear"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_streamed_init_matches_whole_array_draws(monkeypatch, block, attention, dtype):
+    # Blocks of one row, of several rows with a short last block, and of whole parameters.
+    monkeypatch.setattr(model_module, "INIT_BLOCK", block)
+    config = ModelConfig(vocab_size=23, embed_dim=9, hidden_size=7, output_size=5, attention=attention, dtype=dtype)
+    model = FCRGModel(config)
+    oracle = whole_array_init(config)
+    assert model.params.names() == list(oracle)
+    for name, t in model.params.items():
+        assert t.dtype == oracle[name].dtype and t.data.tobytes() == oracle[name].tobytes(), name
+
+
+def test_init_peak_memory_is_the_parameters_and_one_draw_block():
+    # Streamed draws add one float64 block of rows to the parameters P
+    # (1.06 P here); whole-array draws add a float64 copy of the largest
+    # parameter (1.99 P).
+    FCRGModel(tiny_config())  # numpy's first draws and casts allocate once per process
+    config = ModelConfig(vocab_size=8000, embed_dim=64, hidden_size=16, output_size=64, seed=4)
+    param_bytes = sum(math.prod(shape) * 4 for _, shape, _ in param_layout(config))
+    tracemalloc.start()
+    try:
+        model = FCRGModel(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(t.data.nbytes for _, t in model.params.items()) == param_bytes
+    assert peak <= 1.1 * param_bytes, peak / param_bytes
+
+
 def test_init_deterministic_under_seed():
     a = FCRGModel(tiny_config(seed=9))
     b = FCRGModel(tiny_config(seed=9))
@@ -694,6 +739,45 @@ def test_training_early_stops():
     history = []
     train_model(model, pairs, pairs, config, log=history.append)
     assert len(history) < 50
+
+
+def _count_state_calls(monkeypatch) -> list:
+    calls = []
+    state = ParamStore.state
+
+    def counted(self):
+        calls.append(1)
+        return state(self)
+
+    monkeypatch.setattr(ParamStore, "state", counted)
+    return calls
+
+
+def test_one_epoch_training_copies_no_parameters(monkeypatch):
+    calls = _count_state_calls(monkeypatch)
+    model = FCRGModel(tiny_config(dtype="float32", hidden_size=8))
+    result = train_model(model, toy_dataset(), toy_dataset(), TrainConfig(max_epochs=1, batch_size=4))
+    assert result.best_epoch == 1 and calls == []
+
+
+def test_early_stopped_training_ends_on_the_best_epoch_parameters(monkeypatch):
+    calls = _count_state_calls(monkeypatch)
+    pairs = toy_dataset()
+    model = FCRGModel(tiny_config(dtype="float32", hidden_size=8))
+    seen = {}
+
+    def record(r):
+        seen[r.epoch] = {name: t.data.copy() for name, t in model.params.items()}
+
+    # The huge learning rate stops validation from improving soon after the first epochs.
+    config = TrainConfig(max_epochs=50, patience=2, batch_size=4, learning_rate=2.0)
+    result = train_model(model, pairs, pairs, config, log=record)
+    last = max(seen)
+    assert result.best_epoch < last
+    for name, t in model.params.items():
+        assert t.data.tobytes() == seen[result.best_epoch][name].tobytes(), name
+        assert t.data.tobytes() != seen[last][name].tobytes(), name
+    assert 1 <= len(calls) <= result.best_epoch  # one copy per improving epoch that a later epoch moved
 
 
 def test_training_peak_memory_is_one_tape_over_the_parameters():

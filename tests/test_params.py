@@ -1,8 +1,9 @@
 """Parameter store, clipping, Adam and checkpoint tests."""
 
+import json
 import tracemalloc
 
-from fcrg import corpus
+from fcrg import corpus, params
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from fcrg.params import (
     ADAM_BLOCK,
+    CHECKPOINT_MAGIC,
     ParamStore,
     TrainConfig,
     finite_diff_check,
@@ -317,6 +319,61 @@ def test_checkpoint_bytes_layout(tmp_path):
     assert path.read_bytes() == header.encode("utf-8") + payload
 
 
+def tobytes_checkpoint(store: ParamStore, config: dict, seed: int, epoch: int) -> bytes:
+    """The oracle: the header, then a little-endian ``tobytes`` copy of each parameter."""
+    dtype = store[store.names()[0]].dtype
+    lines = [CHECKPOINT_MAGIC, f"dtype {dtype.name}", f"seed {seed}", f"epoch {epoch}",
+             "config " + json.dumps(config, sort_keys=True)]
+    lines += [f"param {n} {store.partition(n)} {','.join(str(d) for d in store[n].shape)}" for n in store.names()]
+    payload = b"".join(
+        np.ascontiguousarray(store[n].data, dtype=f"<{dtype.kind}{dtype.itemsize}").tobytes() for n in store.names()
+    )
+    return ("\n".join(lines + ["payload"]) + "\n").encode("utf-8") + payload
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_checkpoint_bytes_match_the_tobytes_writer(tmp_path, dtype):
+    rng = np.random.default_rng(8)
+    store = ParamStore()
+    store.add("w", rng.standard_normal((5, 7)).astype(dtype), partition="encoder")
+    store.add("transposed", rng.standard_normal((4, 3)).astype(dtype).T, partition="decoder")
+    store.add("bias", dtype(0.5))
+    store.add("empty", np.zeros((0, 4), dtype=dtype))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, store, {"vocab_size": 7}, seed=2, epoch=5)
+    assert path.read_bytes() == tobytes_checkpoint(store, {"vocab_size": 7}, seed=2, epoch=5)
+
+
+def test_checkpoint_write_copies_no_parameter(tmp_path):
+    store = ParamStore()
+    store.add("w", np.ones((1000, 1000), dtype=np.float32))
+    store.add("b", np.ones(1000, dtype=np.float32))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, store, {})  # the first write allocates once per process
+    tracemalloc.start()
+    try:
+        save_checkpoint(path, store, {})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.05 * store["w"].data.nbytes, peak / store["w"].data.nbytes
+
+
+def test_checkpoint_header_lines_are_bounded_on_write_and_read(tmp_path, monkeypatch):
+    monkeypatch.setattr(params, "HEADER_LINE_LIMIT", 64)
+    store = ParamStore()
+    store.add("w", np.ones(2, dtype=np.float32))
+    path = tmp_path / "model.ckpt"
+    fits = {"k": "x" * (63 - len('config {"k": ""}'))}  # a 63-byte line and its newline
+    save_checkpoint(path, store, fits)
+    assert load_checkpoint(path)[1]["config"] == fits
+    with pytest.raises(ValueError, match=r"^save_checkpoint: a header line exceeds 63 bytes$"):
+        save_checkpoint(path, store, {"k": fits["k"] + "x"})
+    path.write_bytes(path.read_bytes().replace(b'"k": "', b'"k": "x'))
+    with pytest.raises(ValueError, match="payload"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_parameters_of_two_dtypes(tmp_path):
     # The header holds one dtype: b would be cast to float32 and reload as 0.33333334.
     store = ParamStore()
@@ -375,6 +432,72 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(ValueError, match="payload"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "head", [b"", CHECKPOINT_MAGIC.encode() + b"\n"], ids=["no-format-line", "format-line-then-garbage"]
+)
+def test_checkpoint_reader_reads_a_bounded_prefix_of_garbage(tmp_path, head):
+    path = tmp_path / "junk"
+    path.write_bytes(head + b"x" * (24 << 20))  # 24 MB with no newline
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="payload") as info:
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value).startswith(f"{path}: ")
+    assert peak <= 1 << 20, peak
+
+
+def test_checkpoint_reader_stops_at_the_first_bad_header_line(tmp_path):
+    path = tmp_path / "junk"
+    path.write_bytes(CHECKPOINT_MAGIC.encode() + b"\n" * (4 << 20))  # 4M empty lines
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="unknown header line ''"):
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20, peak
+
+
+def test_checkpoint_rejects_another_format_line(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    path.write_bytes(path.read_bytes().replace(b"fcrg-checkpoint 1", b"fcrg-checkpoint 2"))
+    with pytest.raises(ValueError, match=rf"^{path}: unsupported checkpoint format 'fcrg-checkpoint 2'$"):
+        load_checkpoint(path)
+
+
+def _three_parameter_checkpoint(tmp_path):
+    store = ParamStore()
+    rng = np.random.default_rng(4)
+    store.add("first", rng.standard_normal((3, 5)).astype(np.float32), partition="encoder")
+    store.add("embedding", rng.standard_normal((2, 6)).astype(np.float32))
+    store.add("last", rng.standard_normal(4).astype(np.float32), partition="decoder")
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, store, {"vocab_size": 6}, seed=1, epoch=2)
+    return store, path
+
+
+def test_checkpoint_reads_only_the_named_parameters(tmp_path):
+    store, path = _three_parameter_checkpoint(tmp_path)
+    loaded, meta = load_checkpoint(path, names=("embedding",))
+    assert loaded.names() == ["embedding"] and loaded.partition("embedding") == "shared"
+    assert loaded["embedding"].data.tobytes() == store["embedding"].data.tobytes()
+    assert meta["layout"] == {"first": ("encoder", (3, 5)), "embedding": ("shared", (2, 6)), "last": ("decoder", (4,))}
+    assert load_checkpoint(path)[1] == meta
+    assert load_checkpoint(path, names=())[0].names() == []
+
+
+@pytest.mark.parametrize("edit", [lambda raw: raw[:-1], lambda raw: raw + b"\0"], ids=["truncated", "trailing"])
+def test_checkpoint_reading_named_parameters_still_checks_the_payload_length(tmp_path, edit):
+    _, path = _three_parameter_checkpoint(tmp_path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError, match=r"truncated payload for parameter 'last'|1 trailing payload bytes"):
+        load_checkpoint(path, names=("embedding",))
 
 
 def test_checkpoint_detects_truncation(tmp_path):
