@@ -152,40 +152,25 @@ def _load_gazetteer(path: Optional[str]) -> frozenset[str]:
     return read_gazetteer(path) if path else frozenset()
 
 
-@dataclasses.dataclass
-class _Embedding:
-    """A checkpoint's config and a store holding only its ``embedding``, as an ``FCRGModel`` holds them."""
+def _open_checkpoint(
+    path: str, vocab_path: str, names: Optional[Sequence[str]] = None
+) -> tuple[ModelConfig, ParamStore, Vocabulary]:
+    """The config and parameters in checkpoint ``path`` (only ``names``, if given) and the vocabulary naming its rows.
 
-    config: ModelConfig
-    params: ParamStore
-
-
-def _model_from_checkpoint(path: str, embedding_only: bool = False) -> FCRGModel | _Embedding:
-    """The checkpoint's model; with ``embedding_only``, its config and embedding, the rest of the payload unread.
-
-    Either way the whole header, the payload's length and the parameter layout
-    are checked against the config, with the same messages.
+    Whichever parameters are read, the whole header, the payload's length and
+    the header's parameter layout are checked against the config, and the
+    vocabulary's size must match.
     """
-    store, meta = load_checkpoint(path, names=("embedding",) if embedding_only else None)
+    store, meta = load_checkpoint(path, names)
     try:
         config = ModelConfig(**meta["config"])
-        if not embedding_only:
-            return FCRGModel(config, params=store)
         check_layout(config, {(name, shape, part, meta["dtype"]) for name, (part, shape) in meta["layout"].items()})
-        return _Embedding(config, store)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def _model_and_vocab(args, embedding_only: bool = False) -> tuple[FCRGModel | _Embedding, Vocabulary]:
-    """The model in ``--checkpoint`` and the ``--vocab`` that names its rows; their sizes must agree."""
-    model = _model_from_checkpoint(args.checkpoint, embedding_only)
-    vocab = Vocabulary.load(args.vocab)
-    if vocab.size != model.config.vocab_size:
-        raise ValueError(
-            f"vocabulary size {vocab.size} does not match checkpoint vocab_size {model.config.vocab_size}"
-        )
-    return model, vocab
+    vocab = Vocabulary.load(vocab_path)
+    if vocab.size != config.vocab_size:
+        raise ValueError(f"vocabulary size {vocab.size} does not match checkpoint vocab_size {config.vocab_size}")
+    return config, store, vocab
 
 
 def _pair_error(path, index: int, exc: ValueError) -> ValueError:
@@ -278,7 +263,8 @@ def cmd_train(args, settings: dict) -> int:
 
 def cmd_generate(args, settings: dict) -> int:
     out = _prepare_run_dir(args.run_dir, settings)
-    model, vocab = _model_and_vocab(args)
+    config, store, vocab = _open_checkpoint(args.checkpoint, args.vocab)
+    model = FCRGModel(config, params=store)
     gazetteer = _load_gazetteer(args.gazetteer)
     decode = _build(DecodeConfig, settings)
     sources = list(read_lines(args.sources))
@@ -315,11 +301,13 @@ def _indexed_rows(path, width: int):
 
 
 def _read_generations(path) -> dict[int, list[list[str]]]:
-    """``index <TAB> rank <TAB> log_prob <TAB> tokens`` per line."""
+    """``index <TAB> rank <TAB> log_prob <TAB> tokens`` per line; each (index, rank) once."""
     result: dict[int, list[list[str]]] = {}
+    first_line: dict[tuple[int, int], int] = {}
     for lineno, index, parts in _indexed_rows(path, 4):
         try:
-            if int(parts[1]) < 1:
+            rank = int(parts[1])
+            if rank < 1:
                 raise ValueError
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: rank must be an integer >= 1, got {parts[1]!r}") from None
@@ -327,6 +315,10 @@ def _read_generations(path) -> dict[int, list[list[str]]]:
             float(parts[2])
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: log-prob must be a number, got {parts[2]!r}") from None
+        if (index, rank) in first_line:
+            first = first_line[index, rank]
+            raise ValueError(f"{path}: line {lineno}: duplicate rank {rank} for source {index} (first on line {first})")
+        first_line[index, rank] = lineno
         result.setdefault(index, []).append(parts[3].split())
     if not result:
         raise ValueError(f"{path}: no generations")
@@ -356,11 +348,16 @@ def cmd_evaluate(args, settings: dict) -> int:
     out = _prepare_run_dir(args.run_dir, settings)
     generations = _read_generations(args.generations)
     references = _read_references(args.references)
+    if generations.keys() - references.keys():
+        lineno, index = next((n, i) for n, i, _ in _indexed_rows(args.generations, 4) if i not in references)
+        raise ValueError(f"{args.generations}: line {lineno}: no reference for source index {index}")
     table = None
     if args.embeddings:
         table = metrics.load_embedding_table(args.embeddings)
     elif args.checkpoint:
-        table = metrics.embedding_table_from_model(*_model_and_vocab(args, embedding_only=True))
+        _, store, vocab = _open_checkpoint(args.checkpoint, args.vocab, names=("embedding",))
+        table = metrics.embedding_table_from_model(store["embedding"].data, vocab)
+        del store, vocab  # the table holds its own copy: free the embedding and vocabulary before scoring
     else:
         print("evaluate: no embeddings given; skipping greedy matching and vector extrema")
     report = metrics.evaluate(generations, references, table)

@@ -276,10 +276,10 @@ def load_embedding_table(path) -> EmbeddingTable:
     return EmbeddingTable(vectors)
 
 
-def embedding_table_from_model(model, vocab) -> EmbeddingTable:
-    """Word vectors from a trained model's shared embedding (reserved ids excluded)."""
+def embedding_table_from_model(embedding: np.ndarray, vocab) -> EmbeddingTable:
+    """Word vectors from a trained model's shared (dim, vocab) embedding, a column per id (reserved ids excluded)."""
     reserved = len(RESERVED_TOKENS)
-    return EmbeddingTable(dict(zip(vocab.id_to_token[reserved:], model.params["embedding"].data.T[reserved:])))
+    return EmbeddingTable(dict(zip(vocab.id_to_token[reserved:], embedding.T[reserved:])))
 
 
 def greedy_matching(candidate: Tokens, reference: Tokens, table: EmbeddingTable) -> float:

@@ -124,8 +124,8 @@ class FCRGModel:
         self._np_dtype = np.float32 if config.dtype == "float32" else np.float64
         self._dropout_rng = np.random.default_rng(config.seed + 1)
         if params is not None:
+            check_layout(config, {(name, t.shape, params.partition(name), t.dtype.name) for name, t in params.items()})
             self.params = params
-            self._check_layout()
         else:
             self.params = ParamStore()
             self._init_params()
@@ -152,11 +152,6 @@ class FCRGModel:
                     rng.standard_normal(block) if name == "embedding" else rng.uniform(-bound, bound, size=block)
                 )
             self.params.add(name, value, partition)
-
-    def _check_layout(self) -> None:
-        check_layout(
-            self.config, {(name, t.shape, self.params.partition(name), t.dtype.name) for name, t in self.params.items()}
-        )
 
     # -- forward pieces ------------------------------------------------
 

@@ -80,9 +80,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
     def names(self) -> list[str]:
         return list(self._tensors)
 
@@ -357,18 +354,19 @@ def finite_diff_report(
 
     report: dict[str, GradDiff] = {}
     for name, tensor in store.items():
-        flat = tensor.data.reshape(-1)
+        value = tensor.data  # indexed in place: a flat view would be a copy of an array that is not C-contiguous
         grad_flat = analytic[name].reshape(-1)
-        n = flat.size
+        n = value.size
         coords = np.arange(n) if n <= samples_per_param else rng.choice(n, size=samples_per_param, replace=False)
         worst_rel, worst_abs, above = 0.0, 0.0, 0
         for c in coords:
-            original = flat[c]
-            flat[c] = original + step
+            at = np.unravel_index(c, value.shape)
+            original = value[at]
+            value[at] = original + step
             f_plus = loss_fn().item()
-            flat[c] = original - step
+            value[at] = original - step
             f_minus = loss_fn().item()
-            flat[c] = original
+            value[at] = original
             if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
                 raise ValueError(f"non-finite loss while perturbing {name}[{c}]")
             numeric = (f_plus - f_minus) / (2.0 * step)

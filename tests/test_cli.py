@@ -418,7 +418,7 @@ def test_checkpoint_whose_parameters_do_not_match_its_config_fails(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, model.params, config)
     with pytest.raises(ValueError, match=r"parameters do not match the config") as info:
-        cli._model_from_checkpoint(str(path))
+        cli._open_checkpoint(str(path), str(tmp_path / "vocab.tsv"))
     assert str(info.value).startswith(f"{path}: ")
     assert "('embedding', (4, 60), 'shared', 'float32')" in str(info.value)
 
@@ -674,6 +674,28 @@ def test_evaluate_rejects_a_bad_rank_or_log_prob(tmp_path, capsys, line, message
     code = main(["evaluate", "--generations", str(gens), "--references", str(refs), "--run-dir", str(tmp_path / "e")])
     assert code == 1
     assert capsys.readouterr().err == f"fcrg evaluate: error: {gens}: line 3: {message}\n"
+
+
+def test_evaluate_rejects_a_repeated_rank_for_a_source(tmp_path, capsys):
+    gens = tmp_path / "gens.tsv"
+    gens.write_text("0\t1\t-1.0\ta b\n0\t2\t-2.0\tb\n1\t1\t-1.0\ta\n\n0\t1\t-3.0\ta\n")
+    refs = tmp_path / "refs.tsv"
+    refs.write_text("0\ta b\n1\ta\n")
+    code = main(["evaluate", "--generations", str(gens), "--references", str(refs), "--run-dir", str(tmp_path / "e")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"fcrg evaluate: error: {gens}: line 5: duplicate rank 1 for source 0 (first on line 1)\n"
+    )
+
+
+def test_evaluate_names_the_generation_line_without_a_reference(tmp_path, capsys):
+    gens = tmp_path / "gens.tsv"
+    gens.write_text("0\t1\t-1.0\ta b\n2\t1\t-1.0\tb\n2\t2\t-2.0\ta\n1\t1\t-1.0\ta\n")
+    refs = tmp_path / "refs.tsv"
+    refs.write_text("0\ta b\n1\ta\n")
+    code = main(["evaluate", "--generations", str(gens), "--references", str(refs), "--run-dir", str(tmp_path / "e")])
+    assert code == 1
+    assert capsys.readouterr().err == f"fcrg evaluate: error: {gens}: line 2: no reference for source index 2\n"
 
 
 def test_evaluate_empty_reference_names_the_line(tmp_path, capsys):

@@ -397,7 +397,7 @@ def test_embedding_table_from_model_returns_every_column_as_float64(dtype):
     vocab = build_vocabulary([[f"w{i}" for i in range(40)]], min_count=1)
     model = FCRGModel(ModelConfig(vocab_size=vocab.size, embed_dim=5, hidden_size=2, output_size=2, dtype=dtype))
     emb = model.params["embedding"].data
-    table = embedding_table_from_model(model, vocab)
+    table = embedding_table_from_model(emb, vocab)
     tokens = vocab.id_to_token[len(RESERVED_TOKENS) :]
     vectors = table.lookup(tokens)
     assert vectors.dtype == np.float64
@@ -410,7 +410,7 @@ def test_embedding_table_from_model_does_not_alias_the_parameter(dtype):
     vocab = build_vocabulary([["fake", "news", "hoax", "news"]], min_count=1)
     model = FCRGModel(ModelConfig(vocab_size=vocab.size, embed_dim=3, hidden_size=2, output_size=2, dtype=dtype))
     emb = model.params["embedding"].data
-    table = embedding_table_from_model(model, vocab)
+    table = embedding_table_from_model(emb, vocab)
     expected = {t: emb[:, vocab.token_to_id[t]].astype(np.float64) for t in ("fake", "news", "hoax")}
     emb += 1.0  # the table must not alias the parameter, a float64 one included
     for token, vector in expected.items():

@@ -671,6 +671,17 @@ def test_finite_diff_report_counts_the_coordinates_above_the_floor():
     assert (exact.above_floor, exact.max_rel_error) == (0, 0.0) and exact.max_abs_error < 1e-8
 
 
+def test_finite_diff_report_perturbs_a_parameter_that_is_not_c_contiguous():
+    rng = np.random.default_rng(0)
+    a, b, values = rng.standard_normal((4, 3)), rng.standard_normal((2, 1)), rng.standard_normal((3, 2))
+    for order in ("C", "F"):
+        store = ParamStore()
+        w = store.add("w", np.array(values, order=order))
+        report = finite_diff_report(lambda: reduce_sum(T.matmul(T.tanh(T.matmul(T.Tensor(a), w)), T.Tensor(b))), store)
+        assert (report["w"].sampled, report["w"].above_floor, report["w"].max_rel_error) == (6, 0, 0.0), order
+        assert np.array_equal(w.data, values) and w.data.flags.f_contiguous == (order == "F")
+
+
 def test_finite_diff_check_requires_float64():
     store = ParamStore()
     w = store.add("w", np.zeros(2, dtype=np.float32))
