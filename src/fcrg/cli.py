@@ -113,8 +113,7 @@ def load_run_config(config_path: Optional[str], overrides: Sequence[str]) -> dic
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}: line {lineno}: expected 'key=value'")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
             if key not in settings:
                 raise ValueError(f"{path}: line {lineno}: unknown config key {key!r}")
             if key in first_line:
@@ -126,7 +125,7 @@ def load_run_config(config_path: Optional[str], overrides: Sequence[str]) -> dic
     for item in overrides:
         if "=" not in item:
             raise ValueError(f"--set {item!r}: expected key=value")
-        key, _, value = item.partition("=")
+        key, value = item.split("=", 1)
         if key not in settings:
             raise ValueError(f"--set: unknown config key {key!r}")
         settings[key] = _coerce(key, value)
@@ -164,7 +163,7 @@ def _open_checkpoint(
     store, meta = load_checkpoint(path, names)
     try:
         config = ModelConfig(**meta["config"])
-        check_layout(config, {(name, shape, part, meta["dtype"]) for name, (part, shape) in meta["layout"].items()})
+        check_layout(config, {(name, shape, meta["dtype"]) for name, shape in meta["layout"].items()})
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     vocab = Vocabulary.load(vocab_path)

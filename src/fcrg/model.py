@@ -91,24 +91,23 @@ class GRUWeights:
 _GATES = ("update", "reset", "candidate")
 
 
-def param_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
-    """(name, shape, partition) of every parameter, in initialisation order."""
+def param_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter, in initialisation order."""
     d, h = config.embed_dim, config.hidden_size
-    layout = [("embedding", (d, config.vocab_size), "shared")]
-    for side, partition in (("enc", "encoder"), ("dec", "decoder")):
+    layout = [("embedding", (d, config.vocab_size))]
+    for side in ("enc", "dec"):
         for gate in _GATES:
-            layout.append((f"{side}_{gate}_x", (d, h), partition))
-            layout.append((f"{side}_{gate}_h", (h, h), partition))
+            layout += [(f"{side}_{gate}_x", (d, h)), (f"{side}_{gate}_h", (h, h))]
     if config.attention == "bilinear":
-        layout.append(("attn_bilinear", (h, h), "decoder"))
-    layout.append(("out_hidden", (2 * h, config.output_size), "decoder"))
-    layout.append(("out_vocab", (config.output_size, config.vocab_size), "decoder"))
+        layout.append(("attn_bilinear", (h, h)))
+    layout.append(("out_hidden", (2 * h, config.output_size)))
+    layout.append(("out_vocab", (config.output_size, config.vocab_size)))
     return layout
 
 
-def check_layout(config: ModelConfig, found: set[tuple[str, tuple[int, ...], str, str]]) -> None:
-    """Raise ``ValueError`` unless ``found``, (name, shape, partition, dtype) per parameter, is ``config``'s layout."""
-    expected = {(name, shape, partition, config.dtype) for name, shape, partition in param_layout(config)}
+def check_layout(config: ModelConfig, found: set[tuple[str, tuple[int, ...], str]]) -> None:
+    """Raise ``ValueError`` unless ``found``, (name, shape, dtype) per parameter, is ``config``'s layout."""
+    expected = {(name, shape, config.dtype) for name, shape in param_layout(config)}
     if found != expected:
         raise ValueError(
             "parameters do not match the config: "
@@ -124,7 +123,7 @@ class FCRGModel:
         self._np_dtype = np.float32 if config.dtype == "float32" else np.float64
         self._dropout_rng = np.random.default_rng(config.seed + 1)
         if params is not None:
-            check_layout(config, {(name, t.shape, params.partition(name), t.dtype.name) for name, t in params.items()})
+            check_layout(config, {(name, t.shape, t.dtype.name) for name, t in params.items()})
             self.params = params
         else:
             self.params = ParamStore()
@@ -143,7 +142,7 @@ class FCRGModel:
         """
         rng = np.random.default_rng(self.config.seed)
         bound = 1.0 / np.sqrt(self.config.hidden_size)
-        for name, (rows, cols), partition in param_layout(self.config):
+        for name, (rows, cols) in param_layout(self.config):
             value = np.empty((rows, cols), dtype=self._np_dtype)
             step = max(1, INIT_BLOCK // cols)
             for start in range(0, rows, step):
@@ -151,7 +150,7 @@ class FCRGModel:
                 value[start : start + step] = (
                     rng.standard_normal(block) if name == "embedding" else rng.uniform(-bound, bound, size=block)
                 )
-            self.params.add(name, value, partition)
+            self.params.add(name, value)
 
     # -- forward pieces ------------------------------------------------
 

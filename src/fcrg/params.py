@@ -1,8 +1,7 @@
 """Named parameter storage, Adam updates, gradient clipping, checkpoints.
 
-Parameters are tagged with the network partition they belong to (encoder,
-decoder or shared) so checkpoints can group them.  Adam's moment buffers
-are training-only state: the first ``adam_step`` makes them.
+Adam's moment buffers are training-only state: the first ``adam_step``
+makes them.
 
 ``adam_step`` walks each parameter, its gradient and its two moments in
 blocks of ``ADAM_BLOCK`` elements, so the dozen passes of the update run
@@ -29,7 +28,6 @@ import numpy as np
 from .corpus import atomic_write
 from .tensor import Tensor, backward
 
-PARTITIONS = ("encoder", "decoder", "shared")
 ADAM_BLOCK = 1 << 15  # elements per block of the Adam update: 128 KB of float32 per array
 
 
@@ -59,22 +57,18 @@ class TrainConfig:
 
 
 class ParamStore:
-    """Ordered map from name to parameter tensor, each tagged with its partition."""
+    """Ordered map from name to parameter tensor."""
 
     def __init__(self):
         self._tensors: dict[str, Tensor] = {}
-        self._partitions: dict[str, str] = {}
         self._moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def add(self, name: str, value: np.ndarray, partition: str = "shared") -> Tensor:
+    def add(self, name: str, value: np.ndarray) -> Tensor:
         """Add a parameter that keeps ``value`` itself, not a copy, so nothing else may hold it."""
         if name in self._tensors:
             raise ValueError(f"duplicate parameter name {name!r}")
-        if partition not in PARTITIONS:
-            raise ValueError(f"unknown partition {partition!r}")
         t = Tensor(value)
         self._tensors[name] = t
-        self._partitions[name] = partition
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -82,9 +76,6 @@ class ParamStore:
 
     def names(self) -> list[str]:
         return list(self._tensors)
-
-    def partition(self, name: str) -> str:
-        return self._partitions[name]
 
     def items(self) -> Iterator[tuple[str, Tensor]]:
         return iter(self._tensors.items())
@@ -187,18 +178,20 @@ def _square_sum(flat: np.ndarray) -> np.float64:
     return _square_sum(flat[:half]) + _square_sum(flat[half:])
 
 
-CHECKPOINT_MAGIC = "fcrg-checkpoint 1"
+CHECKPOINT_MAGIC = "fcrg-checkpoint 2"
+CHECKPOINT_MAGIC_V1 = "fcrg-checkpoint 1"  # still read: its parameter lines carry a tag between name and shape
 HEADER_LINE_LIMIT = 1 << 16  # bytes a checkpoint header line may take, newline included
 
 
 def save_checkpoint(path, store: ParamStore, config: dict, *, seed: int = 0, epoch: int = 0) -> None:
-    """Text header (version, config, parameter table) + raw little-endian payload.
+    """Text header (format, dtype, seed, epoch, config, ``param <name> <shape>`` lines) + raw little-endian payload.
 
     The header names one dtype for every parameter, so a store whose
     parameters differ in dtype raises ``ValueError`` and nothing is written;
-    so does a header line as long as ``HEADER_LINE_LIMIT``, which the reader
-    would refuse.  Each parameter is written from its own buffer when it is
-    already contiguous and little-endian, as the store's arrays are.
+    so do a parameter name holding a space or a line break and a header line
+    as long as ``HEADER_LINE_LIMIT``, which the reader would refuse.  Each
+    parameter is written from its own buffer when it is already contiguous
+    and little-endian, as the store's arrays are.
     """
     names = store.names()
     dtypes = sorted({store[name].dtype.name for name in names}) or ["float32"]
@@ -213,8 +206,9 @@ def save_checkpoint(path, store: ParamStore, config: dict, *, seed: int = 0, epo
         "config " + json.dumps(config, sort_keys=True),
     ]
     for name in names:
-        shape = ",".join(str(d) for d in store[name].shape)
-        header_lines.append(f"param {name} {store.partition(name)} {shape}")
+        if " " in name or "\n" in name:
+            raise ValueError(f"save_checkpoint: parameter name {name!r} holds a space or a line break")
+        header_lines.append(f"param {name} {','.join(str(d) for d in store[name].shape)}")
     header_lines.append("payload")
     header = ("\n".join(header_lines) + "\n").encode("utf-8")
     if max(len(line) for line in header.split(b"\n")) >= HEADER_LINE_LIMIT:
@@ -228,9 +222,9 @@ def save_checkpoint(path, store: ParamStore, config: dict, *, seed: int = 0, epo
 def load_checkpoint(path, names: Optional[Collection[str]] = None) -> tuple[ParamStore, dict]:
     """Returns (parameter store, metadata with config/seed/epoch/dtype/layout).
 
-    ``layout`` maps every parameter the header lists to its (partition,
-    shape).  The header is read and parsed one bounded line at a time up to
-    its ``payload`` line, the format's line first, so a file that is not a
+    ``layout`` maps every parameter the header lists to its shape.  The
+    header is read and parsed one bounded line at a time up to its
+    ``payload`` line, the format's line first, so a file that is not a
     checkpoint is never read whole.  Once the header is valid and the
     payload's length matches the parameter table, each parameter is read
     straight into its own array, which the store keeps: every payload byte
@@ -239,26 +233,26 @@ def load_checkpoint(path, names: Optional[Collection[str]] = None) -> tuple[Para
     """
     with open(path, "rb") as fh:
         meta = _parse_header(path, _header_lines(path, fh))
-        params = meta["layout"]
+        layout = meta["layout"]
         dtype = np.dtype(meta["dtype"])
         stored = dtype.newbyteorder("<")
         payload = os.fstat(fh.fileno()).st_size - fh.tell()
         offset = 0
-        for name, (_, shape) in params.items():
+        for name, shape in layout.items():
             offset += math.prod(shape) * dtype.itemsize
             if offset > payload:
                 raise ValueError(f"{path}: truncated payload for parameter {name!r}")
         if offset != payload:
             raise ValueError(f"{path}: {payload - offset} trailing payload bytes after the last parameter")
         store = ParamStore()
-        for name, (partition, shape) in params.items():
+        for name, shape in layout.items():
             if names is not None and name not in names:
                 fh.seek(math.prod(shape) * dtype.itemsize, os.SEEK_CUR)
                 continue
             value = np.empty(shape, dtype=stored)
             if fh.readinto(value.reshape(-1).view(np.uint8)) != value.nbytes:
                 raise ValueError(f"{path}: truncated payload for parameter {name!r}")
-            store.add(name, value.astype(dtype, copy=False), partition)
+            store.add(name, value.astype(dtype, copy=False))
     return store, meta
 
 
@@ -274,17 +268,19 @@ def _header_lines(path, fh) -> Iterator[str]:
 
 
 def _parse_header(path, lines: Iterator[str]) -> dict:
-    """The metadata in a checkpoint's header lines; ``layout`` is the parameter table."""
+    """The metadata in a checkpoint's header lines; ``layout`` maps each parameter's name to its shape."""
     first = next(lines, "payload")  # a first line of "payload" ends the lines
-    if first != CHECKPOINT_MAGIC:
+    if first not in (CHECKPOINT_MAGIC, CHECKPOINT_MAGIC_V1):
         raise ValueError(f"{path}: unsupported checkpoint format {first!r}")
-    params: dict[str, tuple[str, tuple[int, ...]]] = {}
-    meta: dict = {"layout": params}
+    layout: dict[str, tuple[int, ...]] = {}
+    meta: dict = {"layout": layout}
     for line in lines:
-        key, _, rest = line.partition(" ")
+        key, rest = line.split(" ", 1) if " " in line else (line, "")
         if key not in ("config", "dtype", "seed", "epoch", "param"):
             raise ValueError(f"{path}: unknown header line {line!r}")
         try:
+            if key in meta:
+                raise ValueError(f"repeated key {key!r}")
             if key == "config":
                 meta["config"] = json.loads(rest)
                 if not isinstance(meta["config"], dict):
@@ -296,15 +292,18 @@ def _parse_header(path, lines: Iterator[str]) -> dict:
             elif key in ("seed", "epoch"):
                 meta[key] = int(rest)
             else:
-                name, partition, shape_text = rest.split(" ")
-                if name in params:
+                if first == CHECKPOINT_MAGIC_V1:  # the tag is checked as format 1's reader did, then dropped
+                    name, tag, shape_text = rest.split(" ")
+                    if tag not in ("encoder", "decoder", "shared"):
+                        raise ValueError(f"unknown tag {tag!r}")
+                else:
+                    name, shape_text = rest.split(" ")
+                if name in layout:
                     raise ValueError(f"duplicate parameter name {name!r}")
-                if partition not in PARTITIONS:
-                    raise ValueError(f"unknown partition {partition!r}")
                 shape = tuple(int(d) for d in shape_text.split(",")) if shape_text else ()
                 if any(d < 0 for d in shape):
                     raise ValueError("negative dimension")
-                params[name] = (partition, shape)
+                layout[name] = shape
         except ValueError as exc:
             raise ValueError(f"{path}: bad header line {line!r}: {exc}") from None
     missing = [key for key in ("dtype", "seed", "epoch", "config") if key not in meta]

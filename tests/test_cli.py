@@ -14,7 +14,7 @@ from fcrg import analysis, cli
 from fcrg.cli import DEFAULTS, load_run_config, main
 from fcrg.corpus import build_vocabulary
 from fcrg.model import FCRGModel, ModelConfig
-from fcrg.params import GradDiff, save_checkpoint
+from fcrg.params import GradDiff, load_checkpoint, save_checkpoint
 from test_corpus import fail_writes_midway
 
 TINY = [
@@ -420,7 +420,7 @@ def test_checkpoint_whose_parameters_do_not_match_its_config_fails(tmp_path):
     with pytest.raises(ValueError, match=r"parameters do not match the config") as info:
         cli._open_checkpoint(str(path), str(tmp_path / "vocab.tsv"))
     assert str(info.value).startswith(f"{path}: ")
-    assert "('embedding', (4, 60), 'shared', 'float32')" in str(info.value)
+    assert "('embedding', (4, 60), 'float32')" in str(info.value)
 
 
 def _checkpoint_argv(tmp_path, command, vocab_size, checkpoint):
@@ -486,6 +486,22 @@ def test_evaluate_reads_only_the_checkpoint_embedding(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "evaluate" / "metrics.tsv").read_bytes() == written
     assert peak <= 2 * embedding_bytes + 640 * 3000, peak / embedding_bytes
+
+
+def test_a_format_1_checkpoint_generates_and_evaluates_as_its_format_2_copy(tmp_path):
+    v1 = Path(__file__).parent / "data" / "format1.ckpt"
+    store, meta = load_checkpoint(v1)
+    v2 = tmp_path / "format2.ckpt"
+    save_checkpoint(v2, store, meta["config"], seed=meta["seed"], epoch=meta["epoch"])
+    written = {}
+    for fmt, path in (("v1", v1), ("v2", v2)):
+        (tmp_path / fmt).mkdir()
+        for command, output in (("generate", "generations.tsv"), ("evaluate", "metrics.tsv")):
+            assert main(_checkpoint_argv(tmp_path / fmt, command, 50, path)) == 0
+            written[fmt, output] = (tmp_path / fmt / command / output).read_bytes()
+    assert written["v1", "generations.tsv"] == written["v2", "generations.tsv"]
+    assert written["v1", "metrics.tsv"] == written["v2", "metrics.tsv"]
+    assert written["v1", "generations.tsv"].count(b"\n") > 1 and b"greedy" in written["v1", "metrics.tsv"].lower()
 
 
 @pytest.mark.parametrize("command", ["generate", "evaluate"])

@@ -415,14 +415,12 @@ def test_gru_gates_interpolate():
 # ---------------------------------------------------------------- initialization
 
 
-def test_init_shapes_and_partitions():
+def test_init_shapes():
     model = FCRGModel(tiny_config(attention="bilinear"))
     cfg = model.config
     p = model.params
     assert p["embedding"].shape == (cfg.embed_dim, cfg.vocab_size)
-    assert p.partition("embedding") == "shared"
     assert p["enc_update_x"].shape == (cfg.embed_dim, cfg.hidden_size)
-    assert p.partition("enc_update_x") == "encoder"
     assert p["attn_bilinear"].shape == (cfg.hidden_size, cfg.hidden_size)
     assert p["out_hidden"].shape == (2 * cfg.hidden_size, cfg.output_size)
     assert p["out_vocab"].shape == (cfg.output_size, cfg.vocab_size)
@@ -452,18 +450,15 @@ def test_init_draws_are_pinned(attention, digest):
 
 
 def _entries(model):
-    return [(name, t.data, model.params.partition(name)) for name, t in model.params.items()]
+    return [(name, t.data) for name, t in model.params.items()]
 
 
-# (config overrides at load, edit of the saved (name, value, partition) list, expected message)
+# (config overrides at load, edit of the saved (name, value) list, expected message)
 LAYOUT_FAULTS = {
-    "vocab-size": ({"vocab_size": 13}, lambda e: e, r"\('embedding', \(4, 13\), 'shared', 'float64'\)"),
+    "vocab-size": ({"vocab_size": 13}, lambda e: e, r"\('embedding', \(4, 13\), 'float64'\)"),
     "missing": ({}, lambda e: e[:-1], r"expected \[\('out_vocab', \(6, 12\)"),
-    "extra": ({}, lambda e: e + [("layers", np.zeros(2), "decoder")], r"found \[\('layers', \(2,\)"),
-    "partition": (
-        {}, lambda e: [(n, v, "encoder" if n == "embedding" else p) for n, v, p in e], r"'embedding', \(4, 12\), 'encoder'"
-    ),
-    "dtype": ({}, lambda e: [(n, v.astype(np.float32), p) for n, v, p in e], r"'float32'"),
+    "extra": ({}, lambda e: e + [("layers", np.zeros(2))], r"found \[\('layers', \(2,\)"),
+    "dtype": ({}, lambda e: [(n, v.astype(np.float32)) for n, v in e], r"'float32'"),
     "attention": ({"attention": "bilinear"}, lambda e: e, r"expected \[\('attn_bilinear'"),
 }
 
@@ -472,8 +467,8 @@ LAYOUT_FAULTS = {
 def test_params_must_match_the_config_layout(fault):
     overrides, edit, match = LAYOUT_FAULTS[fault]
     store = ParamStore()
-    for name, value, partition in edit(_entries(FCRGModel(tiny_config()))):
-        store.add(name, value, partition=partition)
+    for name, value in edit(_entries(FCRGModel(tiny_config()))):
+        store.add(name, value)
     with pytest.raises(ValueError, match=match):
         FCRGModel(tiny_config(**overrides), params=store)
 
@@ -481,8 +476,8 @@ def test_params_must_match_the_config_layout(fault):
 def test_params_matching_the_config_layout_are_used():
     model = FCRGModel(tiny_config(attention="bilinear"))
     store = ParamStore()
-    for name, value, partition in _entries(model):
-        store.add(name, value, partition=partition)
+    for name, value in _entries(model):
+        store.add(name, value)
     loaded = FCRGModel(tiny_config(attention="bilinear"), params=store)
     assert loaded.params is store
 
@@ -500,7 +495,7 @@ def whole_array_init(config):
     rng = np.random.default_rng(config.seed)
     bound = 1.0 / np.sqrt(config.hidden_size)
     values = {}
-    for name, shape, _ in param_layout(config):
+    for name, shape in param_layout(config):
         value = rng.standard_normal(shape) if name == "embedding" else rng.uniform(-bound, bound, size=shape)
         values[name] = value.astype(config.dtype)
     return values
@@ -526,7 +521,7 @@ def test_init_peak_memory_is_the_parameters_and_one_draw_block():
     # parameter (1.99 P).
     FCRGModel(tiny_config())  # numpy's first draws and casts allocate once per process
     config = ModelConfig(vocab_size=8000, embed_dim=64, hidden_size=16, output_size=64, seed=4)
-    param_bytes = sum(math.prod(shape) * 4 for _, shape, _ in param_layout(config))
+    param_bytes = sum(math.prod(shape) * 4 for _, shape in param_layout(config))
     tracemalloc.start()
     try:
         model = FCRGModel(config)

@@ -3,6 +3,9 @@
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
+import textwrap
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -19,6 +22,29 @@ def test_pyproject_version_is_package_version():
         warnings.simplefilter("ignore")  # [tool.setuptools] support is flagged as beta
         config = read_configuration(str(PYPROJECT))
     assert config["project"]["version"] == fcrg.__version__
+
+
+def test_a_failing_property_test_fails_without_stopping_the_run(tmp_path):
+    """Under the repo's warning filters, a failing ``@given`` test reports a failure and later tests still run.
+
+    While hypothesis reports a falsifying example it imports a module that
+    raises a DeprecationWarning; turned into an error, that ended the run
+    with an INTERNALERROR and hid the example and every later test.
+    """
+    (tmp_path / "test_generated.py").write_text(textwrap.dedent('''
+        from hypothesis import given, strategies as st
+
+        @given(st.integers())
+        def test_fails(n):
+            assert n < 0
+
+        def test_passes():
+            pass
+    '''))
+    argv = [sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "--rootdir", str(tmp_path), "-p", "no:cacheprovider"]
+    result = subprocess.run([*argv, "test_generated.py"], cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "1 failed, 1 passed" in result.stdout and "INTERNALERROR" not in result.stdout + result.stderr
 
 
 def test_no_unused_top_level_imports():

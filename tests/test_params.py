@@ -1,7 +1,10 @@
 """Parameter store, clipping, Adam and checkpoint tests."""
 
+import hashlib
 import json
+import re
 import tracemalloc
+from pathlib import Path
 
 from fcrg import corpus, params
 
@@ -21,6 +24,7 @@ from fcrg.params import (
     save_checkpoint,
 )
 from fcrg import tensor as T
+from fcrg.model import ModelConfig, param_layout
 from test_tensor import mul, reduce_sum
 
 
@@ -248,11 +252,6 @@ def test_duplicate_name_rejected():
         store.add("w", np.zeros(2))
 
 
-def test_unknown_partition_rejected():
-    with pytest.raises(ValueError, match="partition"):
-        ParamStore().add("w", np.zeros(2), partition="nowhere")
-
-
 def test_state_roundtrip():
     store = ParamStore()
     w = store.add("w", np.arange(4.0))
@@ -282,8 +281,8 @@ def test_load_state_keeps_the_given_array_and_still_checks_its_shape():
 def test_checkpoint_roundtrip(tmp_path):
     store = ParamStore()
     rng = np.random.default_rng(2)
-    store.add("embedding", rng.standard_normal((3, 7)).astype(np.float32), partition="shared")
-    store.add("enc_w", rng.standard_normal((3, 4)).astype(np.float32), partition="encoder")
+    store.add("embedding", rng.standard_normal((3, 7)).astype(np.float32))
+    store.add("enc_w", rng.standard_normal((3, 4)).astype(np.float32))
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, store, {"vocab_size": 7}, seed=5, epoch=2)
 
@@ -291,7 +290,7 @@ def test_checkpoint_roundtrip(tmp_path):
     assert meta["seed"] == 5 and meta["epoch"] == 2
     assert meta["config"] == {"vocab_size": 7}
     assert loaded.names() == store.names()
-    assert loaded.partition("enc_w") == "encoder"
+    assert meta["layout"] == {"embedding": (3, 7), "enc_w": (3, 4)}
     for name in store.names():
         assert np.array_equal(loaded[name].data, store[name].data)
 
@@ -307,13 +306,13 @@ def test_checkpoint_bytes_deterministic(tmp_path):
 
 def test_checkpoint_bytes_layout(tmp_path):
     store = ParamStore()
-    store.add("w", np.arange(6.0, dtype=np.float32).reshape(2, 3), partition="encoder")
-    store.add("b", np.array([0.5, -1.0], dtype=np.float32), partition="decoder")
+    store.add("w", np.arange(6.0, dtype=np.float32).reshape(2, 3))
+    store.add("b", np.array([0.5, -1.0], dtype=np.float32))
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, store, {"b": 1, "a": [2]}, seed=4, epoch=3)
     header = (
-        "fcrg-checkpoint 1\ndtype float32\nseed 4\nepoch 3\n"
-        'config {"a": [2], "b": 1}\nparam w encoder 2,3\nparam b decoder 2\npayload\n'
+        "fcrg-checkpoint 2\ndtype float32\nseed 4\nepoch 3\n"
+        'config {"a": [2], "b": 1}\nparam w 2,3\nparam b 2\npayload\n'
     )
     payload = np.arange(6.0, dtype="<f4").tobytes() + np.array([0.5, -1.0], dtype="<f4").tobytes()
     assert path.read_bytes() == header.encode("utf-8") + payload
@@ -324,7 +323,7 @@ def tobytes_checkpoint(store: ParamStore, config: dict, seed: int, epoch: int) -
     dtype = store[store.names()[0]].dtype
     lines = [CHECKPOINT_MAGIC, f"dtype {dtype.name}", f"seed {seed}", f"epoch {epoch}",
              "config " + json.dumps(config, sort_keys=True)]
-    lines += [f"param {n} {store.partition(n)} {','.join(str(d) for d in store[n].shape)}" for n in store.names()]
+    lines += [f"param {n} {','.join(str(d) for d in store[n].shape)}" for n in store.names()]
     payload = b"".join(
         np.ascontiguousarray(store[n].data, dtype=f"<{dtype.kind}{dtype.itemsize}").tobytes() for n in store.names()
     )
@@ -335,8 +334,8 @@ def tobytes_checkpoint(store: ParamStore, config: dict, seed: int, epoch: int) -
 def test_checkpoint_bytes_match_the_tobytes_writer(tmp_path, dtype):
     rng = np.random.default_rng(8)
     store = ParamStore()
-    store.add("w", rng.standard_normal((5, 7)).astype(dtype), partition="encoder")
-    store.add("transposed", rng.standard_normal((4, 3)).astype(dtype).T, partition="decoder")
+    store.add("w", rng.standard_normal((5, 7)).astype(dtype))
+    store.add("transposed", rng.standard_normal((4, 3)).astype(dtype).T)
     store.add("bias", dtype(0.5))
     store.add("empty", np.zeros((0, 4), dtype=dtype))
     path = tmp_path / "model.ckpt"
@@ -466,17 +465,17 @@ def test_checkpoint_reader_stops_at_the_first_bad_header_line(tmp_path):
 
 def test_checkpoint_rejects_another_format_line(tmp_path):
     path = _saved_checkpoint(tmp_path)
-    path.write_bytes(path.read_bytes().replace(b"fcrg-checkpoint 1", b"fcrg-checkpoint 2"))
-    with pytest.raises(ValueError, match=rf"^{path}: unsupported checkpoint format 'fcrg-checkpoint 2'$"):
+    path.write_bytes(path.read_bytes().replace(b"fcrg-checkpoint 2", b"fcrg-checkpoint 3"))
+    with pytest.raises(ValueError, match=rf"^{path}: unsupported checkpoint format 'fcrg-checkpoint 3'$"):
         load_checkpoint(path)
 
 
 def _three_parameter_checkpoint(tmp_path):
     store = ParamStore()
     rng = np.random.default_rng(4)
-    store.add("first", rng.standard_normal((3, 5)).astype(np.float32), partition="encoder")
+    store.add("first", rng.standard_normal((3, 5)).astype(np.float32))
     store.add("embedding", rng.standard_normal((2, 6)).astype(np.float32))
-    store.add("last", rng.standard_normal(4).astype(np.float32), partition="decoder")
+    store.add("last", rng.standard_normal(4).astype(np.float32))
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, store, {"vocab_size": 6}, seed=1, epoch=2)
     return store, path
@@ -485,9 +484,9 @@ def _three_parameter_checkpoint(tmp_path):
 def test_checkpoint_reads_only_the_named_parameters(tmp_path):
     store, path = _three_parameter_checkpoint(tmp_path)
     loaded, meta = load_checkpoint(path, names=("embedding",))
-    assert loaded.names() == ["embedding"] and loaded.partition("embedding") == "shared"
+    assert loaded.names() == ["embedding"]
     assert loaded["embedding"].data.tobytes() == store["embedding"].data.tobytes()
-    assert meta["layout"] == {"first": ("encoder", (3, 5)), "embedding": ("shared", (2, 6)), "last": ("decoder", (4,))}
+    assert meta["layout"] == {"first": (3, 5), "embedding": (2, 6), "last": (4,)}
     assert load_checkpoint(path)[1] == meta
     assert load_checkpoint(path, names=())[0].names() == []
 
@@ -538,6 +537,11 @@ def _saved_checkpoint(tmp_path):
     return path
 
 
+def _as_v1(raw: bytes) -> bytes:
+    """``_saved_checkpoint``'s bytes as format 1 wrote them: its format line, and a tag on the parameter line."""
+    return raw.replace(b"fcrg-checkpoint 2\n", b"fcrg-checkpoint 1\n", 1).replace(b"\nparam w 8\n", b"\nparam w shared 8\n")
+
+
 @pytest.mark.parametrize(
     "edit, match",
     [
@@ -546,18 +550,24 @@ def _saved_checkpoint(tmp_path):
         (lambda raw: raw.replace(b"dtype float32", b"dtype int8"), r"bad header line 'dtype int8'"),
         (lambda raw: raw.replace(b"seed 3", b"seed three"), r"bad header line 'seed three'"),
         (lambda raw: raw.replace(b"epoch 1", b"epoch 1.5"), r"bad header line 'epoch 1.5'"),
-        (lambda raw: raw.replace(b"param w shared 8", b"param w 8"), r"bad header line 'param w 8'"),
-        (lambda raw: raw.replace(b"param w shared 8", b"param w shared 2,x"), r"bad header line 'param w shared 2,x'"),
-        (lambda raw: raw.replace(b"param w shared 8", b"param w shared -2,-4"), r"bad header line 'param w shared -2,-4'"),
-        (lambda raw: raw.replace(b"param w shared 8", b"param w nowhere 8"), r"bad header line 'param w nowhere 8'"),
-        (lambda raw: raw.replace(b"param w shared 8", b"param w shared 4\nparam w shared 4"), r"duplicate parameter"),
+        (lambda raw: _as_v1(raw).replace(b"param w shared 8", b"param w 8"), r"bad header line 'param w 8'"),
+        (lambda raw: _as_v1(raw).replace(b"param w shared 8", b"param w shared 2,x"), r"bad header line 'param w shared 2,x'"),
+        (lambda raw: _as_v1(raw).replace(b"param w shared 8", b"param w shared -2,-4"), r"bad header line 'param w shared -2,-4'"),
+        (lambda raw: _as_v1(raw).replace(b"param w shared 8", b"param w nowhere 8"), r"bad header line 'param w nowhere 8'"),
+        (lambda raw: _as_v1(raw).replace(b"param w shared 8", b"param w shared 4\nparam w shared 4"), r"duplicate parameter"),
+        (lambda raw: raw.replace(b"param w 8", b"param w"), r"bad header line 'param w'"),
+        (lambda raw: raw.replace(b"param w 8", b"param w shared 8"), r"bad header line 'param w shared 8'"),
+        (lambda raw: raw.replace(b"param w 8", b"param w 2,x"), r"bad header line 'param w 2,x'"),
+        (lambda raw: raw.replace(b"param w 8", b"param w -2,-4"), r"bad header line 'param w -2,-4'"),
+        (lambda raw: raw.replace(b"param w 8", b"param w 4\nparam w 4"), r"duplicate parameter"),
         (lambda raw: raw.replace(b"config {}", b"config {"), r"bad header line 'config \{'"),
         (lambda raw: raw.replace(b"config {}", b"config 5"), r"bad header line 'config 5'"),
         (lambda raw: raw.replace(b"seed 3", b"seed \xff"), r"not UTF-8"),
     ],
     ids=[
         "trailing-bytes", "no-dtype", "bad-dtype", "bad-seed", "bad-epoch", "short-param", "bad-shape",
-        "negative-shape", "bad-partition", "duplicate-param", "bad-config", "config-not-object", "not-utf8",
+        "negative-shape", "bad-partition", "duplicate-param", "short-param-v2", "long-param-v2", "bad-shape-v2",
+        "negative-shape-v2", "duplicate-param-v2", "bad-config", "config-not-object", "not-utf8",
     ],
 )
 def test_checkpoint_reader_names_path_and_fault(tmp_path, edit, match):
@@ -568,10 +578,77 @@ def test_checkpoint_reader_names_path_and_fault(tmp_path, edit, match):
     assert str(info.value).startswith(f"{path}: ")
 
 
+@pytest.mark.parametrize("fmt", ["v2", "v1"])
+@pytest.mark.parametrize("line", ["dtype float64", "seed 3", "epoch 7", 'config {"vocab_size": 7}'])
+def test_checkpoint_rejects_a_repeated_header_key(tmp_path, fmt, line):
+    # Format 1's reader let the last line win: an "epoch 7" after "epoch 1" loaded as epoch 7.
+    path = _saved_checkpoint(tmp_path)
+    raw = path.read_bytes().replace(b"\nparam w 8\n", f"\nparam w 8\n{line}\n".encode(), 1)
+    path.write_bytes(_as_v1(raw) if fmt == "v1" else raw)
+    key = line.split(" ")[0]
+    with pytest.raises(ValueError, match=rf"^{path}: bad header line {re.escape(repr(line))}: repeated key '{key}'$"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name", ["my w", "a\nb", " ", "w\n"])
+def test_checkpoint_refuses_a_name_its_reader_would_refuse(tmp_path, name):
+    store = ParamStore()
+    store.add("w", np.ones(2, dtype=np.float32))
+    store.add(name, np.ones(2, dtype=np.float32))
+    path = tmp_path / "model.ckpt"
+    message = f"save_checkpoint: parameter name {name!r} holds a space or a line break"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        save_checkpoint(path, store, {})
+    assert not path.exists()
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.text(max_size=6))
+def test_checkpoint_saves_a_name_only_if_it_reads_it_back(tmp_path_factory, name):
+    store = ParamStore()
+    store.add(name, np.arange(3, dtype=np.float32))
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    try:
+        save_checkpoint(path, store, {})
+    except ValueError:
+        assert " " in name or "\n" in name
+        assert not path.exists()
+        return
+    loaded, meta = load_checkpoint(path)
+    assert loaded.names() == [name] and meta["layout"] == {name: (3,)}
+
+
+FORMAT_1_CHECKPOINT = Path(__file__).parent / "data" / "format1.ckpt"
+
+
+def test_a_format_1_checkpoint_loads_as_it_was_written(tmp_path):
+    # data/format1.ckpt is the fresh FCRGModel of the config below, written by
+    # format 1's save_checkpoint with seed=7, epoch=2.
+    raw = FORMAT_1_CHECKPOINT.read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == "ac8f6239fa58e7c14ad703cc010054f3e6f9fc7174a4bed902179bd2745740dd"
+    header, payload = raw.split(b"\npayload\n", 1)
+    store, meta = load_checkpoint(FORMAT_1_CHECKPOINT)
+    assert meta["config"] == {
+        "attention": "bilinear", "dropout": 0.2, "dtype": "float32", "embed_dim": 4, "hidden_size": 5,
+        "max_source_len": 89, "max_target_len": 64, "output_size": 6, "seed": 7, "vocab_size": 50,
+    }
+    assert (meta["dtype"], meta["seed"], meta["epoch"]) == ("float32", 7, 2)
+    layout = dict(param_layout(ModelConfig(**meta["config"])))
+    assert store.names() == list(layout) and meta["layout"] == layout
+    assert all(store[name].shape == shape and store[name].dtype == np.float32 for name, shape in layout.items())
+    assert b"".join(store[name].data.tobytes() for name in store.names()) == payload
+
+    # Saved again, only the header changes: format 2's line, and no tags.
+    path = tmp_path / "format2.ckpt"
+    save_checkpoint(path, store, meta["config"], seed=meta["seed"], epoch=meta["epoch"])
+    v2_header = re.sub(rb"\nparam (\S+) (?:encoder|decoder|shared) ", rb"\nparam \1 ", header)
+    assert path.read_bytes() == v2_header.replace(b"fcrg-checkpoint 1", b"fcrg-checkpoint 2") + b"\npayload\n" + payload
+
+
 def _fuzz_checkpoint(tmp_path):
     store = ParamStore()
-    store.add("w", np.arange(6, dtype=np.float32).reshape(2, 3), partition="encoder")
-    store.add("bias", np.float32(0.5), partition="decoder")
+    store.add("w", np.arange(6, dtype=np.float32).reshape(2, 3))
+    store.add("bias", np.float32(0.5))
     store.add("empty", np.zeros((0, 4), dtype=np.float32))
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, store, {"vocab_size": 7, "attention": "dot"}, seed=3, epoch=1)
