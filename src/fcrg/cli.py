@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -311,9 +312,11 @@ def _read_generations(path) -> dict[int, list[list[str]]]:
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: rank must be an integer >= 1, got {parts[1]!r}") from None
         try:
-            float(parts[2])
+            log_prob = float(parts[2])
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: log-prob must be a number, got {parts[2]!r}") from None
+        if not math.isfinite(log_prob):
+            raise ValueError(f"{path}: line {lineno}: log-prob must be finite, got {parts[2]!r}")
         if (index, rank) in first_line:
             first = first_line[index, rank]
             raise ValueError(f"{path}: line {lineno}: duplicate rank {rank} for source {index} (first on line {first})")
@@ -372,6 +375,11 @@ def cmd_evaluate(args, settings: dict) -> int:
             print(f"evaluate: {name}: skipped {count} pair(s) with no in-table tokens")
     if report.negative_extrema:
         print(f"evaluate: vector_extrema: {report.negative_extrema} negative cosine(s) clamped to 0")
+    if report.meteor_budget_exhausted:
+        print(
+            f"evaluate: meteor_lite: chunk search ran out of its node budget on {report.meteor_budget_exhausted} "
+            "pair(s); their chunk counts may not be the fewest"
+        )
     return 0
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import gt
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -30,8 +31,31 @@ METRIC_NAMES = ("bleu2", "bleu3", "bleu4", "rouge_l", "meteor_lite", "greedy_mat
 # ---------------------------------------------------------------- BLEU
 
 
-def _ngram_counts(tokens: Tokens, order: int) -> Counter:
-    return Counter(tuple(tokens[i : i + order]) for i in range(len(tokens) - order + 1))
+def _ngram_counts(tokens: Tokens, n: int) -> list[Counter]:
+    """Counts of the n-grams of each order 1..n, as tuples."""
+    return [Counter(zip(*(tokens[k:] for k in range(order)))) for order in range(1, n + 1)]
+
+
+def _clipped_counts(cand: Tokens, ref_counts: Sequence[Counter]) -> tuple[list[int], list[int]]:
+    """Per order: the candidate's n-grams clipped by the reference's counts, and its n-gram total."""
+    matched = [
+        sum(map(min, cand_counts.values(), map(ref.__getitem__, cand_counts)))  # a missing gram counts 0
+        for cand_counts, ref in zip(_ngram_counts(cand, len(ref_counts)), ref_counts)
+    ]
+    return matched, [max(len(cand) - order + 1, 0) for order in range(1, len(ref_counts) + 1)]
+
+
+def _bleu_from_counts(matched: Sequence[int], total: Sequence[int], n: int, cand_len: int, ref_len: int) -> float:
+    """Geometric mean of the order 1..n precisions times the brevity penalty exp(1 - r/c) for c < r."""
+    log_sum = 0.0
+    for order in range(n):
+        num, den = matched[order], total[order]
+        if num == 0 or den == 0:
+            return 0.0
+        log_sum += math.log(num / den)
+    precision = math.exp(log_sum / n)
+    brevity = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / max(cand_len, 1))
+    return precision * brevity
 
 
 def bleu_n(candidates: Sequence[Tokens], references: Sequence[Tokens], n: int) -> float:
@@ -53,20 +77,11 @@ def bleu_n(candidates: Sequence[Tokens], references: Sequence[Tokens], n: int) -
     for cand, ref in zip(candidates, references):
         cand_len += len(cand)
         ref_len += len(ref)
-        for order in range(1, n + 1):
-            cand_counts = _ngram_counts(cand, order)
-            ref_counts = _ngram_counts(ref, order)
-            matched[order - 1] += sum(min(count, ref_counts[gram]) for gram, count in cand_counts.items())
-            total[order - 1] += max(len(cand) - order + 1, 0)
-    log_sum = 0.0
-    for order in range(n):
-        num, den = matched[order], total[order]
-        if num == 0 or den == 0:
-            return 0.0
-        log_sum += math.log(num / den)
-    precision = math.exp(log_sum / n)
-    brevity = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / max(cand_len, 1))
-    return precision * brevity
+        pair_matched, pair_total = _clipped_counts(cand, _ngram_counts(ref, n))
+        for order in range(n):
+            matched[order] += pair_matched[order]
+            total[order] += pair_total[order]
+    return _bleu_from_counts(matched, total, n, cand_len, ref_len)
 
 
 # ---------------------------------------------------------------- ROUGE-L
@@ -118,89 +133,105 @@ def _stage_quotas(cand: Tokens, ref: Tokens, stems: Mapping[str, str]) -> tuple[
 _NODE_BUDGET = 500_000
 
 
-def _min_chunks(cand: Tokens, ref: Tokens, stems: Mapping[str, str], exact: Counter, stem: Counter) -> int:
+def _min_chunks(cand: Tokens, ref: Tokens, stems: Mapping[str, str], exact: Counter, stem: Counter) -> tuple[int, bool]:
     """Fewest chunks over alignments realizing the stage-wise maximum matching.
 
     Branch-and-bound over candidate positions.  ``_NODE_BUDGET`` caps the
     search on adversarial inputs; the best alignment found so far is returned
-    once exhausted (tweets stay far below the cap).
+    once exhausted (tweets stay far below the cap).  Returns the chunk count
+    and whether the budget ran out.
+
+    The quotas are one list: the exact-match words' keys, then the stems'.
+    Before the search, each candidate position gets the quota keys it draws
+    from and the reference positions it may take exactly or by stem, and the
+    quota keys get their counts over each candidate suffix.
     """
     total = sum(exact.values()) + sum(stem.values())
-    cand_stems = [stems[w] for w in cand]
+    exact_key = {w: k for k, w in enumerate(exact)}
+    stem_key = {s: k for k, s in enumerate(stem, len(exact))}
     ref_stems = [stems[w] for w in ref]
+    # Per candidate position: (exact key, its reference positions, stem key,
+    # its reference positions), a key of -1 where the position has no quota.
+    # Stem matches pair residual tokens only; same-word pairs are impossible
+    # in the residual, so they are excluded.
+    moves = []
+    for word in cand:
+        s = stems[word]
+        ek, sk = exact_key.get(word, -1), stem_key.get(s, -1)
+        moves.append((
+            ek, [j for j, r in enumerate(ref) if r == word] if ek >= 0 else [],
+            sk, [j for j, r in enumerate(ref) if ref_stems[j] == s and r != word] if sk >= 0 else [],
+        ))
+    # Suffix counts of the quota keys for feasibility pruning on the candidate side.
+    suffix = [[0] * (len(exact) + len(stem))]
+    for ek, _, sk, _ in reversed(moves):
+        counts = suffix[-1].copy()
+        for k in (ek, sk):
+            if k >= 0:
+                counts[k] += 1
+        suffix.append(counts)
+    suffix.reverse()
     best = total + 1  # any valid alignment has at most `total` chunks
     nodes = 0
 
-    # Suffix counts for feasibility pruning on the candidate side.
-    suffix_words: list[Counter] = [Counter() for _ in range(len(cand) + 1)]
-    suffix_stems: list[Counter] = [Counter() for _ in range(len(cand) + 1)]
-    for i in range(len(cand) - 1, -1, -1):
-        suffix_words[i] = suffix_words[i + 1].copy()
-        suffix_words[i][cand[i]] += 1
-        suffix_stems[i] = suffix_stems[i + 1].copy()
-        suffix_stems[i][cand_stems[i]] += 1
-
-    def feasible(i: int, exact_left: Counter, stem_left: Counter) -> bool:
-        for w, need in exact_left.items():
-            if need > suffix_words[i][w]:
-                return False
-        for s, need in stem_left.items():
-            if need > suffix_stems[i][s]:
-                return False
-        return True
-
-    def dfs(i: int, used: int, exact_left: Counter, stem_left: Counter, last: Optional[tuple[int, int]], chunks: int):
+    def dfs(i: int, used: int, left: list[int], last: Optional[tuple[int, int]], chunks: int):
         nonlocal best, nodes
         nodes += 1
         if chunks >= best or nodes > _NODE_BUDGET:
             return
         if i == len(cand):
-            if not (+exact_left) and not (+stem_left):
+            if not any(left):
                 best = min(best, chunks)
             return
-        if not feasible(i, exact_left, stem_left):
+        if any(map(gt, left, suffix[i])):
             return
-        word = cand[i]
-        options: list[tuple[int, bool]] = []
-        if exact_left[word] > 0:
-            options.extend((j, True) for j in range(len(ref)) if ref[j] == word and not used >> j & 1)
-        s = cand_stems[i]
-        if stem_left[s] > 0:
-            # Stem matches pair residual tokens only; same-word pairs are
-            # impossible in the residual, so exclude them here.
-            options.extend((j, False) for j in range(len(ref)) if ref_stems[j] == s and ref[j] != word and not used >> j & 1)
+        ek, exact_js, sk, stem_js = moves[i]
+        options: list[tuple[int, int]] = []
+        if ek >= 0 and left[ek] > 0:
+            options.extend((j, ek) for j in exact_js if not used >> j & 1)
+        if sk >= 0 and left[sk] > 0:
+            options.extend((j, sk) for j in stem_js if not used >> j & 1)
         # Prefer chunk-continuing matches so good bounds appear early.
         if last is not None:
             options.sort(key=lambda opt: (opt[0] != last[1] + 1,))
-        for j, is_exact in options:
+        for j, k in options:
             cont = last is not None and last[0] == i - 1 and last[1] == j - 1
-            key = word if is_exact else s
-            counter = exact_left if is_exact else stem_left
-            counter[key] -= 1
-            dfs(i + 1, used | 1 << j, exact_left, stem_left, (i, j), chunks + (0 if cont else 1))
-            counter[key] += 1
-        dfs(i + 1, used, exact_left, stem_left, last, chunks)
+            left[k] -= 1
+            dfs(i + 1, used | 1 << j, left, (i, j), chunks + (0 if cont else 1))
+            left[k] += 1
+        dfs(i + 1, used, left, last, chunks)
 
-    dfs(0, 0, Counter(exact), Counter(stem), None, 0)
+    dfs(0, 0, [*exact.values(), *stem.values()], None, 0)
     # Budget exhausted before any complete alignment: fall back to the
     # worst case of one chunk per match.
-    return min(best, total)
+    return min(best, total), nodes > _NODE_BUDGET
 
 
-def meteor_lite(candidate: Tokens, reference: Tokens) -> float:
+def meteor_lite(
+    candidate: Tokens,
+    reference: Tokens,
+    stems: Optional[Mapping[str, str]] = None,
+    budget_flags: Optional[list[bool]] = None,
+) -> float:
     """Exact+stem unigram F-mean with a fragmentation penalty.
 
     Alignments maximize matches stage-wise (exact first, then Porter stems)
     with the fewest chunks; score = F_mean * (1 - 0.5 * (chunks/m)^3).
+    ``stems`` maps every word of the pair to its Porter stem; without it each
+    distinct word of the pair is stemmed here.  ``budget_flags``, when given,
+    receives one flag per chunk search: whether it ran out of ``_NODE_BUDGET``.
     """
     if not candidate or not reference:
         raise ValueError("candidate and reference must be non-empty")
-    stems = {w: porter_stem(w) for w in {*candidate, *reference}}  # each distinct word stemmed once
+    if stems is None:
+        stems = {w: porter_stem(w) for w in {*candidate, *reference}}  # each distinct word stemmed once
     exact, stem = _stage_quotas(candidate, reference, stems)
     m = sum(exact.values()) + sum(stem.values())
     if m == 0:
         return 0.0
-    chunks = _min_chunks(candidate, reference, stems, exact, stem)
+    chunks, exhausted = _min_chunks(candidate, reference, stems, exact, stem)
+    if budget_flags is not None:
+        budget_flags.append(exhausted)
     precision = m / len(candidate)
     recall = m / len(reference)
     f_mean = 10.0 * precision * recall / (recall + 9.0 * precision)
@@ -220,14 +251,23 @@ class EmbeddingTable:
     """
 
     def __init__(self, vectors: Mapping[str, Sequence[float] | np.ndarray]):
-        if not vectors:
-            raise ValueError("embedding table is empty")
         dims = {len(v) for v in vectors.values()}
-        if len(dims) != 1:
+        if len(dims) > 1:
             raise ValueError(f"inconsistent embedding dimensions: {sorted(dims)}")
-        matrix = np.array(list(vectors.values()))
+        self._assign(list(vectors), np.array(list(vectors.values())))
+
+    @classmethod
+    def _from_rows(cls, tokens: Sequence[str], matrix: np.ndarray) -> EmbeddingTable:
+        """A table whose row i is token i's vector; ``matrix`` must be the caller's own copy."""
+        table = cls.__new__(cls)
+        table._assign(tokens, matrix)
+        return table
+
+    def _assign(self, tokens: Sequence[str], matrix: np.ndarray) -> None:
+        if not tokens:
+            raise ValueError("embedding table is empty")
         self._matrix = matrix if matrix.dtype.kind == "f" else matrix.astype(np.float64)
-        self._rows = {t: i for i, t in enumerate(vectors)}
+        self._rows = {t: i for i, t in enumerate(tokens)}
         self.dim = self._matrix.shape[1]
 
     def __contains__(self, token: str) -> bool:
@@ -253,7 +293,7 @@ def load_embedding_table(path) -> EmbeddingTable:
 
     A token may have one line only: a repeated token raises ``ValueError``.
     """
-    vectors: dict[str, list[float]] = {}
+    vectors: list[list[float]] = []
     first_line: dict[str, int] = {}
     for lineno, line in enumerate(read_lines(path), 1):
         parts = line.split(" ")
@@ -270,16 +310,20 @@ def load_embedding_table(path) -> EmbeddingTable:
         dim = len(vector) if lineno == 1 else dim
         if len(vector) != dim or not all(map(math.isfinite, vector)):
             raise ValueError(f"{path}: line {lineno}: expected {dim} finite values")
-        vectors[token] = vector
+        vectors.append(vector)
     if not vectors:
         raise ValueError(f"{path}: embedding table is empty")
-    return EmbeddingTable(vectors)
+    return EmbeddingTable._from_rows(list(first_line), np.array(vectors))
 
 
 def embedding_table_from_model(embedding: np.ndarray, vocab) -> EmbeddingTable:
     """Word vectors from a trained model's shared (dim, vocab) embedding, a column per id (reserved ids excluded)."""
     reserved = len(RESERVED_TOKENS)
-    return EmbeddingTable(dict(zip(vocab.id_to_token[reserved:], embedding.T[reserved:])))
+    tokens = vocab.id_to_token[reserved:]
+    if len(tokens) != embedding.shape[1] - reserved:
+        raise ValueError(f"embedding has {embedding.shape[1]} columns for a vocabulary of {vocab.size}")
+    # np.array copies even where the transposed slice is already C-contiguous (dim 1).
+    return EmbeddingTable._from_rows(tokens, np.array(embedding.T[reserved:], order="C"))
 
 
 def greedy_matching(candidate: Tokens, reference: Tokens, table: EmbeddingTable) -> float:
@@ -317,6 +361,7 @@ class MetricReport:
     per_source: dict[str, dict[int, float]]
     skipped: dict[str, int] = field(default_factory=dict)
     negative_extrema: int = 0
+    meteor_budget_exhausted: int = 0  # pairs whose chunk search ran out of ``_NODE_BUDGET``
 
     def to_tsv(self) -> str:
         """Tab-separated corpus scores on the x100 scale."""
@@ -349,18 +394,23 @@ def evaluate(
     per_source: dict[str, dict[int, float]] = {name: {} for name in METRIC_NAMES}
     skipped = {"greedy_matching": 0, "vector_extrema": 0}
     negative_extrema = 0
+    budget_flags: list[bool] = []
+    words = {w for idx, responses in generations.items() for tokens in (*responses, references[idx]) for w in tokens}
+    stems = {w: porter_stem(w) for w in words}  # each distinct word stemmed once per call
 
     for idx in sorted(generations):
         responses = generations[idx]
         ref = references[idx]
+        ref_counts = _ngram_counts(ref, 4)
         buckets: dict[str, list[float]] = {name: [] for name in METRIC_NAMES}
         for response in responses:
             all_cands.append(response)
             all_refs.append(ref)
             buckets["rouge_l"].append(rouge_l(response, ref))
-            buckets["meteor_lite"].append(meteor_lite(response, ref) if response else 0.0)
+            buckets["meteor_lite"].append(meteor_lite(response, ref, stems, budget_flags) if response else 0.0)
+            matched, total = _clipped_counts(response, ref_counts)
             for n in (2, 3, 4):
-                buckets[f"bleu{n}"].append(bleu_n([response], [ref], n))
+                buckets[f"bleu{n}"].append(_bleu_from_counts(matched, total, n, len(response), len(ref)))
             if table is not None:
                 try:
                     buckets["greedy_matching"].append(greedy_matching(response, ref, table))
@@ -384,7 +434,13 @@ def evaluate(
         scores = per_source[name]
         if scores:
             corpus[name] = float(np.mean(list(scores.values())))
-    return MetricReport(corpus=corpus, per_source=per_source, skipped=skipped, negative_extrema=negative_extrema)
+    return MetricReport(
+        corpus=corpus,
+        per_source=per_source,
+        skipped=skipped,
+        negative_extrema=negative_extrema,
+        meteor_budget_exhausted=sum(budget_flags),
+    )
 
 
 # ---------------------------------------------------------------- significance

@@ -5,6 +5,8 @@ import math
 import re
 from collections import Counter
 from functools import lru_cache
+from typing import Optional
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fcrg import metrics
 from fcrg.metrics import (
     EmbeddingTable,
     bleu_n,
@@ -104,6 +107,19 @@ def test_bleu_order_invariance():
     fwd = bleu_n(cands, refs, 3)
     rev = bleu_n(cands[::-1], refs[::-1], 3)
     assert fwd == pytest.approx(rev, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(
+    st.lists(st.sampled_from(WORDS[:4]), max_size=6),
+    st.lists(st.sampled_from(WORDS[:4]), min_size=1, max_size=6),
+), min_size=1, max_size=6))
+def test_evaluate_sentence_bleu_equals_bleu_n_of_the_pair(pairs):
+    # One response per source, so each per-source score is that pair's sentence score.
+    report = evaluate({i: [cand] for i, (cand, _) in enumerate(pairs)}, {i: ref for i, (_, ref) in enumerate(pairs)})
+    for i, (cand, ref) in enumerate(pairs):
+        for n in (2, 3, 4):
+            assert report.per_source[f"bleu{n}"][i] == bleu_n([cand], [ref], n)
 
 
 def test_bleu_validation():
@@ -238,6 +254,114 @@ def test_meteor_fragmentation_increases_penalty():
 def test_meteor_rejects_empty():
     with pytest.raises(ValueError):
         meteor_lite([], ["a"])
+
+
+def min_chunks_reference(cand, ref, stems, exact, stem, budget):
+    """The chunk search as first written: a ``Counter`` per quota, copied per candidate suffix.
+
+    The node budget is a parameter here, and the exhaustion flag is returned
+    beside the chunk count.
+    """
+    total = sum(exact.values()) + sum(stem.values())
+    cand_stems = [stems[w] for w in cand]
+    ref_stems = [stems[w] for w in ref]
+    best = total + 1
+    nodes = 0
+
+    suffix_words: list[Counter] = [Counter() for _ in range(len(cand) + 1)]
+    suffix_stems: list[Counter] = [Counter() for _ in range(len(cand) + 1)]
+    for i in range(len(cand) - 1, -1, -1):
+        suffix_words[i] = suffix_words[i + 1].copy()
+        suffix_words[i][cand[i]] += 1
+        suffix_stems[i] = suffix_stems[i + 1].copy()
+        suffix_stems[i][cand_stems[i]] += 1
+
+    def feasible(i: int, exact_left: Counter, stem_left: Counter) -> bool:
+        for w, need in exact_left.items():
+            if need > suffix_words[i][w]:
+                return False
+        for s, need in stem_left.items():
+            if need > suffix_stems[i][s]:
+                return False
+        return True
+
+    def dfs(i: int, used: int, exact_left: Counter, stem_left: Counter, last: Optional[tuple[int, int]], chunks: int):
+        nonlocal best, nodes
+        nodes += 1
+        if chunks >= best or nodes > budget:
+            return
+        if i == len(cand):
+            if not (+exact_left) and not (+stem_left):
+                best = min(best, chunks)
+            return
+        if not feasible(i, exact_left, stem_left):
+            return
+        word = cand[i]
+        options: list[tuple[int, bool]] = []
+        if exact_left[word] > 0:
+            options.extend((j, True) for j in range(len(ref)) if ref[j] == word and not used >> j & 1)
+        s = cand_stems[i]
+        if stem_left[s] > 0:
+            options.extend((j, False) for j in range(len(ref)) if ref_stems[j] == s and ref[j] != word and not used >> j & 1)
+        if last is not None:
+            options.sort(key=lambda opt: (opt[0] != last[1] + 1,))
+        for j, is_exact in options:
+            cont = last is not None and last[0] == i - 1 and last[1] == j - 1
+            key = word if is_exact else s
+            counter = exact_left if is_exact else stem_left
+            counter[key] -= 1
+            dfs(i + 1, used | 1 << j, exact_left, stem_left, (i, j), chunks + (0 if cont else 1))
+            counter[key] += 1
+        dfs(i + 1, used, exact_left, stem_left, last, chunks)
+
+    dfs(0, 0, Counter(exact), Counter(stem), None, 0)
+    return min(best, total), nodes > budget
+
+
+# Inflection families: words that share a Porter stem without being equal.
+FAMILIES = [
+    ["claim", "claims", "claimed", "claiming"],
+    ["debunk", "debunked", "debunking"],
+    ["fake", "faked", "faking", "fakes"],
+    ["run", "runs", "running"],
+    ["news"],
+    ["the"],
+]
+INFLECTED = [w for family in FAMILIES for w in family]
+
+
+@st.composite
+def inflected_pairs(draw):
+    """Two 1-12 token sides over a few inflected words, so words and stems repeat."""
+    words = draw(st.lists(st.sampled_from(INFLECTED), min_size=1, max_size=5, unique=True))
+    side = st.lists(st.sampled_from(words), min_size=1, max_size=12)
+    return draw(side), draw(side)
+
+
+@settings(max_examples=400, deadline=None)
+@given(inflected_pairs(), st.sampled_from([metrics._NODE_BUDGET, 50, 7, 1]))
+def test_min_chunks_matches_the_counter_copy_search(pair, budget):
+    cand, ref = pair
+    stems = {w: porter_stem(w) for w in {*cand, *ref}}
+    exact, stem = metrics._stage_quotas(cand, ref, stems)
+    with mock.patch.object(metrics, "_NODE_BUDGET", budget):
+        found = metrics._min_chunks(cand, ref, stems, exact, stem)
+    assert found == min_chunks_reference(cand, ref, stems, exact, stem, budget)
+
+
+def test_meteor_with_a_stem_map_scores_as_without():
+    cand, ref = ["claims", "were", "debunked", "claim"], ["the", "claim", "was", "debunking", "claimed"]
+    stems = {w: porter_stem(w) for w in {*cand, *ref, "unused"}}
+    assert meteor_lite(cand, ref, stems) == meteor_lite(cand, ref)
+
+
+def test_meteor_flags_a_search_that_ran_out_of_budget(monkeypatch):
+    flags = []
+    meteor_lite(["a", "b"], ["a", "b"], budget_flags=flags)
+    meteor_lite(["x"], ["y"], budget_flags=flags)  # no match, no search
+    monkeypatch.setattr(metrics, "_NODE_BUDGET", 1)
+    meteor_lite(["a", "b"], ["a", "b"], budget_flags=flags)
+    assert flags == [False, True]
 
 
 # ---------------------------------------------------------------- embedding metrics
@@ -408,15 +532,26 @@ def test_embedding_table_from_model_returns_every_column_as_float64(dtype):
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_embedding_table_from_model_does_not_alias_the_parameter(dtype):
     vocab = build_vocabulary([["fake", "news", "hoax", "news"]], min_count=1)
-    model = FCRGModel(ModelConfig(vocab_size=vocab.size, embed_dim=3, hidden_size=2, output_size=2, dtype=dtype))
-    emb = model.params["embedding"].data
-    table = embedding_table_from_model(emb, vocab)
-    expected = {t: emb[:, vocab.token_to_id[t]].astype(np.float64) for t in ("fake", "news", "hoax")}
-    emb += 1.0  # the table must not alias the parameter, a float64 one included
-    for token, vector in expected.items():
-        assert table[token].dtype == np.float64
-        assert np.array_equal(table[token], vector)
-    assert "<unk>" not in table
+    # At embed_dim 1 the transposed columns are already C-contiguous: there
+    # np.ascontiguousarray would return a view of the parameter.
+    for embed_dim in (3, 1):
+        config = ModelConfig(vocab_size=vocab.size, embed_dim=embed_dim, hidden_size=2, output_size=2, dtype=dtype)
+        model = FCRGModel(config)
+        emb = model.params["embedding"].data
+        table = embedding_table_from_model(emb, vocab)
+        expected = {t: emb[:, vocab.token_to_id[t]].astype(np.float64) for t in ("fake", "news", "hoax")}
+        emb += 1.0  # the table must not alias the parameter, a float64 one included
+        for token, vector in expected.items():
+            assert table[token].dtype == np.float64
+            assert np.array_equal(table[token], vector)
+        assert "<unk>" not in table
+
+
+def test_embedding_table_from_model_rejects_a_vocabulary_of_another_size():
+    vocab = build_vocabulary([["fake", "news"]], min_count=1)
+    embedding = np.zeros((3, vocab.size + 1))
+    with pytest.raises(ValueError, match=f"embedding has {vocab.size + 1} columns for a vocabulary of {vocab.size}"):
+        embedding_table_from_model(embedding, vocab)
 
 
 def test_lookup_without_in_table_tokens_has_zero_rows():
@@ -463,6 +598,27 @@ def test_evaluate_embedding_skips_counted():
     report = evaluate(gens, refs, ORTHO)
     assert report.skipped["greedy_matching"] == 1
     assert report.corpus["greedy_matching"] == pytest.approx(1.0)  # only source 0 scored
+
+
+def test_evaluate_stems_each_distinct_word_once_and_calls_bleu_n_for_the_corpus_only(monkeypatch):
+    stemmed, bleu_orders = Counter(), []
+    stem, bleu = metrics.porter_stem, metrics.bleu_n
+    monkeypatch.setattr(metrics, "porter_stem", lambda w: stemmed.update([w]) or stem(w))
+    monkeypatch.setattr(metrics, "bleu_n", lambda c, r, n: bleu_orders.append(n) or bleu(c, r, n))
+    refs = {0: ["claims", "were", "debunked"], 1: ["the", "claim", "is", "fake"]}
+    gens = {0: [["claim", "debunked"], ["the", "claims"], []], 1: [["fake", "claims"], ["the", "fakes", "the"]]}
+    evaluate(gens, refs)
+    words = {w for tokens in [*refs.values(), *(r for rs in gens.values() for r in rs)] for w in tokens}
+    assert stemmed == Counter(words)
+    assert bleu_orders == [2, 3, 4]
+
+
+def test_evaluate_counts_the_pairs_whose_chunk_search_ran_out_of_budget(monkeypatch):
+    refs = {0: ["a", "b"], 1: ["y"]}
+    gens = {0: [["a", "b"], ["b"]], 1: [["x"]]}
+    assert evaluate(gens, refs).meteor_budget_exhausted == 0
+    monkeypatch.setattr(metrics, "_NODE_BUDGET", 1)
+    assert evaluate(gens, refs).meteor_budget_exhausted == 2  # source 1 has no match, so no search
 
 
 def test_evaluate_missing_reference_raises():
