@@ -9,7 +9,6 @@ category.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from bisect import bisect_right
@@ -168,18 +167,32 @@ def lda_fit(
     (if given) is called with the partially fitted model after every sweep.
 
     The counts live in Python lists while sampling (a site reads K ints of
-    its document, K of its word and the K topic totals), since numpy call
-    overhead dominates on length-K arrays.  Each sweep draws its uniforms in
-    one ``rng.random(n_sites)`` block, the same PCG64 stream as one
-    ``rng.random()`` per site.  A site's weights
+    its document, K of its word and the K topic denominators), since numpy
+    call overhead dominates on length-K arrays.  Each sweep draws its
+    uniforms in one ``rng.random(n_sites)`` block, the same PCG64 stream as
+    one ``rng.random()`` per site.  A site's weights
     (n_dk + alpha)(n_kw + beta)/(n_k + V beta), own count removed, are summed
-    in topic order, and the new topic is the first whose running sum exceeds
-    u times the total.
+    in topic order in one loop, and the new topic is the first whose running
+    sum exceeds u times the total.
+
+    The three factors are read from float tables rather than added per
+    topic: ``doc_alpha[n]`` is ``n + alpha`` and ``word_beta[n]`` is
+    ``n + beta``, each the very float the int + float add gives, and
+    ``denominators[k]`` is reset to ``topic_totals[k] + V beta`` whenever
+    that total changes.  Every product, quotient and partial sum is the same
+    float operation in the same order as summing the weights one by one (the
+    running total starts at 0.0, and 0.0 + w is w), so the sampled state is
+    bit-identical to the per-site sampler's.  The site's own token is out of
+    the counts when they are read, so a document count is below the longest
+    document's length and a word count below the most frequent word's count:
+    the two tables hold that many floats, however many sites there are.
     """
     if num_topics < 1:
         raise ValueError("num_topics must be >= 1")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if any(len(d) == 0 for d in documents):
         raise ValueError("every document must be non-empty")
     if alpha is None:
@@ -214,6 +227,9 @@ def lda_fit(
             word_topic[w][k] += 1
             topic_totals[k] += 1
     doc_tokens = [np.array(ids, dtype=np.int64) for ids in doc_ids]
+    doc_alpha = [n + alpha for n in range(max(map(len, doc_ids)))]
+    word_beta = [n + beta for n in range(max(map(sum, word_topic)))]
+    denominators = [t + vocab_beta for t in topic_totals]
 
     def topic_model() -> TopicModel:
         """The counts as arrays (``word_topic`` is word-major, ``topic_word`` topic-major)."""
@@ -230,13 +246,18 @@ def lda_fit(
                 row[k] -= 1
                 col[k] -= 1
                 topic_totals[k] -= 1
-                cdf = list(itertools.accumulate([(r + alpha) * (c + beta) / (t + vocab_beta)
-                                                 for r, c, t in zip(row, col, topic_totals)]))
-                k = bisect_right(cdf, u * cdf[-1])
+                denominators[k] = topic_totals[k] + vocab_beta
+                cdf = []
+                total = 0.0
+                for r, c, d in zip(row, col, denominators):
+                    total += doc_alpha[r] * word_beta[c] / d
+                    cdf.append(total)
+                k = bisect_right(cdf, u * total)
                 z[pos] = k
                 row[k] += 1
                 col[k] += 1
                 topic_totals[k] += 1
+                denominators[k] = topic_totals[k] + vocab_beta
         if on_sweep is not None:
             on_sweep(topic_model())
     return topic_model()
@@ -244,10 +265,13 @@ def lda_fit(
 
 def lda_top_words(model: TopicModel, m: int) -> list[list[str]]:
     """Top-m words per topic by smoothed topic-word probability, ties by id."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     result = []
     for k in range(model.num_topics):
         probs = (model.topic_word[k] + model.beta) / (model.topic_totals[k] + len(model.vocab) * model.beta)
-        order = sorted(range(len(model.vocab)), key=lambda w: (-probs[w], w))
+        # A stable sort of the ids on -p keeps tied ids in ascending order.
+        order = sorted(range(len(model.vocab)), key=(-probs).tolist().__getitem__)
         result.append([model.vocab[w] for w in order[:m]])
     return result
 

@@ -238,9 +238,10 @@ def _encode_split(path, vocab: Vocabulary, settings: dict) -> list:
 def cmd_train(args, settings: dict) -> int:
     out = _prepare_run_dir(args.run_dir, settings)
     vocab = Vocabulary.load(args.vocab)
+    config = _build(ModelConfig, settings, vocab_size=vocab.size)  # checks the settings before the splits are read
     train_pairs = _encode_split(args.train, vocab, settings)
     val_pairs = _encode_split(args.validation, vocab, settings)
-    model = FCRGModel(_build(ModelConfig, settings, vocab_size=vocab.size))
+    model = FCRGModel(config)
 
     log_lines = ["epoch\ttrain_nll\tvalidation_nll"]
 

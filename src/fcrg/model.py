@@ -47,6 +47,8 @@ class ModelConfig:
             raise ValueError("dropout must be in [0, 1)")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be float32 or float64")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +225,22 @@ def test_lda_fit_equals_the_per_site_numpy_sampler(docs, num_topics, alpha, beta
     assert model.vocab == reference.vocab and model.alpha == reference.alpha
 
 
+@pytest.mark.parametrize("num_topics", [5, 1])
+def test_lda_fit_equals_the_per_site_numpy_sampler_at_workload_scale(num_topics):
+    # A Zipfian corpus with documents of up to 20 tokens and a most frequent word
+    # counted hundreds of times.  At K=1 every site reads its document's and its
+    # word's whole count less its own token: the tops of the kernel's float tables.
+    rng = np.random.default_rng(30)
+    ranks = np.arange(1, 401)
+    probs = (1.0 / ranks) / (1.0 / ranks).sum()
+    lengths = np.concatenate([np.full(20, 20), rng.integers(1, 21, size=280)])
+    docs = [[f"w{i}" for i in rng.choice(len(ranks), size=n, p=probs)] for n in lengths]
+    assert max(map(len, docs)) == 20
+    assert max(Counter(t for doc in docs for t in doc).values()) >= 200
+    model = lda_fit(docs, num_topics=num_topics, iterations=2, seed=7)
+    assert _lda_state(model) == _lda_state(_reference_lda_fit(docs, num_topics, iterations=2, seed=7))
+
+
 def test_lda_fit_without_on_sweep_equals_the_per_site_numpy_sampler():
     docs, _ = synthetic_two_topic_corpus(n_docs=40, seed=5)
     docs += [["sport0"], ["polit3", "polit3", "polit3"]]
@@ -288,6 +305,13 @@ def test_lda_top_words_ties_break_by_id():
     assert lda_top_words(model, 2)[0] == ["a", "b"]
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_lda_top_words_rejects_m_below_1(m):
+    model = lda_fit([["a", "b"], ["b", "c"]], 2, iterations=1, seed=0)
+    with pytest.raises(ValueError, match=f"^m must be >= 1, got {m}$"):
+        lda_top_words(model, m)
+
+
 def test_lda_site_weights_hand_calculation():
     # one site with K=2: weights (n_dk+a)(n_kw+b)/(n_k+Vb), own count excluded
     doc_topic_row = np.array([2, 1])
@@ -312,6 +336,8 @@ def test_lda_validation():
         lda_fit([["a"]], 0)
     with pytest.raises(ValueError):
         lda_fit([["a"]], 2, iterations=0)
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+        lda_fit([["a", "b"], ["c"]], 2, seed=-1)
 
 
 @pytest.mark.parametrize("name", ["alpha", "beta"])

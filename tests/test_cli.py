@@ -304,6 +304,7 @@ def _train_argv(preprocessed, tmp_path, *settings):
     ("adam_epsilon=nan", "epsilon must be positive, got nan"),
     ("adam_epsilon=inf", "epsilon must be finite, got inf"),
     ("clip_norm=nan", "clip_norm must be positive, got nan"),
+    ("model_seed=-1", "seed must be a non-negative integer, got -1"),
 ])
 def test_train_rejects_a_bad_setting_in_one_line(preprocessed, tmp_path, capsys, setting, message):
     capsys.readouterr()
@@ -830,6 +831,12 @@ def test_analyze_rejects_bad_lda_hyperparameter_in_one_line(dataset, tmp_path, c
     assert code == 1
     shown = str(float(value))
     assert capsys.readouterr().err == f"fcrg analyze: error: {name[4:]} must be a finite number > 0, got {shown}\n"
+
+
+def test_analyze_rejects_a_negative_lda_seed_in_one_line(dataset, tmp_path, capsys):
+    code = main(["analyze", "--dataset", str(dataset), "--run-dir", str(tmp_path / "a"), "--set", "lda_seed=-1"])
+    assert code == 1
+    assert capsys.readouterr().err == "fcrg analyze: error: seed must be a non-negative integer, got -1\n"
 
 
 def test_analyze_rejects_underflowing_lda_hyperparameters_in_one_line(dataset, tmp_path, capsys):

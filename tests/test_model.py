@@ -546,6 +546,8 @@ def test_config_validation():
         tiny_config(dropout=1.0)
     with pytest.raises(ValueError):
         tiny_config(vocab_size=0)
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+        tiny_config(seed=-1)
 
 
 # ---------------------------------------------------------------- encoder and attention
