@@ -152,9 +152,25 @@ class TopicModel:
     doc_tokens: list[np.ndarray]
 
 
+def check_lda_settings(num_topics: int, alpha: Optional[float], beta: float, iterations: int, seed: int) -> float:
+    """Raise on a setting ``lda_fit`` rejects whatever the documents; return alpha, None meaning 50/K."""
+    if num_topics < 1:
+        raise ValueError("num_topics must be >= 1")
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if alpha is None:
+        alpha = 50.0 / num_topics
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be a finite number > 0, got {value}")
+    return alpha
+
+
 def lda_fit(
     documents: Sequence[Tokens],
-    num_topics: int,
+    num_topics: int = 5,
     alpha: Optional[float] = None,
     beta: float = 0.01,
     iterations: int = 1000,
@@ -187,19 +203,9 @@ def lda_fit(
     document's length and a word count below the most frequent word's count:
     the two tables hold that many floats, however many sites there are.
     """
-    if num_topics < 1:
-        raise ValueError("num_topics must be >= 1")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    alpha = check_lda_settings(num_topics, alpha, beta, iterations, seed)
     if any(len(d) == 0 for d in documents):
         raise ValueError("every document must be non-empty")
-    if alpha is None:
-        alpha = 50.0 / num_topics
-    for name, value in (("alpha", alpha), ("beta", beta)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be a finite number > 0, got {value}")
     vocab = sorted({t for doc in documents for t in doc})
     if not vocab:
         raise ValueError("vocabulary of size 0")

@@ -2,11 +2,12 @@
 gradcheck.
 
 Every subcommand reads flat ``key=value`` settings (``--config`` file plus
-``--set`` overrides), writes its outputs under ``--run-dir``, and drops the
-fully resolved configuration beside them.  All randomness flows from seeds in
-the configuration, so reruns with identical inputs are byte-identical for a
-fixed numpy/BLAS build and BLAS thread count (the thread count can change the
-low bits of a GEMM).
+``--set`` overrides) and checks them before it creates ``--run-dir`` or reads
+its data (``train`` first reads the vocabulary, whose size its model config
+needs); its outputs go there, beside the fully resolved configuration.  All
+randomness flows from seeds in the configuration, so reruns with identical
+inputs are byte-identical for a fixed numpy/BLAS build and BLAS thread count
+(the thread count can change the low bits of a GEMM).
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ from .params import GradDiff, ParamStore, TrainConfig, finite_diff_report, load_
 
 # ---------------------------------------------------------------- run config
 
-# Every setting default is defined once, by the code that uses it: the config
-# dataclasses and a few library keywords.  Public setting keys are the owners'
-# names, except for these renames.
+# Every setting default and rule is defined once, by the code that uses it: the
+# config dataclasses and a few library keywords.  Public setting keys are the
+# owners' names, except for these renames.
 _RENAMES = {
     ModelConfig: {"seed": "model_seed"},
     TrainConfig: {"beta1": "adam_beta1", "beta2": "adam_beta2", "epsilon": "adam_epsilon"},
@@ -76,14 +77,14 @@ def _keyword_defaults(function, **keys: str) -> dict[str, object]:
 DEFAULTS: dict[str, object] = {
     **_field_defaults(ModelConfig),
     **_field_defaults(TrainConfig),
-    **_keyword_defaults(train_model, shuffle_seed="shuffle_seed"),
     **_field_defaults(SplitSpec),
     **_keyword_defaults(build_vocabulary, min_count="min_count"),
     **_field_defaults(DecodeConfig),
-    # topic model: lda_fit has no default for these (lda_alpha < 0 means its 50/num_topics default)
-    "num_topics": 5,
+    # a typed setting cannot hold lda_fit's alpha=None: lda_alpha < 0 means its 50/num_topics default
     "lda_alpha": -1.0,
-    **_keyword_defaults(analysis.lda_fit, beta="lda_beta", iterations="lda_iterations", seed="lda_seed"),
+    **_keyword_defaults(
+        analysis.lda_fit, num_topics="num_topics", beta="lda_beta", iterations="lda_iterations", seed="lda_seed"
+    ),
 }
 
 
@@ -126,7 +127,7 @@ def load_run_config(config_path: Optional[str], overrides: Sequence[str]) -> dic
     for item in overrides:
         if "=" not in item:
             raise ValueError(f"--set {item!r}: expected key=value")
-        key, value = item.split("=", 1)
+        key, value = (part.strip() for part in item.split("=", 1))
         if key not in settings:
             raise ValueError(f"--set: unknown config key {key!r}")
         settings[key] = _coerce(key, value)
@@ -183,6 +184,7 @@ def _pair_error(path, index: int, exc: ValueError) -> ValueError:
 
 
 def cmd_preprocess(args, settings: dict) -> int:
+    spec = _build(SplitSpec, settings)
     out = _prepare_run_dir(args.run_dir, settings)
     gazetteer = _load_gazetteer(args.gazetteer)
     pairs = read_dataset(args.dataset)
@@ -196,21 +198,19 @@ def cmd_preprocess(args, settings: dict) -> int:
             normalized.append(RawPair(original, reply, p.share_count, p.label))
         except ValueError as exc:
             raise _pair_error(args.dataset, index, exc) from None
-    write_dataset(out / "normalized.tsv", normalized)
-
-    train, validation, test = split_dataset(normalized, _build(SplitSpec, settings))
-    write_dataset(out / "train.tsv", train)
-    write_dataset(out / "validation.tsv", validation)
-    write_dataset(out / "test.tsv", test)
-
+    train, validation, test = split_dataset(normalized, spec)
     token_lists = []
     for p in train:
         token_lists.append(tokenize(p.original_text))
         token_lists.append(tokenize(p.reply_text))
     vocab = build_vocabulary(token_lists, min_count=settings["min_count"])
-    vocab.save(out / "vocab.tsv")
-
     stats = corpus_statistics(normalized, min_count=settings["min_count"])
+
+    write_dataset(out / "normalized.tsv", normalized)
+    write_dataset(out / "train.tsv", train)
+    write_dataset(out / "validation.tsv", validation)
+    write_dataset(out / "test.tsv", test)
+    vocab.save(out / "vocab.tsv")
     stats_lines = [f"{k}\t{stats[k]}" for k in sorted(stats)]
     stats_lines.append(f"pairs\t{len(pairs)}")
     stats_lines.append(f"train_pairs\t{len(train)}")
@@ -221,26 +221,26 @@ def cmd_preprocess(args, settings: dict) -> int:
     return 0
 
 
-def _encode_split(path, vocab: Vocabulary, settings: dict) -> list:
+def _encode_split(path, vocab: Vocabulary, config: ModelConfig) -> list:
     pairs = read_dataset(path)
     if not pairs:
         raise ValueError(f"{path}: split is empty")
-    lengths = {key: settings[key] for key in ("max_source_len", "max_target_len")}
     encoded = []
     for index, p in enumerate(pairs):
         try:
-            encoded.append(encode_pair(p, vocab, **lengths))
+            encoded.append(encode_pair(p, vocab, config.max_source_len, config.max_target_len))
         except ValueError as exc:
             raise _pair_error(path, index, exc) from None
     return encoded
 
 
 def cmd_train(args, settings: dict) -> int:
-    out = _prepare_run_dir(args.run_dir, settings)
+    train_config = _build(TrainConfig, settings)
     vocab = Vocabulary.load(args.vocab)
-    config = _build(ModelConfig, settings, vocab_size=vocab.size)  # checks the settings before the splits are read
-    train_pairs = _encode_split(args.train, vocab, settings)
-    val_pairs = _encode_split(args.validation, vocab, settings)
+    config = _build(ModelConfig, settings, vocab_size=vocab.size)
+    out = _prepare_run_dir(args.run_dir, settings)
+    train_pairs = _encode_split(args.train, vocab, config)
+    val_pairs = _encode_split(args.validation, vocab, config)
     model = FCRGModel(config)
 
     log_lines = ["epoch\ttrain_nll\tvalidation_nll"]
@@ -249,25 +249,19 @@ def cmd_train(args, settings: dict) -> int:
         log_lines.append(f"{record.epoch}\t{record.train_nll_per_token:.6f}\t{record.validation_nll_per_token:.6f}")
         print(log_lines[-1])
 
-    result = train_model(
-        model, train_pairs, val_pairs, _build(TrainConfig, settings),
-        shuffle_seed=settings["shuffle_seed"], log=log,
-    )
+    result = train_model(model, train_pairs, val_pairs, train_config, log=log)
     write_text(out / "epochs.tsv", "\n".join(log_lines) + "\n")
-    save_checkpoint(
-        out / "model.ckpt", model.params, model.config.to_dict(),
-        seed=settings["model_seed"], epoch=result.best_epoch,
-    )
+    save_checkpoint(out / "model.ckpt", model.params, config.to_dict(), seed=config.seed, epoch=result.best_epoch)
     print(f"train: best epoch {result.best_epoch}, validation nll {result.best_validation_nll:.6f}")
     return 0
 
 
 def cmd_generate(args, settings: dict) -> int:
+    decode = _build(DecodeConfig, settings)
     out = _prepare_run_dir(args.run_dir, settings)
     config, store, vocab = _open_checkpoint(args.checkpoint, args.vocab)
     model = FCRGModel(config, params=store)
     gazetteer = _load_gazetteer(args.gazetteer)
-    decode = _build(DecodeConfig, settings)
     sources = list(read_lines(args.sources))
     if not sources:
         raise ValueError(f"{args.sources}: no source lines")
@@ -385,6 +379,10 @@ def cmd_evaluate(args, settings: dict) -> int:
 
 
 def cmd_analyze(args, settings: dict) -> int:
+    alpha = None if settings["lda_alpha"] < 0 else settings["lda_alpha"]
+    lda = dict(num_topics=settings["num_topics"], alpha=alpha, beta=settings["lda_beta"],
+               iterations=settings["lda_iterations"], seed=settings["lda_seed"])
+    analysis.check_lda_settings(**lda)
     out = _prepare_run_dir(args.run_dir, settings)
     gazetteer = _load_gazetteer(args.gazetteer)
     pairs = read_dataset(args.dataset)
@@ -416,15 +414,7 @@ def cmd_analyze(args, settings: dict) -> int:
 
     documents = [doc for doc in reply_docs if doc]
     if documents:
-        alpha = None if settings["lda_alpha"] < 0 else settings["lda_alpha"]
-        topics = analysis.lda_fit(
-            documents,
-            num_topics=settings["num_topics"],
-            alpha=alpha,
-            beta=settings["lda_beta"],
-            iterations=settings["lda_iterations"],
-            seed=settings["lda_seed"],
-        )
+        topics = analysis.lda_fit(documents, **lda)
         for k, words in enumerate(analysis.lda_top_words(topics, 10)):
             lines.append(f"topic\t{k}\t{' '.join(words)}")
 

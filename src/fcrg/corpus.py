@@ -264,6 +264,8 @@ class SplitSpec:
             raise ValueError("split ratios must be positive")
         if abs(self.train + self.validation + self.test - 1.0) > 1e-9:
             raise ValueError("split ratios must sum to 1")
+        if self.seed < 0:  # random.Random(-n) shuffles as random.Random(n)
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 def split_dataset(pairs: Sequence, spec: SplitSpec) -> tuple[list, list, list]:

@@ -297,7 +297,6 @@ def train_model(
     val_pairs: Sequence[EncodedPair],
     config: TrainConfig,
     *,
-    shuffle_seed: int = 0,
     log=None,
 ) -> TrainResult:
     """Adam training with gradient clipping and patience-based early stopping.
@@ -320,7 +319,7 @@ def train_model(
         if best_epoch and best_epoch == epoch - 1:  # this epoch's steps move the best parameters
             best_state = store.state()
         epoch_loss, epoch_tokens = 0.0, 0
-        for batch in batches(train_pairs, config.batch_size, shuffle_seed=shuffle_seed + epoch):
+        for batch in batches(train_pairs, config.batch_size, shuffle_seed=config.shuffle_seed + epoch):
             store.zero_grads()
             loss, n = model.sequence_nll(batch, train=True)
             value = loss.item()

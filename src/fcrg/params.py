@@ -41,6 +41,7 @@ class TrainConfig:
     epsilon: float = 1e-8
     max_epochs: int = 20
     patience: int = 3
+    shuffle_seed: int = 0  # epoch e shuffles its batches with shuffle_seed + e
 
     def __post_init__(self):
         for name in ("learning_rate", "batch_size", "clip_norm", "beta1", "beta2", "epsilon", "max_epochs"):
@@ -54,6 +55,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be below 1, got {getattr(self, name)}")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if self.shuffle_seed < 0:  # random.Random(-n) shuffles as random.Random(n)
+            raise ValueError(f"shuffle_seed must be a non-negative integer, got {self.shuffle_seed}")
 
 
 class ParamStore:

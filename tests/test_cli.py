@@ -12,7 +12,7 @@ import pytest
 
 from fcrg import analysis, cli, metrics
 from fcrg.cli import DEFAULTS, load_run_config, main
-from fcrg.corpus import build_vocabulary
+from fcrg.corpus import Vocabulary, build_vocabulary
 from fcrg.model import FCRGModel, ModelConfig
 from fcrg.params import GradDiff, load_checkpoint, save_checkpoint
 from test_corpus import fail_writes_midway
@@ -161,6 +161,14 @@ def test_config_type_errors_name_the_key():
         load_run_config(None, ["beam_size=lots"])
 
 
+def test_set_strips_the_key_and_value_as_a_config_line_does(tmp_path):
+    items = ["attention= bilinear", "beam_size =3", " min_count = 2 "]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(items) + "\n")
+    assert load_run_config(None, items) == load_run_config(str(cfg), [])
+    assert load_run_config(None, items)["attention"] == "bilinear"
+
+
 # ---------------------------------------------------------------- preprocess
 
 
@@ -207,6 +215,13 @@ def test_preprocess_rejects_a_nan_split_ratio_in_one_line(dataset, tmp_path, cap
     code = main(["preprocess", "--dataset", str(dataset), "--run-dir", str(tmp_path / "r"), "--set", "train_ratio=nan"])
     assert code == 1
     assert capsys.readouterr().err == "fcrg preprocess: error: split ratios must be positive\n"
+
+
+def test_preprocess_rejects_a_negative_split_seed_in_one_line(dataset, tmp_path, capsys):
+    # random.Random(-3) shuffles as random.Random(3) does, so -3 would repeat seed 3's split.
+    code = main(["preprocess", "--dataset", str(dataset), "--run-dir", str(tmp_path / "r"), "--set", "split_seed=-3"])
+    assert code == 1
+    assert capsys.readouterr().err == "fcrg preprocess: error: seed must be a non-negative integer, got -3\n"
 
 
 def test_preprocess_rejects_ratios_that_leave_a_split_empty(dataset, tmp_path, capsys):
@@ -310,6 +325,13 @@ def test_train_rejects_a_bad_setting_in_one_line(preprocessed, tmp_path, capsys,
     capsys.readouterr()
     assert main(_train_argv(preprocessed, tmp_path, setting)) == 1
     assert capsys.readouterr().err == f"fcrg train: error: {message}\n"
+
+
+def test_train_rejects_a_negative_shuffle_seed_in_one_line(preprocessed, tmp_path, capsys):
+    # Epoch e shuffles with shuffle_seed + e; at -3, epochs 1 and 5 would see one batch order.
+    capsys.readouterr()
+    assert main(_train_argv(preprocessed, tmp_path, "shuffle_seed=-3")) == 1
+    assert capsys.readouterr().err == "fcrg train: error: shuffle_seed must be a non-negative integer, got -3\n"
 
 
 def test_train_accepts_an_infinite_clip_norm(preprocessed, tmp_path):
@@ -862,6 +884,55 @@ def test_analyze_failing_midway_keeps_the_previous_outputs(dataset, tmp_path, mo
     assert sorted(p.name for p in run.iterdir()) == ["analysis.tsv", "config.resolved"]
     assert (run / "analysis.tsv").read_bytes() == previous["analysis.tsv"]
     assert b"num_topics=3" in (run / "config.resolved").read_bytes()  # written before the failure
+
+
+# ---------------------------------------------------------------- settings first
+
+
+BAD_SETTINGS = [  # command, setting, message, what the run directory holds (None: it is not made)
+    ("preprocess", "train_ratio=0", "split ratios must be positive", None),
+    ("preprocess", "split_seed=-1", "seed must be a non-negative integer, got -1", None),
+    ("preprocess", "min_count=0", "min_count must be >= 1", ["config.resolved"]),  # build_vocabulary's rule
+    ("train", "learning_rate=0", "learning_rate must be positive, got 0.0", None),
+    ("train", "shuffle_seed=-1", "shuffle_seed must be a non-negative integer, got -1", None),
+    ("generate", "beam_size=0", "beam_size must be >= 1", None),
+    ("analyze", "num_topics=0", "num_topics must be >= 1", None),
+    ("analyze", "lda_seed=-1", "seed must be a non-negative integer, got -1", None),
+    ("analyze", "lda_beta=0", "beta must be a finite number > 0, got 0.0", None),
+]
+
+
+@pytest.mark.parametrize("command, setting, message, left", BAD_SETTINGS, ids=[f"{c}-{s}" for c, s, _, _ in BAD_SETTINGS])
+def test_a_bad_setting_stops_a_command_before_it_reads_its_inputs(
+    dataset, preprocessed, tmp_path, capsys, monkeypatch, command, setting, message, left
+):
+    vocab = preprocessed / "vocab.tsv"
+    model = FCRGModel(ModelConfig(vocab_size=Vocabulary.load(vocab).size, embed_dim=4, hidden_size=5, output_size=6))
+    save_checkpoint(tmp_path / "model.ckpt", model.params, model.config.to_dict())
+    (tmp_path / "sources.txt").write_text("the claim spreading fast\n")
+    inputs = {
+        "preprocess": ["--dataset", dataset],
+        "train": ["--train", preprocessed / "train.tsv", "--validation", preprocessed / "validation.tsv",
+                  "--vocab", vocab],
+        "generate": ["--checkpoint", tmp_path / "model.ckpt", "--sources", tmp_path / "sources.txt", "--vocab", vocab],
+        "analyze": ["--dataset", dataset],
+    }[command]
+    reads = []
+    for name in ("read_dataset", "_encode_split", "load_checkpoint"):
+        def spy(path, *args, _name=name, _fn=getattr(cli, name)):
+            reads.append((_name, str(path)))
+            return _fn(path, *args)
+
+        monkeypatch.setattr(cli, name, spy)
+    run = tmp_path / "run"
+    capsys.readouterr()
+    assert main([command, *map(str, inputs), "--run-dir", str(run), "--set", setting]) == 1
+    assert capsys.readouterr().err == f"fcrg {command}: error: {message}\n"
+    if left is None:
+        assert reads == []
+        assert not run.exists()
+    else:  # the rule needs the data: the run directory holds only the resolved settings
+        assert sorted(p.name for p in run.iterdir()) == left
 
 
 def test_gradcheck_passes(tmp_path, capsys):

@@ -813,9 +813,9 @@ def test_training_deterministic():
     histories = []
     for _ in range(2):
         model = FCRGModel(tiny_config(dtype="float64", hidden_size=8))
-        config = TrainConfig(max_epochs=3, patience=3, batch_size=4)
+        config = TrainConfig(max_epochs=3, patience=3, batch_size=4, shuffle_seed=1)
         histories.append([])
-        train_model(model, pairs, pairs, config, shuffle_seed=1, log=histories[-1].append)
+        train_model(model, pairs, pairs, config, log=histories[-1].append)
     a, b = histories
     assert [r.validation_nll_per_token for r in a] == [r.validation_nll_per_token for r in b]
 
